@@ -6,14 +6,18 @@ per rotation, so three rotations cover all six shapes of each), searched
 with ``admv_star``, plus one 12-task layered DAG searched with ``admv``.
 Every DAG gets one serialised ``search_order`` op and one
 ``search_parallel(processors=2)`` op.  The search budgets are cut so that
-an op takes about half a second and a run holds some fifty ops.  All
+an op takes about half a second and a run holds some fifty ops, and
+they are set so that both kinds of op cost about the same: with two
+separate clusters of op times, half the ops in each, the median would
+fall into the gap between them and jump with every small change.  All
 searches run on the failure-intense ``stress`` platform, where the
 serialisation order matters.
 
 The DAG structures come from a fixed seed, rotation by rotation; the
 workload seed draws their task weights, cost multipliers and search
 seeds.  The structure sets how many neighbours a search screens, so
-fixing it keeps the mix of op costs the same for every workload seed.
+fixing it keeps the mix of op costs the same for every workload seed,
+and every run of one length searches the same rotations.
 """
 
 from __future__ import annotations
@@ -21,11 +25,10 @@ from __future__ import annotations
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
-from time import perf_counter
 
 import numpy as np
 
-from common import Tally, child_seed
+from common import Tally, child_seed, op_clock
 
 from repro.core import evaluate_schedule
 from repro.dag.generate import (
@@ -45,16 +48,17 @@ PLATFORM = stress_platform()
 ORDER_OPTIONS = dict(
     method="hill_climb", restarts=1, max_rounds=1, polish_budget=0, recombine=0
 )
-PARALLEL_OPTIONS = dict(method="hill_climb", restarts=1, max_rounds=3)
+PARALLEL_OPTIONS = dict(method="hill_climb", restarts=1, max_rounds=6)
 PROCESSORS = 2
 STRUCTURE_SEED = 0
 SMALL = dict(tasks=12, layers=4, density=0.5, weights="lognormal")
+#: passes over one op list per run
+PASSES = 1
 #: rotations per cycle of shapes; the traced run repeats one cycle and
 #: its untraced pass scores ``search_quality``
 CYCLE = 3
-#: nominal wall of one rotation, which sizes a run: a run searches whole
-#: cycles, so every run and seed times the same mix of shapes
-ROTATION_S = 4.5
+#: nominal wall of one rotation, which sizes a run in whole rotations
+ROTATION_S = 6.0
 
 
 @dataclass(frozen=True)
@@ -105,7 +109,7 @@ def setup(seed: int) -> dict:
 
 def _execute(op: Op, recorder):
     span = recorder.span if recorder is not None else lambda name: nullcontext()
-    t0 = perf_counter()
+    t0 = op_clock()
     if op.kind == "order":
         with span("dag.search"):
             result = search_order(
@@ -121,7 +125,7 @@ def _execute(op: Op, recorder):
                 seed=op.seed,
                 **PARALLEL_OPTIONS,
             )
-    return perf_counter() - t0, result
+    return op_clock() - t0, result
 
 
 def _is_topological(dag: WorkflowDAG, order) -> bool:
@@ -171,7 +175,7 @@ class Phase(Tally):
                 math.log(result.expected_time / best_fixed.expected_time)
             )
 
-    def extra(self) -> dict[str, float]:
+    def extra(self, times: list[float]) -> dict[str, float]:
         if not self.log_quality:
             return {}
         return {
@@ -180,10 +184,9 @@ class Phase(Tally):
 
 
 def run(state: dict, seconds: float) -> Phase:
-    """Whole cycles of rotations, about ``seconds`` of op time."""
+    """Whole rotations, about ``seconds`` of op time."""
     phase = Phase()
-    cycles = max(1, round(seconds / (CYCLE * ROTATION_S)))
-    for r in range(cycles * CYCLE):
+    for r in range(max(1, round(seconds / ROTATION_S))):
         for op in state["cycle"][r] if r < CYCLE else rotation_ops(state["seed"], r):
             phase.run(op)
     return phase

@@ -5,9 +5,10 @@
 Runs ``repro.service.make_server(port=0, ...)``, prints ``port <n>`` once
 it listens, then reads commands on standard input:
 
-* ``report`` prints one JSON line: peak RSS, cache statistics, the
-  engine's ``repro.obs`` counters and, with ``--trace``, the span
-  aggregates of the wrappers installed in this process;
+* ``report`` prints one JSON line: the process's CPU time so far, peak
+  RSS, cache statistics, the engine's ``repro.obs`` counters and, with
+  ``--trace``, the span aggregates of the wrappers installed in this
+  process;
 * ``quit`` (or end of input) stops the server and exits.
 """
 
@@ -18,7 +19,7 @@ import json
 import sys
 import threading
 
-from common import peak_rss_mb, use_source_tree
+from common import op_clock, peak_rss_mb, use_source_tree
 
 
 def main(argv: list[str]) -> int:
@@ -47,6 +48,7 @@ def main(argv: list[str]) -> int:
                     break
                 if command == "report":
                     report = {
+                        "cpu_s": op_clock(),
                         "peak_rss_mb": peak_rss_mb(),
                         "cache": server.engine.cache.stats(),
                         "counters": server.engine.metrics_snapshot().counters,

@@ -22,6 +22,13 @@ Each run starts with one fixed-``runs`` campaign on ``stress`` with the
 steps.  Its Monte-Carlo seed is fixed rather than drawn from the
 workload seed: the step count swings by half between seeds, which would
 swamp the spread of a thirty-second run.
+
+A run makes two passes over its op list and times each op by the faster
+of its two passes.  The slowest ops take some 100 ms, and on a shared
+machine spells of a few seconds at two-thirds speed come and go; in one
+pass the tail percentile picks out the ops such a spell happened to hit
+(its spread over ten seeds was 0.26-0.42 on a shared 2-vCPU guest), in
+two it reads the ops' cost.
 """
 
 from __future__ import annotations
@@ -29,9 +36,8 @@ from __future__ import annotations
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
-from time import perf_counter
 
-from common import Tally, child_seed, ratio
+from common import Tally, child_seed, op_clock, ratio
 
 from repro.chains import TaskChain, make_chain
 from repro.core import optimize
@@ -56,6 +62,8 @@ HEAVY_SEED = 1
 #: 16 000 by chance, a one-in-four risk per 4 400-op sweep.
 MAX_Z = 5.0
 CONFIDENCE = 0.99
+#: passes over one op list per run; see the module docstring
+PASSES = 2
 #: rotations after which every pattern has come round
 CYCLE = 6
 #: nominal wall of one rotation, which sizes a run: a run certifies whole
@@ -119,7 +127,7 @@ def rotation_ops(state: dict, r: int) -> list[Op]:
 def _execute(op: Op, recorder):
     inst = op.instance
     span = recorder.span if recorder is not None else lambda name: nullcontext()
-    t0 = perf_counter()
+    t0 = op_clock()
     with span("sim.fixed" if op.target is None else "sim.adaptive"):
         result = run_monte_carlo(
             inst.chain,
@@ -131,7 +139,7 @@ def _execute(op: Op, recorder):
             analytic=inst.expected_time,
             target_ci=op.target,
         )
-    return perf_counter() - t0, result
+    return op_clock() - t0, result
 
 
 def _check(op: Op, result) -> bool:
@@ -167,8 +175,8 @@ class Phase(Tally):
                 t * result.summary.std / (op.target * result.mean)
             ) ** 2
 
-    def extra(self) -> dict[str, float]:
-        return {"mc_reps_per_s": ratio(self.reps, sum(self.times))}
+    def extra(self, times: list[float]) -> dict[str, float]:
+        return {"mc_reps_per_s": ratio(self.reps, sum(times))}
 
     def layer_inputs(self) -> dict[str, float]:
         return {"overshoot": ratio(self.adaptive_reps, self.needed_reps)}

@@ -1,8 +1,8 @@
 """The repository's benchmark: one workload per run, metrics on the last line.
 
-    python3 perfbench/run.py --workload dag_search --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload dag_search --seed 1 --seconds 25 --trace 0
 
-Workloads (see ``perfbench/spec.json`` for why each exists):
+Workloads (see ``BENCHMARK.json`` for why each exists):
 
 * ``dag_search``  -- in-process order and p=2 searches on seeded DAGs;
 * ``mc_certify``  -- in-process Monte-Carlo certifications of solved schedules;
@@ -11,43 +11,43 @@ Workloads (see ``perfbench/spec.json`` for why each exists):
 ``--seconds`` sizes a run: the in-process workloads run the number of
 whole rotations, and service_mix the number of requests, that take about
 that long at a nominal rate, so every run of a seed does the same work.
-``--trace 0`` measures the end-to-end metrics with tracing off.
+``--trace 0`` measures the end-to-end metrics with tracing off.  In-process
+op and set-up times are CPU times (``common.op_clock``); service_mix
+latencies are the clients' wall times.  Every time is scaled to a
+nominal machine speed with a calibration loop timed between ops
+(``common.nominal_scales``).
 ``--trace 1`` runs a fixed op list untraced and traced (op by op
-in-process, server by server for service_mix) and reports the
-per-layer metrics.  The last line of standard output is one JSON
-object; the lines before it print every metric by name and unit.  The
-exit code is non-zero when any op failed its output check.
+in-process, in alternating blocks against an untraced and a traced
+server for service_mix) and reports the per-layer metrics.  The units of
+the summary figures, the exact-repeat counts and how the layer metrics
+should move the end-to-end ones are in ``perfbench/spec.json``.
+
+The last line of standard output is one JSON object; the lines before
+it print every metric by name and unit.  The exit code is non-zero when
+any op failed its output check.
 """
 
 from __future__ import annotations
 
-import time
+import argparse
+import json
+import subprocess
+import sys
 
-T0 = time.perf_counter()  # set-up time counts from here, imports included
-
-import argparse  # noqa: E402
-import json  # noqa: E402
-import subprocess  # noqa: E402
-import sys  # noqa: E402
-
-from common import ROOT, median, peak_rss_mb, tail, use_source_tree  # noqa: E402
+from common import (
+    ROOT,
+    median,
+    nominal_scales,
+    op_clock,
+    peak_rss_mb,
+    setup_scale,
+    tail,
+    use_source_tree,
+)
 
 WORKLOADS = ("dag_search", "mc_certify", "service_mix")
 #: set-up runs per measured run: this process plus fresh child processes
 SETUP_REPEATS = 3
-#: units of the figures printed in the summary besides BENCHMARK.json's
-SUMMARY_UNITS = {
-    "ops": "count",
-    "ops_per_phase": "count",
-    "op_tail_percentile": "%",
-    "search_quality": "ratio",
-    "mc_reps_per_s": "1/s",
-    "warm_p50_ms": "ms",
-    "cold_p50_ms": "ms",
-    "hit_ratio": "ratio",
-    "recompute_ratio": "ratio",
-    "error_rate": "ratio",
-}
 
 
 def parse_args(argv: list[str]) -> argparse.Namespace:
@@ -61,11 +61,14 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def metric_units() -> tuple[dict[str, str], dict[str, str]]:
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+def metric_units() -> tuple[dict[str, str], dict[str, str], dict[str, str]]:
+    """Units of the end-to-end, per-layer and summary figures."""
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    summary = json.loads((ROOT / "perfbench" / "spec.json").read_text())["summary"]
     return (
-        {m["name"]: m["unit"] for m in spec["end_to_end"]},
-        {m["name"]: m["unit"] for m in spec["per_layer"]},
+        {m["name"]: m["unit"] for m in bench["end_to_end"]},
+        {m["name"]: m["unit"] for m in bench["per_layer"]},
+        {name: m["unit"] for name, m in summary.items()},
     )
 
 
@@ -99,7 +102,8 @@ def in_process(args: argparse.Namespace):
 
     workload = importlib.import_module(args.workload)
     state = workload.setup(args.seed)
-    own_setup_s = time.perf_counter() - T0
+    # from the process's start, imports included
+    own_setup_s = op_clock() * setup_scale()
     if args.setup_only:
         print(json.dumps({"setup_s": own_setup_s}))
         raise SystemExit(0)
@@ -109,14 +113,25 @@ def in_process(args: argparse.Namespace):
 
         from repro.obs import MetricsRegistry, instrument
 
-        # each op untraced and then traced, back to back, so that drift
-        # in the machine's speed cancels out of trace.overhead
+        # each op untraced and traced back to back, so that drift in the
+        # machine's speed cancels out of trace.overhead, and every other
+        # op traced first, so that neither copy always finds warm caches
         untraced, traced = workload.Phase(), workload.Phase()
-        recorder, registry = SpanRecorder(), MetricsRegistry()
-        for op in workload.fixed_ops(state, args.seconds):
+        recorder, registry = SpanRecorder(op_clock), MetricsRegistry()
+
+        def run_untraced(op) -> None:
             untraced.run(op, score=True)
+
+        def run_traced(op) -> None:
             with installed(recorder), instrument(registry):
                 traced.run(op, recorder)
+
+        ops = workload.fixed_ops(state, args.seconds)
+        workload.Phase().run(ops[0])  # lazy first-call costs land in neither copy
+        for i, op in enumerate(ops):
+            pair = (run_untraced, run_traced)
+            for run_copy in pair if i % 2 == 0 else pair[::-1]:
+                run_copy(op)
         op_wall = sum(traced.times)
         metrics = layer_metrics(
             recorder.snapshot(),
@@ -126,7 +141,7 @@ def in_process(args: argparse.Namespace):
         )
         # the same op list both times: 1 - traced ops/s over untraced ops/s
         metrics["trace.overhead"] = 1.0 - sum(untraced.times) / op_wall
-        metrics.update(untraced.extra())
+        metrics.update(untraced.extra(untraced.times))
         phases = (untraced, traced)
         return (
             sum(p.attempted for p in phases),
@@ -135,18 +150,34 @@ def in_process(args: argparse.Namespace):
             {"ops_per_phase": traced.attempted},
         )
 
-    phase = workload.run(state, args.seconds)
+    # PASSES runs of one op list; an op's time is its least over them,
+    # each scaled to the nominal machine speed
+    passes = [
+        workload.run(state, args.seconds / workload.PASSES)
+        for _ in range(workload.PASSES)
+    ]
+    scaled = [
+        [scale * t for scale, t in zip(nominal_scales(p.calibrations), p.times)]
+        for p in passes
+    ]
+    times = [min(op_times) for op_times in zip(*scaled)]
+    speed = median([s for p in passes for s in nominal_scales(p.calibrations)])
     setups = [own_setup_s] + [child_setup_s(args) for _ in range(SETUP_REPEATS - 1)]
-    metrics, info = latency_metrics(phase.times, sum(phase.times))
+    metrics, info = latency_metrics(times, sum(times))
     metrics.update(setup_s=median(setups), peak_rss_mb=peak_rss_mb())
-    info.update(phase.extra())
-    return phase.attempted, phase.failed, metrics, info
+    info.update(passes[0].extra(times), machine_speed=speed)
+    return (
+        sum(p.attempted for p in passes),
+        sum(p.failed for p in passes),
+        metrics,
+        info,
+    )
 
 
 def main(argv: list[str]) -> int:
     args = parse_args(argv)
     use_source_tree()
-    e2e_units, layer_units = metric_units()
+    e2e_units, layer_units, summary_units = metric_units()
     if args.workload == "service_mix":
         import service_mix
 
@@ -164,7 +195,7 @@ def main(argv: list[str]) -> int:
         f"trace={args.trace} attempted={attempted} failed={failed}"
     )
     for name, value in info.items():
-        print(f"  {name} = {value:.6g} {SUMMARY_UNITS[name]}")
+        print(f"  {name} = {value:.6g} {summary_units[name]}")
     for name, unit in units.items():
         print(f"  {name} = {metrics[name]:.6g} {unit}")
     print(

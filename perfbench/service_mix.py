@@ -1,8 +1,9 @@
 """service_mix: two closed-loop clients against a ``repro serve`` process.
 
 The launcher (``perfbench/launcher.py``) runs ``make_server(port=0,
-cache_entries=CACHE_ENTRIES)`` in its own process; set-up time is the
-time until ``/healthz`` answers.  The request stream is a Zipf draw over
+cache_entries=CACHE_ENTRIES)`` in its own process; set-up time is that
+process's CPU time until ``/healthz`` answers.  Op latencies are wall
+times, seen by the clients.  The request stream is a Zipf draw over
 ``KEYS`` distinct requests, more than the cache holds.  Endpoint,
 algorithm and size are fixed by popularity rank (``RANK_CYCLE``), so
 every seed puts requests of the same cost at the same ranks; the
@@ -14,7 +15,10 @@ and the stream:
 * small ``dag/optimize`` order searches (layered, 6 tasks, restarts=1).
 
 A warm-up of ``WARMUP_REQUESTS`` fills the cache; then a run times the
-next ``REQUESTS_PER_S`` x ``--seconds`` requests.  Every reply is
+next ``REQUESTS_PER_S`` x ``--seconds`` requests in blocks of
+``RATE_BLOCK``.  Throughput is the median of the blocks' rates: a block
+that meets a slow spell of a shared machine, or a run of expensive
+misses, moves it less than it moves the whole run's rate.  Every reply is
 checked: status 200, the document kind of its endpoint, and every hit
 byte-identical to a miss body of its ``X-Repro-Key`` (for ``solve`` and
 ``simulate`` every miss body of a key must be identical too; a
@@ -38,7 +42,16 @@ from time import perf_counter
 
 import numpy as np
 
-from common import ROOT, child_seed, median, ratio, tail
+from common import (
+    ROOT,
+    calibrate,
+    child_seed,
+    median,
+    nominal_scales,
+    ratio,
+    setup_scale,
+    tail,
+)
 
 from repro.chains import make_chain
 
@@ -51,8 +64,11 @@ WARMUP_REQUESTS = 1000
 #: nominal request rate, which sizes a run: a run times a fixed prefix of
 #: the stream, so every run of a seed sends the same requests
 REQUESTS_PER_S = 400
-#: timed requests per phase of the traced run
+#: timed requests per block; ops_per_s is the median of the blocks' rates
+RATE_BLOCK = 500
+#: timed requests per server of the traced run, sent in blocks
 TRACE_REQUESTS = 3000
+TRACE_BLOCK = 250
 STREAM_LENGTH = 400_000
 SETUP_REPEATS = 3
 #: one connection per request, as ``curl`` makes: on a kept-alive
@@ -138,7 +154,6 @@ class Server:
     """One launcher process; ``stop`` quits it and waits for the exit."""
 
     def __init__(self, *, trace: bool = False) -> None:
-        t0 = perf_counter()
         command = [sys.executable, str(LAUNCHER), "--cache-entries", str(CACHE_ENTRIES)]
         self.proc = subprocess.Popen(
             command + (["--trace"] if trace else []),
@@ -150,10 +165,12 @@ class Server:
                 raise RuntimeError(f"launcher failed to start: {line!r}")
             self.port = int(line.split()[1])
             self._wait_healthy()
+            # the launcher's CPU time (the clock of the in-process
+            # set-ups) from its start until /healthz answered
+            self.setup_s = self.report()["cpu_s"] * setup_scale()
         except BaseException:
             self.stop()
             raise
-        self.setup_s = perf_counter() - t0
 
     def _wait_healthy(self) -> None:
         deadline = time.monotonic() + 120
@@ -341,16 +358,31 @@ def measure(args):
             setups.append(server.setup_s)
         load = Load(server.port, universe, stream)
         load.drive(WARMUP_REQUESTS)
-        timed, wall = load.drive(round(REQUESTS_PER_S * args.seconds))
+        blocks = round(REQUESTS_PER_S * args.seconds / RATE_BLOCK)
+        walls, calibrations = [], []
+        timed: list[Reply] = []
+        for _ in range(blocks):
+            # on the clients' clock, while no request is in flight
+            calibrations.append(calibrate(perf_counter))
+            replies, wall = load.drive(RATE_BLOCK)
+            walls.append(wall)
+            timed += replies
         rss = server.report()["peak_rss_mb"]
     finally:
         if server is not None:
             server.stop()
+    scales = nominal_scales(calibrations)
+    speed = median(scales)
+    for block, scale in enumerate(scales):
+        for reply in timed[block * RATE_BLOCK : (block + 1) * RATE_BLOCK]:
+            reply.latency *= scale
     latencies = _latency(timed)
     tail_s, percentile = tail(latencies)
     metrics = {
         "setup_s": median(setups),
-        "ops_per_s": len(timed) / wall,
+        "ops_per_s": median(
+            [RATE_BLOCK / (scale * wall) for scale, wall in zip(scales, walls)]
+        ),
         "op_p50_ms": 1e3 * median(latencies),
         "op_tail_ms": 1e3 * tail_s,
         "peak_rss_mb": rss,
@@ -359,6 +391,7 @@ def measure(args):
     info = {
         "ops": len(timed),
         "op_tail_percentile": percentile,
+        "machine_speed": speed,
         "warm_p50_ms": 1e3 * median(warm) if warm else 0.0,
         "cold_p50_ms": 1e3 * median(cold) if cold else 0.0,
         "hit_ratio": ratio(len(warm), len(timed)),
@@ -378,28 +411,38 @@ def _diff(after, before):
 def _measure_traced(universe, stream):
     from tracing import layer_metrics
 
-    walls = []
-    attempted = failed = 0
-    for trace in (False, True):
-        server = Server(trace=trace)
-        try:
-            load = Load(server.port, universe, stream)
+    servers: list[Server] = []
+    try:
+        for trace in (False, True):
+            servers.append(Server(trace=trace))
+        untraced, traced = loads = [Load(s.port, universe, stream) for s in servers]
+        for load in loads:
             load.drive(WARMUP_REQUESTS)
-            start = server.report()
-            timed, wall = load.drive(TRACE_REQUESTS)
-            end = server.report()
-        finally:
+        start = servers[1].report()
+        # the same blocks of requests to the untraced and the traced
+        # server, back to back and alternating which goes first, so that
+        # drift in the machine's speed cancels out of trace.overhead
+        walls = {untraced: 0.0, traced: 0.0}
+        timed: list[Reply] = []
+        for block in range(TRACE_REQUESTS // TRACE_BLOCK):
+            for load in loads if block % 2 == 0 else loads[::-1]:
+                replies, wall = load.drive(TRACE_BLOCK)
+                walls[load] += wall
+                if load is traced:
+                    timed += replies
+        end = servers[1].report()
+    finally:
+        for server in servers:
             server.stop()
-        walls.append(wall)
-        attempted += len(load.replies)
-        failed += load.failures()
+    attempted = sum(len(load.replies) for load in loads)
+    failed = sum(load.failures() for load in loads)
     metrics = layer_metrics(
         _diff(end["spans"], start["spans"]),
         _diff(end["counters"], start["counters"]),
         sum(_latency(timed)),
         cache=_diff(end["cache"], start["cache"]),
-        recompute_ratio=recompute_ratio(timed, load.replies[: -len(timed)]),
+        recompute_ratio=recompute_ratio(timed, traced.replies[:WARMUP_REQUESTS]),
     )
     # the same requests both times: 1 - traced ops/s over untraced ops/s
-    metrics["trace.overhead"] = 1.0 - walls[0] / walls[1]
+    metrics["trace.overhead"] = 1.0 - walls[untraced] / walls[traced]
     return attempted, failed, metrics, {"ops_per_phase": TRACE_REQUESTS}

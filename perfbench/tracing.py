@@ -62,9 +62,14 @@ SERVER_SITES = IN_PROCESS_SITES + [
 
 
 class SpanRecorder:
-    """Thread-safe in-memory aggregation of nested spans by name."""
+    """Thread-safe in-memory aggregation of nested spans by name.
 
-    def __init__(self) -> None:
+    ``clock`` times the spans: the in-process workloads pass the clock
+    of their op times, so that layer shares divide like by like.
+    """
+
+    def __init__(self, clock: Callable[[], float] = perf_counter) -> None:
+        self._clock = clock
         self._lock = threading.Lock()
         self._local = threading.local()
         self.calls: dict[str, int] = defaultdict(int)
@@ -83,10 +88,10 @@ class SpanRecorder:
         stack = self._stack()
         frame = [0.0]  # wall of the spans nested inside this one
         stack.append(frame)
-        return stack, frame, perf_counter()
+        return stack, frame, self._clock()
 
     def _exit(self, stack, frame, t0: float, name: str) -> None:
-        wall = perf_counter() - t0
+        wall = self._clock() - t0
         stack.pop()
         if stack:
             stack[-1][0] += wall
@@ -168,8 +173,12 @@ def layer_metrics(
 
     ``spans`` is a :meth:`SpanRecorder.snapshot`, ``counters`` the
     ``repro.obs`` counters of the same phase and ``op_wall`` the summed
-    wall of its ops; times are reported as shares of ``op_wall``.  A
-    layer the workload never reaches reads 0.
+    time of its ops (for service_mix, the summed client latency); times
+    are reported as shares of ``op_wall``.  ``trace.unattributed_share``
+    is the share outside any span recorded in the program's process:
+    benchmark bookkeeping in-process, connection handling outside
+    ``do_POST`` for service_mix.  A layer the workload never reaches
+    reads 0.
     """
     calls = spans["calls"]
     c = counters.get
