@@ -5,7 +5,12 @@ from .costs import CostProfile
 from .dp_partial import optimize_partial
 from .dp_single import optimize_single_level
 from .dp_two_level import optimize_two_level
-from .evaluator import MarkovEvaluation, error_free_time, evaluate_schedule
+from .evaluator import (
+    MarkovEvaluation,
+    error_free_time,
+    evaluate_schedule,
+    evaluate_schedules,
+)
 from .exhaustive import ACTION_SETS, enumerate_schedules, exhaustive_search
 from .factors import PairFactors
 from .result import Solution
@@ -29,6 +34,7 @@ __all__ = [
     "enumerate_schedules",
     "exhaustive_search",
     "evaluate_schedule",
+    "evaluate_schedules",
     "error_free_time",
     "MarkovEvaluation",
     "p_error",

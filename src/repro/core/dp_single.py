@@ -15,6 +15,15 @@ Recurrences::
 (the ``C_M`` shows up because every disk checkpoint is preceded by a memory
 checkpoint that must be paid even though no standalone memory checkpoints
 are placed).
+
+Implementation notes
+--------------------
+The ``Everif1`` loop runs ``v2``-outer: one numpy step per ``v2`` prices
+the candidates ``v1`` of every ``d1 < v2`` at once (only the pairs
+``d1 <= v1 < v2``; the rest of the candidate matrix stays ``+inf``) and
+takes each row's first minimum.  That is ``O(n)`` Python steps for
+``O(n^3)`` scalar work, with the per-entry operations and argmins of the
+one-``d1``-at-a-time loop, hence the same bits.
 """
 
 from __future__ import annotations
@@ -50,24 +59,34 @@ def optimize_single_level(
     # everif1[d1, v2] and its argmin table.
     everif1 = np.full((n + 1, n + 1), np.inf)
     arg_verif = np.full((n + 1, n + 1), -1, dtype=np.int32)
+    np.fill_diagonal(everif1, 0.0)
+    # K1 = R_D(d1) + E_mem(d1, d1) = R_D(d1), and the memory rollback
+    # target is the disk checkpoint
+    RD, RM = F.costs.RD, F.costs.RM
 
-    for d1 in range(n + 1):
-        K1 = F.rd_eff(d1)  # E_mem(d1, d1) = 0
-        rm = F.rm_eff(d1)  # the memory rollback target is the disk ckpt
-        row = everif1[d1]
-        row[d1] = 0.0
-        for v2 in range(d1 + 1, n + 1):
-            lo = d1
-            cand = (
-                row[lo:v2]
-                + F.base_g[lo:v2, v2]
-                + F.cK1[lo:v2, v2] * K1
-                + F.etm1[lo:v2, v2] * row[lo:v2]
-                + F.esm1[lo:v2, v2] * rm
-            )
-            k = int(np.argmin(cand))
-            row[v2] = float(cand[k])
-            arg_verif[d1, v2] = lo + k
+    # the pairs d1 <= v1, ordered by v1: those with v1 < v2 are a prefix
+    v1_all, d1_all = np.tril_indices(n + 1)
+    index = np.arange(n + 1)
+
+    for v2 in range(1, n + 1):
+        # Everif1(d1, v2) for every d1 < v2 at once, over the pairs
+        # d1 <= v1 < v2 only
+        pairs = v2 * (v2 + 1) // 2
+        d1, v1 = d1_all[:pairs], v1_all[:pairs]
+        row = everif1[d1, v1]
+        cand = np.full((v2, v2), np.inf)
+        cand[d1, v1] = (
+            row
+            + F.base_g[v1, v2]
+            + F.cK1[v1, v2] * RD[d1]
+            + F.etm1[v1, v2] * row
+            + F.esm1[v1, v2] * RM[d1]
+        )
+        # first minimum; a row with no finite candidate takes its scan's
+        # first slot, d1
+        k = np.maximum(cand.argmin(axis=1), index[:v2])
+        everif1[:v2, v2] = cand[index[:v2], k]
+        arg_verif[:v2, v2] = k
 
     Edisk = np.full(n + 1, np.inf)
     arg_disk = np.full(n + 1, -1, dtype=np.int32)

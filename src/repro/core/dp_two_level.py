@@ -27,10 +27,18 @@ verification, a memory checkpoint and a disk checkpoint.
 
 Implementation notes
 --------------------
-All candidate evaluations are numpy slice expressions over the
-:class:`~repro.core.factors.PairFactors` matrices, so the loop nest is
-``O(n^3)`` vectorized minima for ``O(n^4)`` scalar work.  Argmin tables are
-kept (``int32``) for exact schedule extraction.
+All candidate evaluations are numpy expressions over the
+:class:`~repro.core.factors.PairFactors` matrices.  Every ``(d1, m1)``
+pair runs the same verification scan; the pairs differ only in the
+scalar ``K1 = R_D(d1) + E_mem(d1, m1)``.  So the loop runs ``m1``-outer
+with a ``d1`` vector: per ``m1``, one step computes ``E_mem(d1, m1)`` for
+every ``d1 < m1`` (the slots ``m < d1`` masked with ``+inf``), then one
+``(m1 + 1) x (v2 - m1)`` step per ``v2`` extends ``E_verif(d1, m1, .)``
+for every ``d1 <= m1``.  That is ``O(n^2)`` Python steps for ``O(n^4)``
+scalar work, with the per-entry operations and the first-minimum
+argmins of the one-``d1``-at-a-time loop, hence the same bits.  The
+``E_verif`` table (``(n+1)^3`` floats) and the argmin tables (``int32``)
+are kept for exact schedule extraction.
 """
 
 from __future__ import annotations
@@ -48,37 +56,6 @@ from .schedule import Action, Schedule
 __all__ = ["optimize_two_level"]
 
 
-def _verif_row(
-    F: PairFactors, d1: int, m1: int, emem_d1m1: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Compute ``E_verif(d1, m1, v2)`` for all ``v2`` in ``[m1, n]``.
-
-    Returns ``(row, arg)`` where ``row[v2]`` is the expected time to execute
-    and verify tasks ``T_{m1+1} .. T_{v2}`` (last memory checkpoint after
-    ``T_{m1}``, last disk checkpoint after ``T_{d1}``) and ``arg[v2]`` the
-    optimal previous verification position.
-    """
-    n = F.n
-    K1 = F.rd_eff(d1) + emem_d1m1
-    rm = F.rm_eff(m1)
-    row = np.full(n + 1, np.inf)
-    arg = np.full(n + 1, -1, dtype=np.int32)
-    row[m1] = 0.0
-    for v2 in range(m1 + 1, n + 1):
-        lo = m1
-        cand = (
-            row[lo:v2]
-            + F.base_g[lo:v2, v2]
-            + F.cK1[lo:v2, v2] * K1
-            + F.etm1[lo:v2, v2] * row[lo:v2]
-            + F.esm1[lo:v2, v2] * rm
-        )
-        k = int(np.argmin(cand))
-        row[v2] = float(cand[k])
-        arg[v2] = lo + k
-    return row, arg
-
-
 def optimize_two_level(
     chain: TaskChain,
     platform: Platform,
@@ -93,27 +70,51 @@ def optimize_two_level(
     """
     n = chain.n
     F = PairFactors(chain, platform, costs)
-    CM, CD = F.costs.CM, F.costs.CD
+    CM, CD, RD = F.costs.CM, F.costs.CD, F.costs.RD
+    # below[d1, m] is True for m < d1: slots outside row d1's scan
+    below = np.tri(n + 1, k=-1, dtype=bool)
+    index = np.arange(n + 1)
 
     # Emem[d1, m2]; arg_mem[d1, m2] = optimal previous memory position m1.
     Emem = np.full((n + 1, n + 1), np.inf)
     arg_mem = np.full((n + 1, n + 1), -1, dtype=np.int32)
-    # arg_verif[d1, m1, v2] = optimal previous verification position v1.
+    # ev[d1, m1, v2] = E_verif(d1, m1, v2); arg_verif[d1, m1, v2] = optimal
+    # previous verification position v1.
+    ev = np.full((n + 1, n + 1, n + 1), np.inf)
     arg_verif = np.full((n + 1, n + 1, n + 1), -1, dtype=np.int32)
 
-    for d1 in range(n + 1):
-        # ev[m1, v2] = E_verif(d1, m1, v2) for this d1.
-        ev = np.full((n + 1, n + 1), np.inf)
-        Emem[d1, d1] = 0.0
-        for m1 in range(d1, n + 1):
-            if m1 > d1:
-                cand = Emem[d1, d1:m1] + ev[d1:m1, m1] + CM[m1]
-                k = int(np.argmin(cand))
-                Emem[d1, m1] = float(cand[k])
-                arg_mem[d1, m1] = d1 + k
-            row, arg = _verif_row(F, d1, m1, float(Emem[d1, m1]))
-            ev[m1, :] = row
-            arg_verif[d1, m1, :] = arg
+    for m1 in range(n + 1):
+        # E_mem(d1, m1) for every d1 < m1 at once; row d1 scans the
+        # previous memory positions m in [d1, m1).
+        if m1 > 0:
+            cand = Emem[:m1, :m1] + ev[:m1, :m1, m1] + CM[m1]
+            cand[below[:m1, :m1]] = np.inf
+            # first minimum; a row with no finite candidate takes its
+            # scan's first slot, d1
+            k = np.maximum(cand.argmin(axis=1), index[:m1])
+            Emem[:m1, m1] = cand[index[:m1], k]
+            arg_mem[:m1, m1] = k
+        Emem[m1, m1] = 0.0
+
+        # E_verif(d1, m1, v2) for every d1 <= m1 at once: the rows share
+        # the scan over v1 in [m1, v2) and differ only in
+        # K1 = R_D(d1) + E_mem(d1, m1).
+        d = m1 + 1
+        K1 = (RD[:d] + Emem[:d, m1])[:, None]
+        rm = F.rm_eff(m1)
+        rows = ev[:d, m1]  # a view: filled left to right
+        rows[:, m1] = 0.0
+        for v2 in range(m1 + 1, n + 1):
+            cand = (
+                rows[:, m1:v2]
+                + F.base_g[m1:v2, v2]
+                + F.cK1[m1:v2, v2] * K1
+                + F.etm1[m1:v2, v2] * rows[:, m1:v2]
+                + F.esm1[m1:v2, v2] * rm
+            )
+            k = cand.argmin(axis=1)
+            rows[:, v2] = cand[index[:d], k]
+            arg_verif[:d, m1, v2] = m1 + k
 
     Edisk = np.full(n + 1, np.inf)
     arg_disk = np.full(n + 1, -1, dtype=np.int32)

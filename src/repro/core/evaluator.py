@@ -45,7 +45,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..chains import TaskChain
-from ..exceptions import InvalidScheduleError
+from ..exceptions import InvalidParameterError, InvalidScheduleError
 from ..platforms import Platform
 from .closed_form import t_lost
 from .costs import CostProfile
@@ -53,6 +53,7 @@ from .schedule import Action, Schedule
 
 __all__ = [
     "evaluate_schedule",
+    "evaluate_schedules",
     "error_free_time",
     "MarkovEvaluation",
     "COST_CATEGORIES",
@@ -68,6 +69,9 @@ COST_CATEGORIES: tuple[str, ...] = (
     "verification",
     "checkpointing",
 )
+
+
+_CATEGORY = {name: i for i, name in enumerate(COST_CATEGORIES)}
 
 
 class MarkovEvaluation:
@@ -164,11 +168,6 @@ def error_free_time(
     return float(total)
 
 
-def _stop_positions(schedule: Schedule) -> list[int]:
-    """Verified positions, preceded by the virtual start position 0."""
-    return [0] + schedule.verified_positions
-
-
 def evaluate_schedule(
     chain: TaskChain,
     platform: Platform,
@@ -178,6 +177,8 @@ def evaluate_schedule(
     costs: CostProfile | None = None,
 ) -> MarkovEvaluation:
     """Exact expected makespan of ``schedule`` on ``chain``/``platform``.
+
+    The one-chain case of :func:`evaluate_schedules`.
 
     Parameters
     ----------
@@ -197,138 +198,265 @@ def evaluate_schedule(
         If the schedule length does not match the chain or violates the
         rules above.
     """
-    if schedule.n != chain.n:
+    return evaluate_schedules(
+        chain.weights[None, :], platform, schedule, strict=strict, costs=costs
+    )[0]
+
+
+def _cost_rows(
+    n: int,
+    platform: Platform,
+    costs: CostProfile | None,
+    multipliers: np.ndarray | None,
+) -> dict[str, np.ndarray]:
+    """The six per-position cost arrays, ``(K or 1, n + 1)`` each."""
+    names = ("CD", "CM", "RD", "RM", "Vg", "Vp")
+    if multipliers is not None:
+        if costs is not None:
+            raise InvalidParameterError("pass costs or multipliers, not both")
+        # exactly CostProfile.scaled, row by row
+        mult = np.asarray(multipliers, dtype=np.float64)
+        if mult.ndim != 2 or mult.shape[1] != n:
+            raise InvalidParameterError(
+                f"multipliers must be (K, {n}), got shape {mult.shape}"
+            )
+        if not np.all(np.isfinite(mult)) or np.any(mult <= 0.0):
+            raise InvalidParameterError("multipliers must be > 0 and finite")
+        zero = np.zeros((mult.shape[0], 1))
+        rows = {
+            name: np.concatenate((zero, getattr(platform, name) * mult), axis=1)
+            for name in names
+        }
+    else:
+        if costs is None:
+            costs = CostProfile.uniform(n, platform)
+        elif costs.n != n:
+            raise InvalidParameterError(
+                f"cost profile covers {costs.n} tasks but the chain has {n}"
+            )
+        rows = {name: getattr(costs, name)[None, :] for name in names}
+    # Every transition below is added even when its probability is 0,
+    # where a scalar evaluator would skip it; 0 * cost adds exactly
+    # nothing only while every cost is finite and >= 0.
+    for name, arr in rows.items():
+        if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
+            raise InvalidParameterError(
+                f"{name} costs must be >= 0 and finite"
+            )
+    return rows
+
+
+def evaluate_schedules(
+    weights: np.ndarray,
+    platform: Platform,
+    schedule: Schedule,
+    *,
+    strict: bool = True,
+    costs: CostProfile | None = None,
+    multipliers: np.ndarray | None = None,
+) -> list[MarkovEvaluation]:
+    """Exact expected makespans of one schedule on ``K`` weight vectors.
+
+    ``weights`` is a ``(K, n)`` stack of task-weight rows; every row is
+    priced under the same ``schedule``.  Costs are the platform scalars,
+    one shared ``costs`` profile, or per-row ``multipliers`` (``(K, n)``,
+    each row priced as :meth:`CostProfile.scaled` would).  Row ``k``
+    equals, bit for bit, the evaluation of chain ``weights[k]`` alone:
+    the Markov systems are assembled with array operations over all rows
+    and segments, in the same order of operations per entry, and solved
+    in one stacked :func:`numpy.linalg.solve`.
+
+    Raises
+    ------
+    InvalidScheduleError
+        If the schedule length does not match the rows, the schedule
+        violates the rules of :func:`evaluate_schedule`, or any row's
+        system is singular (a non-terminating execution).
+    """
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.ndim != 2:
+        raise InvalidParameterError(
+            f"weights must be a (K, n) stack, got shape {weights.shape}"
+        )
+    if schedule.n != weights.shape[1]:
         raise InvalidScheduleError(
-            f"schedule covers {schedule.n} tasks but the chain has {chain.n}"
+            f"schedule covers {schedule.n} tasks but the chain has "
+            f"{weights.shape[1]}"
         )
     schedule.validate(strict=strict)
-    if not strict and platform.ls > 0.0 and schedule.action(chain.n) < Action.VERIFY:
+    n = schedule.n
+    if not strict and platform.ls > 0.0 and schedule.action(n) < Action.VERIFY:
         raise InvalidScheduleError(
             "with silent errors the final task needs a guaranteed "
             "verification for the expected correct-completion time to exist"
         )
+    cost = _cost_rows(n, platform, costs, multipliers)
+    prefix = np.zeros((weights.shape[0], n + 1))
+    np.cumsum(weights, axis=1, out=prefix[:, 1:])
+    if not np.all(np.isfinite(prefix[:, -1])) or np.any(weights <= 0.0):
+        raise InvalidParameterError(
+            "all task weights must be positive with a finite total"
+        )
 
-    if costs is None:
-        costs = CostProfile.uniform(chain.n, platform)
-    stops = _stop_positions(schedule)
-    k = len(stops)  # number of stop positions including virtual 0
-    stop_index = {pos: j for j, pos in enumerate(stops)}
+    layout = _Layout(schedule)
+    stops = layout.stops
+    pos, nxt = stops[:-1], stops[1:]
+    K = weights.shape[0]
+    S = layout.n_states
 
-    # Last memory / disk checkpoint at or before each stop position.
-    last_mem = [0] * k
-    last_disk = [0] * k
-    mem, disk = 0, 0
-    for j, pos in enumerate(stops):
-        if pos > 0:
-            action = schedule.action(pos)
-            if action >= Action.MEMORY:
-                mem = pos
-            if action == Action.DISK:
-                disk = pos
-        last_mem[j] = mem
-        last_disk[j] = disk
+    # Per-segment quantities, (K, k - 1): segment j runs from stop j to
+    # stop j + 1.
+    lf, ls = platform.lf, platform.ls
+    W = prefix[:, nxt] - prefix[:, pos]
+    pf = -np.expm1(-lf * W)
+    ps = -np.expm1(-ls * W)
+    loss = t_lost(lf, W)
+    verif = np.where(layout.partial, cost["Vp"][:, nxt], cost["Vg"][:, nxt])
+    ckpt = np.where(layout.mem, cost["CM"][:, nxt], 0.0) + np.where(
+        layout.disk, cost["CD"][:, nxt], 0.0
+    )
+    rd = cost["RD"][:, layout.last_disk]
+    rm = cost["RM"][:, layout.last_mem]
+    detect = np.where(layout.partial, platform.r, 1.0)
 
-    # State indexing: clean state per stop position, latent state per
-    # partial-verification position.
-    clean_state = {j: j for j in range(k)}
-    latent_state: dict[int, int] = {}
-    next_id = k
-    for j, pos in enumerate(stops):
-        if pos > 0 and schedule.action(pos) == Action.PARTIAL:
-            latent_state[j] = next_id
-            next_id += 1
-    n_states = next_id
+    # Per-source quantities, (K, R): one source per clean state with an
+    # outgoing segment, plus one per latent state with one.
+    seg, src = layout.src_segment, layout.src_state
+    p_err = np.where(layout.src_latent, 1.0, ps[:, seg])
+    pf_s, W_s, verif_s = pf[:, seg], W[:, seg], verif[:, seg]
+    detect_s = detect[seg]
 
-    P = np.zeros((n_states, n_states), dtype=np.float64)
+    P = np.zeros((K, S, S))
     # Per-category immediate expected costs; summing the columns gives the
     # classic cost vector, solving per column gives the waste breakdown.
-    C = np.zeros((n_states, len(COST_CATEGORIES)), dtype=np.float64)
-    cat = {name: i for i, name in enumerate(COST_CATEGORIES)}
+    C = np.zeros((K, S, len(COST_CATEGORIES)))
 
-    lf, ls = platform.lf, platform.ls
-
-    def _add(src: int, dst: int | None, prob: float, **category_costs: float) -> None:
-        """Accumulate a transition (dst=None means absorption)."""
-        if prob <= 0.0:
-            return
-        for name, cost in category_costs.items():
-            C[src, cat[name]] += prob * cost
+    def _add(
+        sel: np.ndarray | slice,
+        dst: np.ndarray | None,
+        prob: np.ndarray,
+        **category_costs: np.ndarray,
+    ) -> None:
+        """Accumulate one transition of the sources ``sel`` (dst=None
+        means absorption)."""
+        states = src[sel]
+        for name, amount in category_costs.items():
+            C[:, states, _CATEGORY[name]] += prob * amount
         if dst is not None:
-            P[src, dst] += prob
+            P[:, states, dst] += prob
 
-    for j in range(k - 1):  # from stop j over segment to stop j+1
-        pos, nxt = stops[j], stops[j + 1]
-        W = chain.segment_weight(pos, nxt)
-        action_next = schedule.action(nxt)
-        is_partial = action_next == Action.PARTIAL
-        verif_cost = float(costs.Vp[nxt] if is_partial else costs.Vg[nxt])
-        detect = platform.r if is_partial else 1.0
+    _add(
+        slice(None),
+        layout.src_disk_target,
+        pf_s,
+        fail_stop_loss=loss[:, seg],
+        recovery=rd[:, seg],
+    )
+    no_ff = 1.0 - pf_s
+    # corrupted and detected -> memory rollback
+    _add(
+        slice(None),
+        layout.src_mem_target,
+        no_ff * p_err * detect_s,
+        work=W_s,
+        verification=verif_s,
+        recovery=rm[:, seg],
+    )
+    # corrupted and missed -> latent at next stop (partial only)
+    miss = layout.src_misses
+    if platform.r < 1.0 and miss.size:
+        _add(
+            miss,
+            layout.src_latent_next[miss],
+            (no_ff * p_err * (1.0 - detect_s))[:, miss],
+            work=W_s[:, miss],
+            verification=verif_s[:, miss],
+        )
+    # clean arrival -> pay checkpoints, move on (or absorb after the
+    # final stop's checkpoint completes)
+    arrive = no_ff * (1.0 - p_err)
+    moves, absorbs = layout.src_moves, layout.src_absorbs
+    for sel, dst in ((moves, seg[moves] + 1), (absorbs, None)):
+        _add(
+            sel,
+            dst,
+            arrive[:, sel],
+            work=W_s[:, sel],
+            verification=verif_s[:, sel],
+            checkpointing=ckpt[:, seg[sel]],
+        )
 
-        pf = -np.expm1(-lf * W)
-        ps = -np.expm1(-ls * W)
-        loss = t_lost(lf, W)
-        rd = float(costs.RD[last_disk[j]])
-        rm = float(costs.RM[last_mem[j]])
-        disk_target = clean_state[stop_index[last_disk[j]]]
-        mem_target = clean_state[stop_index[last_mem[j]]]
-
-        ckpt_cost = 0.0
-        if action_next >= Action.MEMORY:
-            ckpt_cost += float(costs.CM[nxt])
-        if action_next == Action.DISK:
-            ckpt_cost += float(costs.CD[nxt])
-        # Absorb after the final stop's checkpoint completes.
-        clean_dst: int | None = clean_state[j + 1] if j + 1 < k - 1 else None
-
-        for latent in (False, True):
-            if latent and j not in latent_state:
-                continue
-            src = latent_state[j] if latent else clean_state[j]
-            p_err = 1.0 if latent else ps
-
-            _add(src, disk_target, pf, fail_stop_loss=loss, recovery=rd)
-            no_ff = 1.0 - pf
-            # corrupted and detected -> memory rollback
-            _add(
-                src,
-                mem_target,
-                no_ff * p_err * detect,
-                work=W,
-                verification=verif_cost,
-                recovery=rm,
-            )
-            # corrupted and missed -> latent at next stop (partial only)
-            if is_partial and detect < 1.0:
-                _add(
-                    src,
-                    latent_state[j + 1],
-                    no_ff * p_err * (1.0 - detect),
-                    work=W,
-                    verification=verif_cost,
-                )
-            # clean arrival -> pay checkpoints, move on (or absorb)
-            _add(
-                src,
-                clean_dst,
-                no_ff * (1.0 - p_err),
-                work=W,
-                verification=verif_cost,
-                checkpointing=ckpt_cost,
-            )
-
-    A = np.eye(n_states) - P
+    A = np.eye(S) - P
     try:
         X = np.linalg.solve(A, C)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological
+    except np.linalg.LinAlgError as exc:
         raise InvalidScheduleError(
             f"schedule induces a non-terminating execution ({exc})"
         ) from exc
-    x = X.sum(axis=1)
+    x = X.sum(axis=-1)
+    return [
+        MarkovEvaluation(
+            float(x[row, 0]),
+            layout.labels,
+            x[row],
+            dict(zip(COST_CATEGORIES, X[row, 0].tolist())),
+        )
+        for row in range(K)
+    ]
 
-    labels = [f"T{stops[j]}:clean" for j in range(k)]
-    for j, sid in sorted(latent_state.items(), key=lambda kv: kv[1]):
-        labels.append(f"T{stops[j]}:latent")
-    components = {
-        name: float(X[0, i]) for i, name in enumerate(COST_CATEGORIES)
-    }
-    return MarkovEvaluation(float(x[0]), labels, x, components)
+
+class _Layout:
+    """The Markov state space and transition targets of one schedule.
+
+    It depends on the schedule alone, never on weights or costs, so every
+    row of a batch shares it.  Stops are the verified positions preceded
+    by the virtual start 0; state ``j`` is "clean at stop ``j``" and the
+    latent states follow, one per partial-verification stop.
+    """
+
+    def __init__(self, schedule: Schedule) -> None:
+        stops = [0] + schedule.verified_positions
+        k = len(stops)
+        actions = [schedule.action(p) for p in stops[1:]]
+        self.stops = np.asarray(stops, dtype=np.intp)
+        # per segment j (stop j -> stop j + 1), keyed by the arrival stop
+        self.partial = np.asarray([a == Action.PARTIAL for a in actions])
+        self.mem = np.asarray([a >= Action.MEMORY for a in actions])
+        self.disk = np.asarray([a == Action.DISK for a in actions])
+
+        # Stop index of the last memory / disk checkpoint at or before
+        # each stop: the clean state a rollback lands in.
+        mem_j, disk_j = [0] * k, [0] * k
+        for j in range(1, k):
+            a = actions[j - 1]
+            mem_j[j] = j if a >= Action.MEMORY else mem_j[j - 1]
+            disk_j[j] = j if a == Action.DISK else disk_j[j - 1]
+        # per segment: the positions whose recovery costs a rollback pays
+        self.last_mem = self.stops[mem_j[:-1]]
+        self.last_disk = self.stops[disk_j[:-1]]
+
+        latent_stops = [j for j in range(1, k) if actions[j - 1] == Action.PARTIAL]
+        latent = {j: k + i for i, j in enumerate(latent_stops)}
+        self.n_states = k + len(latent)
+        self.labels = [f"T{p}:clean" for p in stops] + [
+            f"T{stops[j]}:latent" for j in latent_stops
+        ]
+
+        # Sources: every clean state with an outgoing segment, then every
+        # latent one.
+        segments = list(range(k - 1)) + [j for j in latent_stops if j < k - 1]
+        self.src_segment = seg = np.asarray(segments, dtype=np.intp)
+        self.src_state = np.asarray(
+            list(range(k - 1)) + [latent[j] for j in segments[k - 1 :]],
+            dtype=np.intp,
+        )
+        self.src_latent = np.arange(len(segments)) >= k - 1
+        self.src_disk_target = np.asarray(disk_j, dtype=np.intp)[seg]
+        self.src_mem_target = np.asarray(mem_j, dtype=np.intp)[seg]
+        self.src_latent_next = np.asarray(
+            [latent.get(j + 1, -1) for j in segments], dtype=np.intp
+        )
+        self.src_misses = np.flatnonzero(self.src_latent_next >= 0)
+        final = seg == k - 2
+        self.src_moves = np.flatnonzero(~final)
+        self.src_absorbs = np.flatnonzero(final)

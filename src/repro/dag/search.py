@@ -28,9 +28,11 @@ layers two reuse mechanisms on top of the exact solver:
   cost a dictionary lookup);
 * **frozen-schedule bounds** — a neighbor is screened by re-pricing the
   *incumbent's* optimal action sequence on the neighbor's weight sequence
-  through the closed-form Markov evaluator
-  (:func:`repro.core.evaluator.evaluate_schedule`), an ``O(n)``
-  segment-cost computation instead of the DP.  The frozen actions are one
+  through the Markov evaluator — a linear solve over the schedule's stop
+  states instead of the DP.  A hill-climbing round prices its whole
+  neighborhood at once (:meth:`ChainObjective.bounds`, one
+  :func:`repro.core.evaluator.evaluate_schedules` batch, since every
+  neighbor shares the frozen schedule).  The frozen actions are one
   feasible schedule for the neighbor, so the bound is an *upper* bound on
   the neighbor's optimum and exact for the incumbent itself; accepting
   only exact-confirmed improvements keeps hill climbing sound.  The
@@ -91,9 +93,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..chains import TaskChain
 from ..core.costs import CostProfile
-from ..core.evaluator import evaluate_schedule
+# evaluate_schedule stays importable here: profilers wrap the evaluator
+# by its attribute on each calling module
+from ..core.evaluator import evaluate_schedule  # noqa: F401
+from ..core.evaluator import evaluate_schedules
 from ..core.result import Solution
 from ..core.schedule import Schedule
 from ..core.solver import optimize
@@ -342,6 +346,7 @@ class ChainObjective:
         self.platform = platform
         self.algorithm = algorithm
         self.heterogeneous = dag.has_heterogeneous_costs()
+        self._weight = {v: dag.weight(v) for v in dag.graph}
         self._multiplier = (
             {v: dag.cost_multiplier(v) for v in dag.graph}
             if self.heterogeneous
@@ -383,7 +388,7 @@ class ChainObjective:
 
     # -- helpers -------------------------------------------------------
     def weights_of(self, order: Sequence[Hashable]) -> np.ndarray:
-        return np.asarray([self.dag.weight(v) for v in order], dtype=np.float64)
+        return np.asarray([self._weight[v] for v in order], dtype=np.float64)
 
     def multipliers_of(self, order: Sequence[Hashable]) -> np.ndarray | None:
         """Per-position cost multipliers (``None`` on homogeneous DAGs)."""
@@ -460,36 +465,64 @@ class ChainObjective:
         neighbor it is the expected makespan of one feasible (frozen)
         schedule, hence ``>= exact(order).expected_time``.
         """
-        weights = self.weights_of(order)
+        return self.bounds([order], reference)[0]
+
+    def bounds(
+        self, orders: Sequence[Sequence[Hashable]], reference: Solution
+    ) -> list[float]:
+        """:meth:`bound` for every order of ``orders``, in one batch.
+
+        The orders share the reference schedule, so the ones missing from
+        the memo are priced by one
+        :func:`~repro.core.evaluator.evaluate_schedules` call.  Values,
+        memo entries and counters equal those of calling :meth:`bound`
+        on each order in turn: an order whose key an earlier order of the
+        batch already carries counts as a cache hit.
+        """
+        if not orders:
+            return []
         schedule_key = self._schedule_key(reference)
         stops = self._stop_positions(reference, schedule_key)
-        prefix = np.concatenate(([0.0], np.cumsum(weights)))
-        segments = prefix[stops[1:]] - prefix[stops[:-1]]
-        mult = self.multipliers_of(order)
-        # heterogeneous costs break the segment-weights sufficiency (a
-        # move inside one verification segment relocates which position
-        # pays which cost), so the memo key grows the multiplier vector
-        segment_key = (
-            segments.tobytes()
-            if mult is None
-            else segments.tobytes() + b"|" + mult.tobytes()
+        weights = np.stack([self.weights_of(order) for order in orders])
+        mult = (
+            None
+            if self._multiplier is None
+            else np.stack([self.multipliers_of(order) for order in orders])
         )
-        key = (schedule_key, segment_key)
-        cached = self._bounds.get(key)
-        if cached is not None:
-            self._c_bound_hits.inc()
-            return cached
-        value = evaluate_schedule(
-            TaskChain(weights),
-            self.platform,
-            reference.schedule,
-            costs=None if mult is None else CostProfile.scaled(
-                self.platform, mult
-            ),
-        ).expected_time
-        self._bounds[key] = value
-        self._c_bound_evals.inc()
-        return value
+        prefix = np.zeros((len(orders), weights.shape[1] + 1))
+        np.cumsum(weights, axis=1, out=prefix[:, 1:])
+        segments = prefix[:, stops[1:]] - prefix[:, stops[:-1]]
+        keys = []
+        fresh: dict[tuple[bytes, bytes], int] = {}
+        for i in range(len(orders)):
+            # heterogeneous costs break the segment-weights sufficiency (a
+            # move inside one verification segment relocates which
+            # position pays which cost), so the memo key grows the
+            # multiplier vector
+            segment_key = (
+                segments[i].tobytes()
+                if mult is None
+                else segments[i].tobytes() + b"|" + mult[i].tobytes()
+            )
+            key = (schedule_key, segment_key)
+            keys.append(key)
+            if key not in self._bounds and key not in fresh:
+                fresh[key] = i
+        if fresh:
+            rows = list(fresh.values())
+            priced = evaluate_schedules(
+                weights[rows],
+                self.platform,
+                reference.schedule,
+                multipliers=None if mult is None else mult[rows],
+            )
+            self._bounds.update(
+                (key, e.expected_time) for key, e in zip(fresh, priced)
+            )
+            self._c_bound_evals.inc(len(fresh))
+        if len(orders) > len(fresh):
+            self._c_bound_hits.inc(len(orders) - len(fresh))
+        return [self._bounds[key] for key in keys]
 
 
 # ----------------------------------------------------------------------
@@ -513,8 +546,8 @@ def hill_climb(
     and the number of improvement rounds taken.
 
     Each round screens the whole neighborhood with frozen-schedule bounds
-    (cheap), exact-confirms candidates in bound order, and accepts the
-    first genuine improvement.  When no bound promises progress, the round
+    (one :meth:`ChainObjective.bounds` batch), exact-confirms candidates
+    in bound order, and accepts the first genuine improvement.  When no bound promises progress, the round
     *polishes*: it exact-evaluates the ``polish_budget`` most promising
     neighbors anyway (``None`` = all of them), because the bound can hide
     an improvement that only materialises after re-optimizing the
@@ -529,13 +562,14 @@ def hill_climb(
     bus = _ambient_events()
     rounds = 0
     for _ in range(max_rounds):
+        cands = [
+            cand
+            for cand, _ in neighborhood(
+                dag, order, rng=rng, max_reinsertions=max_reinsertions
+            )
+        ]
         scored = sorted(
-            (
-                (objective.bound(cand, solution), cand)
-                for cand, _ in neighborhood(
-                    dag, order, rng=rng, max_reinsertions=max_reinsertions
-                )
-            ),
+            zip(objective.bounds(cands, solution), cands),
             key=lambda pair: pair[0],
         )
         c_proposed.inc(len(scored))

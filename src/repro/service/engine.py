@@ -30,6 +30,8 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Callable
 
+import numpy as np
+
 from ..api import SCHEMA_VERSION, as_document, canonical_hash
 from ..chains import PAPER_TOTAL_WEIGHT, PATTERNS, TaskChain, make_chain
 from ..core import Schedule, evaluate_schedule, optimize
@@ -89,6 +91,34 @@ def _reject_unknown(request: dict, allowed: tuple[str, ...], endpoint: str):
         )
 
 
+def _weights(value) -> np.ndarray:
+    # the conversion TaskChain applies, so that it raises here, not there
+    return np.asarray(list(value), dtype=np.float64)
+
+
+_EXPECTED = {int: "an integer", float: "a number", _weights: "a list of numbers"}
+
+
+def _coerce(value: Any, kind: Callable, name: str) -> Any:
+    """``kind(value)``, or a typed 400 naming the request field.
+
+    ``int``/``float`` coercion of a client's JSON raises a bare
+    ``ValueError``/``TypeError`` on a non-numeric value, which would
+    surface as a 500.
+    """
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidParameterError(
+            f"field {name!r} must be {_EXPECTED[kind]}, got {value!r}"
+        ) from None
+
+
+def _field(request: dict, name: str, kind: Callable, default: Any = None) -> Any:
+    """``request[name]`` (``default`` when absent) coerced by ``kind``."""
+    return _coerce(request.get(name, default), kind, name)
+
+
 def _parse_platform(request: dict) -> Platform:
     spec = request.get("platform", "hera")
     if isinstance(spec, dict):
@@ -102,7 +132,8 @@ def _parse_platform(request: dict) -> Platform:
 def _parse_chain(request: dict) -> TaskChain:
     if request.get("weights") is not None:
         return TaskChain(
-            request["weights"], name=str(request.get("chain", "custom"))
+            _field(request, "weights", _weights),
+            name=str(request.get("chain", "custom")),
         )
     pattern = str(request.get("pattern", "uniform"))
     if pattern not in PATTERNS:
@@ -112,8 +143,8 @@ def _parse_chain(request: dict) -> TaskChain:
         )
     return make_chain(
         pattern,
-        int(request.get("tasks", 20)),
-        float(request.get("total_weight", PAPER_TOTAL_WEIGHT)),
+        _field(request, "tasks", int, 20),
+        _field(request, "total_weight", float, PAPER_TOTAL_WEIGHT),
     )
 
 
@@ -131,7 +162,7 @@ def _parse_dag(request: dict):
         )
     generator = dict(request.get("generator") or {})
     kind = str(generator.pop("kind", "layered"))
-    seed = int(generator.pop("seed", 0))
+    seed = _coerce(generator.pop("seed", 0), int, "generator.seed")
     return generate(kind, seed=seed, **generator)
 
 
@@ -283,7 +314,7 @@ class Engine:
                     str(request.get("algorithm", "admv"))
                 ),
                 "runs": request.get("runs"),
-                "seed": int(request.get("seed", 0)),
+                "seed": _field(request, "seed", int, 0),
                 "target_ci": request.get("target_ci"),
                 "backend": self._backend_name(request.get("backend")),
                 "engine": str(request.get("engine", "batch")),
@@ -298,12 +329,12 @@ class Engine:
                 ),
                 "strategy": str(request.get("strategy", "auto")),
                 "method": str(request.get("method", "hill_climb")),
-                "seed": int(request.get("seed", 0)),
-                "restarts": int(request.get("restarts", 2)),
-                "iterations": int(request.get("iterations", 400)),
-                "recombine": int(request.get("recombine", 2)),
+                "seed": _field(request, "seed", int, 0),
+                "restarts": _field(request, "restarts", int, 2),
+                "iterations": _field(request, "iterations", int, 400),
+                "recombine": _field(request, "recombine", int, 2),
                 "certify": bool(request.get("certify", False)),
-                "target_ci": float(request.get("target_ci", 0.01)),
+                "target_ci": _field(request, "target_ci", float, 0.01),
                 "backend": self._backend_name(request.get("backend"))
                 if request.get("certify") or request.get("processors")
                 else None,
@@ -339,10 +370,10 @@ class Engine:
             solution = optimize(chain, platform, algorithm=algorithm)
             schedule = solution.schedule
             analytic = solution.expected_time
-        seed = int(request.get("seed", 0))
+        seed = _field(request, "seed", int, 0)
         target_ci = request.get("target_ci")
         if request.get("runs") is not None:
-            runs = int(request["runs"])
+            runs = _field(request, "runs", int)
         elif target_ci is not None:
             from ..simulation import DEFAULT_MAX_RUNS
 
@@ -357,7 +388,9 @@ class Engine:
             seed=seed,
             analytic=analytic,
             engine=str(request.get("engine", "batch")),
-            target_ci=None if target_ci is None else float(target_ci),
+            target_ci=None
+            if target_ci is None
+            else _field(request, "target_ci", float),
             backend=request.get("backend"),
         )
         doc = as_document(mc)
@@ -376,21 +409,21 @@ class Engine:
         dag = _parse_dag(request)
         platform = _parse_platform(request)
         algorithm = str(request.get("algorithm", "admv"))
-        seed = int(request.get("seed", 0))
+        seed = _field(request, "seed", int, 0)
         backend = request.get("backend")
-        target_ci = float(request.get("target_ci", 0.01))
+        target_ci = _field(request, "target_ci", float, 0.01)
         processors = request.get("processors")
 
         if processors is not None:
             result = search_parallel(
                 dag,
                 platform,
-                int(processors),
+                _field(request, "processors", int),
                 algorithm=algorithm,
                 method=str(request.get("method", "hill_climb")),
                 seed=seed,
-                restarts=int(request.get("restarts", 2)),
-                iterations=int(request.get("iterations", 400)),
+                restarts=_field(request, "restarts", int, 2),
+                iterations=_field(request, "iterations", int, 400),
             )
             doc = as_document(result)
             doc.update(seed=seed, backend=None)
@@ -422,9 +455,9 @@ class Engine:
                 algorithm=algorithm,
                 method=str(request.get("method", "hill_climb")),
                 seed=seed,
-                restarts=int(request.get("restarts", 2)),
-                iterations=int(request.get("iterations", 400)),
-                recombine=int(request.get("recombine", 2)),
+                restarts=_field(request, "restarts", int, 2),
+                iterations=_field(request, "iterations", int, 400),
+                recombine=_field(request, "recombine", int, 2),
                 certify=bool(request.get("certify", False)),
                 backend=backend,
                 target_ci=target_ci,

@@ -80,6 +80,10 @@ class ReproServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-serve"
     protocol_version = "HTTP/1.1"
+    # A reply goes out as two writes (headers, then body).  With Nagle's
+    # algorithm on, a kept-alive connection holds the body until the
+    # client's delayed ACK of the headers: ~40 ms per reply.
+    disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------
     def log_message(self, fmt, *args):  # route through repro.* logging

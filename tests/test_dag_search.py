@@ -170,6 +170,27 @@ class TestChainObjective:
             objective.bound(cand, solution)
         assert objective.bound_cache_hits > 0
 
+    @pytest.mark.parametrize("cost_spread", [0.0, 1.0])
+    def test_bounds_batch_equals_one_bound_per_order(self, platform, cost_spread):
+        # values, memo and counters as if bound() ran on each order in
+        # turn: a key repeated inside the batch is a cache hit
+        dag = generate(
+            "layered", seed=4, tasks=9, layers=3, cost_spread=cost_spread
+        )
+        order = random_order(dag, np.random.default_rng(4))
+        cands = [cand for cand, _ in neighborhood(dag, order)]
+        cands += cands[:3] + [order]
+        one = ChainObjective(dag, platform, algorithm=FAST_ALGO)
+        batch = ChainObjective(dag, platform, algorithm=FAST_ALGO)
+        solution = one.exact(order)
+        singles = [one.bound(cand, solution) for cand in cands]
+        assert batch.bounds(cands, solution) == singles
+        assert batch.bound_evaluations == one.bound_evaluations
+        assert batch.bound_cache_hits == one.bound_cache_hits >= 3
+        assert batch.bounds([], solution) == []
+        assert batch.bounds(cands[:5], solution) == singles[:5]
+        assert batch.bound_cache_hits == one.bound_cache_hits + 5
+
     def test_bound_caches_are_content_keyed(self, pipeline, platform):
         # references the objective never saw (built by optimize() directly,
         # then dropped) must share cache entries with equal schedules and

@@ -379,6 +379,59 @@ class TestHttp:
         assert err["kind"] == "error"
         assert err["status"] == 400
 
+    @pytest.mark.parametrize(
+        "endpoint, request_doc, field",
+        [
+            ("solve", {"tasks": "abc"}, "tasks"),
+            ("solve", {"total_weight": "heavy"}, "total_weight"),
+            ("solve", {"weights": ["x"]}, "weights"),
+            ("solve", {"weights": 5}, "weights"),
+            ("simulate", {"tasks": 4, "seed": "x"}, "seed"),
+            ("simulate", {"tasks": 4, "runs": "many"}, "runs"),
+            ("simulate", {"tasks": 4, "target_ci": "tight"}, "target_ci"),
+            ("dag/optimize", {"seed": [1]}, "seed"),
+            ("dag/optimize", {"restarts": "x"}, "restarts"),
+            ("dag/optimize", {"iterations": None}, "iterations"),
+            ("dag/optimize", {"recombine": {}}, "recombine"),
+            ("dag/optimize", {"target_ci": "x"}, "target_ci"),
+            ("dag/optimize", {"processors": "two"}, "processors"),
+            ("dag/optimize", {"generator": {"seed": "x"}}, "generator.seed"),
+        ],
+    )
+    def test_non_numeric_fields_are_400(self, server, endpoint, request_doc, field):
+        status, _, body = _post(server, f"/{endpoint}", request_doc)
+        assert status == 400, body
+        err = json.loads(body)
+        assert err["kind"] == "error"
+        assert repr(field) in err["error"]
+
+    def test_keep_alive_replies_do_not_stall(self, server):
+        """Warm replies on one kept-alive connection take about a
+        millisecond; a reply whose body waits for the client's delayed
+        ACK of its headers takes ~40 ms."""
+        host, port = server.removeprefix("http://").split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=30)
+        body = json.dumps({**SOLVE, "tasks": 6})
+        latencies = []
+        try:
+            for _ in range(21):  # the first request computes
+                t0 = time.perf_counter()
+                conn.request(
+                    "POST",
+                    "/solve",
+                    body=body,
+                    headers={"Content-Type": "application/json"},
+                )
+                response = conn.getresponse()
+                response.read()
+                assert response.status == 200
+                latencies.append(time.perf_counter() - t0)
+        finally:
+            conn.close()
+        warm = sorted(latencies[1:])
+        assert warm[len(warm) // 2] < 0.015, warm
+        assert warm[int(0.9 * len(warm))] < 0.030, warm
+
     def test_cache_clear(self, server):
         _post(server, "/solve", dict(SOLVE))
         status, _, body = _post(server, "/cache/clear")
