@@ -15,7 +15,7 @@ from .exhaustive import ACTION_SETS, enumerate_schedules, exhaustive_search
 from .factors import PairFactors
 from .result import Solution
 from .schedule import Action, ActionCounts, Schedule
-from .solver import ALGORITHMS, canonical_algorithm, optimize
+from .solver import ALGORITHMS, canonical_algorithm, optimize, optimize_batch
 
 __all__ = [
     "Action",
@@ -25,6 +25,7 @@ __all__ = [
     "CostProfile",
     "PairFactors",
     "optimize",
+    "optimize_batch",
     "optimize_partial",
     "optimize_single_level",
     "optimize_two_level",

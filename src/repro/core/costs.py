@@ -30,7 +30,11 @@ from ..chains import TaskChain
 from ..exceptions import InvalidParameterError
 from ..platforms import Platform
 
-__all__ = ["CostProfile"]
+__all__ = ["CostProfile", "COST_NAMES", "cost_table", "profile_of"]
+
+#: the per-position cost arrays of a profile, in the row order of
+#: :func:`cost_table`
+COST_NAMES = ("CD", "CM", "RD", "RM", "Vg", "Vp")
 
 
 def _as_cost_array(
@@ -259,3 +263,57 @@ class CostProfile:
             f"[{self.CD[1:].min():g}, {self.CD[1:].max():g}], CM in "
             f"[{self.CM[1:].min():g}, {self.CM[1:].max():g}]"
         )
+
+
+def cost_table(
+    costs: Sequence[CostProfile | None] | np.ndarray | None,
+    k: int,
+    n: int,
+    platform: Platform,
+) -> np.ndarray:
+    """The costs of ``k`` chains of ``n`` tasks as one ``(k, 6, n + 1)`` array.
+
+    Row ``i`` holds chain ``i``'s ``CD, CM, RD, RM, Vg, Vp`` arrays, in that
+    order.  ``costs`` is ``None`` (the platform's uniform costs for every
+    chain), a sequence of ``k`` profiles (``None`` entries are uniform),
+    or such an array already.  The stack is validated once: it must have
+    that shape and every cost must be finite and ``>= 0``.
+    """
+    if costs is None:
+        costs = [None] * k
+    if isinstance(costs, np.ndarray):
+        table = np.asarray(costs, dtype=np.float64)
+    else:
+        table = np.zeros((len(costs), 6, n + 1))
+        for row, profile in zip(table, costs):
+            if profile is None:
+                # the arrays of CostProfile.uniform(n, platform)
+                row[:, 1:] = [[getattr(platform, name)] for name in COST_NAMES]
+                continue
+            if profile.n != n:
+                raise InvalidParameterError(
+                    f"cost profile covers {profile.n} tasks but the chain "
+                    f"has {n}"
+                )
+            row[:] = [getattr(profile, name) for name in COST_NAMES]
+    if table.shape != (k, 6, n + 1):
+        raise InvalidParameterError(
+            f"expected the costs of {k} chains of {n} tasks, a "
+            f"{(k, 6, n + 1)} stack, got shape {table.shape}"
+        )
+    if not np.isfinite(table).all() or (table < 0.0).any():
+        raise InvalidParameterError("costs must be >= 0 and finite")
+    return table
+
+
+def profile_of(row: np.ndarray) -> CostProfile:
+    """The :class:`CostProfile` of one ``(6, n + 1)`` row of :func:`cost_table`."""
+    profile = CostProfile.from_arrays(
+        row.shape[1] - 1,
+        **{name: row[j, 1:] for j, name in enumerate(COST_NAMES)},
+    )
+    if row[2, 0] != 0.0 or row[3, 0] != 0.0:
+        profile = profile.with_boundary_recovery(
+            float(row[2, 0]), float(row[3, 0])
+        )
+    return profile

@@ -27,33 +27,52 @@ verification, a memory checkpoint and a disk checkpoint.
 
 Implementation notes
 --------------------
-All candidate evaluations are numpy expressions over the
-:class:`~repro.core.factors.PairFactors` matrices.  Every ``(d1, m1)``
-pair runs the same verification scan; the pairs differ only in the
-scalar ``K1 = R_D(d1) + E_mem(d1, m1)``.  So the loop runs ``m1``-outer
-with a ``d1`` vector: per ``m1``, one step computes ``E_mem(d1, m1)`` for
-every ``d1 < m1`` (the slots ``m < d1`` masked with ``+inf``), then one
-``(m1 + 1) x (v2 - m1)`` step per ``v2`` extends ``E_verif(d1, m1, .)``
-for every ``d1 <= m1``.  That is ``O(n^2)`` Python steps for ``O(n^4)``
-scalar work, with the per-entry operations and the first-minimum
-argmins of the one-``d1``-at-a-time loop, hence the same bits.  The
-``E_verif`` table (``(n+1)^3`` floats) and the argmin tables (``int32``)
-are kept for exact schedule extraction.
+All candidate evaluations are numpy expressions over the factor
+matrices of :func:`~repro.core.factors.factor_matrices`.  Every
+``(d1, m1)`` pair runs the same verification scan; the pairs differ only
+in the scalar ``K1 = R_D(d1) + E_mem(d1, m1)``.  So the loop runs
+``m1``-outer with a ``d1`` vector: per ``m1``, one step computes
+``E_mem(d1, m1)`` for every ``d1 < m1`` (the slots ``m < d1`` stay
+``+inf``), then one ``(m1 + 1) x (v2 - m1)`` step per ``v2`` extends
+``E_verif(d1, m1, .)`` for every ``d1 <= m1``.  That is ``O(n^2)`` Python
+steps for ``O(n^4)`` scalar work, with the per-entry operations and the
+first-minimum argmins of the one-``d1``-at-a-time loop, hence the same
+bits.
+
+A second axis, ``K``, stacks chains of one length: their factor
+matrices, cost arrays and tables carry a chain index, and every step
+above runs once for all ``K`` chains (:func:`optimize_two_level_batch`;
+:func:`optimize_two_level` is its ``K = 1`` call).  The ``E_verif``
+tables are laid out ``[m1, d1, k, v2]`` so that the rows one ``m1`` step
+extends, ``E_verif(d1, m1, .)`` for ``d1 <= m1`` and every chain, are
+one contiguous block; ``E_mem`` is laid out ``[d1, k, m2]`` so that its
+scans run along the last axis.  A step's candidates form a
+``(d, K, L)`` array whose flattened ``(d·K, L)`` view takes the argmin
+and the gather of the minima, which go back through the same flattened
+view of the table.  Two loop invariants are hoisted out of the ``v2``
+loop: the ``R_M(m1)`` products, taken once per ``m1`` for every
+``(v1, v2)``, and the shift of the argmins from scan offsets to
+positions.  So at ``K = 1`` a step runs fewer numpy calls than the
+one-chain loop did, on 3-D operands.  The ``E_verif`` table
+(``K (n+1)^3`` floats) and the argmin tables (``int32``) are kept for
+exact schedule extraction.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from ..chains import TaskChain
-from ..exceptions import SolverError
+from ..exceptions import InvalidParameterError, SolverError
 from ..platforms import Platform
-from .costs import CostProfile
-from .factors import PairFactors
+from .costs import CostProfile, cost_table
+from .factors import factor_matrices
 from .result import Solution
 from .schedule import Action, Schedule
 
-__all__ = ["optimize_two_level"]
+__all__ = ["optimize_two_level", "optimize_two_level_batch"]
 
 
 def optimize_two_level(
@@ -68,72 +87,121 @@ def optimize_two_level(
     cost position-dependent (see :class:`~repro.core.costs.CostProfile`);
     the default reproduces the paper's uniform model.
     """
-    n = chain.n
-    F = PairFactors(chain, platform, costs)
-    CM, CD, RD = F.costs.CM, F.costs.CD, F.costs.RD
-    # below[d1, m] is True for m < d1: slots outside row d1's scan
-    below = np.tri(n + 1, k=-1, dtype=bool)
-    index = np.arange(n + 1)
+    (solution,) = optimize_two_level_batch([chain], platform, costs=[costs])
+    return solution
 
-    # Emem[d1, m2]; arg_mem[d1, m2] = optimal previous memory position m1.
-    Emem = np.full((n + 1, n + 1), np.inf)
-    arg_mem = np.full((n + 1, n + 1), -1, dtype=np.int32)
-    # ev[d1, m1, v2] = E_verif(d1, m1, v2); arg_verif[d1, m1, v2] = optimal
-    # previous verification position v1.
-    ev = np.full((n + 1, n + 1, n + 1), np.inf)
-    arg_verif = np.full((n + 1, n + 1, n + 1), -1, dtype=np.int32)
+
+def optimize_two_level_batch(
+    chains: Sequence[TaskChain],
+    platform: Platform,
+    *,
+    costs: Sequence[CostProfile | None] | np.ndarray | None = None,
+) -> list[Solution]:
+    """``ADMV*`` for K chains of one length in one pass of the DP.
+
+    ``costs`` holds one profile (or ``None``, the uniform model) per
+    chain, or their :func:`~repro.core.costs.cost_table` stack.
+    Solution ``k`` is the one :func:`optimize_two_level` gives for
+    ``chains[k]`` alone, bit for bit.
+    """
+    K = len(chains)
+    if K == 0:
+        return []
+    n = chains[0].n
+    if any(chain.n != n for chain in chains):
+        raise InvalidParameterError("a batch of chains must share one length")
+    table = cost_table(costs, K, n, platform)
+    prefix = np.stack([chain.prefix for chain in chains])
+    F = factor_matrices(prefix, platform, table[:, 4], table[:, 5])
+    base_g, cK1, etm1, esm1 = F["base_g"], F["cK1"], F["etm1"], F["esm1"]
+    CD, CM, RD, RM = table[:, 0], table[:, 1], table[:, 2].T, table[:, 3]
+    index = np.arange((n + 1) * K)
+
+    # Emem[d1, k, m2] = E_mem(d1, m2) of chain k; arg_mem[d1, k, m2] =
+    # optimal previous memory position m1.
+    Emem = np.full((n + 1, K, n + 1), np.inf)
+    arg_mem = np.full((n + 1, K, n + 1), -1, dtype=np.int32)
+    # ev[m1, d1, k, v2] = E_verif(d1, m1, v2); arg_verif[m1, d1, k, v2] =
+    # optimal previous verification position v1.
+    ev = np.full((n + 1, n + 1, K, n + 1), np.inf)
+    arg_verif = np.full((n + 1, n + 1, K, n + 1), -1, dtype=np.int32)
 
     for m1 in range(n + 1):
         # E_mem(d1, m1) for every d1 < m1 at once; row d1 scans the
-        # previous memory positions m in [d1, m1).
+        # previous memory positions m in [d1, m1).  Its slots m < d1 hold
+        # +inf: neither Emem(d1, .) nor E_verif(d1, ., .) is written there.
         if m1 > 0:
-            cand = Emem[:m1, :m1] + ev[:m1, :m1, m1] + CM[m1]
-            cand[below[:m1, :m1]] = np.inf
+            cand = (
+                Emem[:m1, :, :m1]
+                + ev[:m1, :m1, :, m1].transpose(1, 2, 0)
+                + CM[:, m1, None]
+            )
             # first minimum; a row with no finite candidate takes its
             # scan's first slot, d1
-            k = np.maximum(cand.argmin(axis=1), index[:m1])
-            Emem[:m1, m1] = cand[index[:m1], k]
-            arg_mem[:m1, m1] = k
-        Emem[m1, m1] = 0.0
+            k = np.maximum(cand.argmin(axis=2), index[:m1, None])
+            Emem[:m1, :, m1] = cand.reshape(m1 * K, m1)[
+                index[: m1 * K], k.reshape(-1)
+            ].reshape(m1, K)
+            arg_mem[:m1, :, m1] = k
+        Emem[m1, :, m1] = 0.0
 
         # E_verif(d1, m1, v2) for every d1 <= m1 at once: the rows share
         # the scan over v1 in [m1, v2) and differ only in
         # K1 = R_D(d1) + E_mem(d1, m1).
         d = m1 + 1
-        K1 = (RD[:d] + Emem[:d, m1])[:, None]
-        rm = F.rm_eff(m1)
-        rows = ev[:d, m1]  # a view: filled left to right
-        rows[:, m1] = 0.0
+        K1 = (RD[:d] + Emem[:d, :, m1])[:, :, None]
+        # R_M(m1) does not change along the scan: its products for every
+        # (v1, v2) at once
+        rm_term = esm1[:, m1:] * RM[:, m1, None, None]
+        block = ev[m1, :d]  # (d, K, n + 1), contiguous: filled left to right
+        block[:, :, m1] = 0.0
+        rows = block.reshape(d * K, n + 1)
+        args = arg_verif[m1, :d].reshape(d * K, n + 1)
+        flat = index[: d * K]
         for v2 in range(m1 + 1, n + 1):
+            L = v2 - m1
+            scan = block[:, :, m1:v2]
             cand = (
-                rows[:, m1:v2]
-                + F.base_g[m1:v2, v2]
-                + F.cK1[m1:v2, v2] * K1
-                + F.etm1[m1:v2, v2] * rows[:, m1:v2]
-                + F.esm1[m1:v2, v2] * rm
-            )
+                scan
+                + base_g[:, m1:v2, v2]
+                + cK1[:, m1:v2, v2] * K1
+                + etm1[:, m1:v2, v2] * scan
+                + rm_term[:, :L, v2]
+            ).reshape(d * K, L)
             k = cand.argmin(axis=1)
-            rows[:, v2] = cand[index[:d], k]
-            arg_verif[:d, m1, v2] = m1 + k
+            rows[:, v2] = cand[flat, k]
+            args[:, v2] = k
+        args[:, m1 + 1 :] += m1  # scan offsets to positions v1
 
-    Edisk = np.full(n + 1, np.inf)
-    arg_disk = np.full(n + 1, -1, dtype=np.int32)
+    Edisk = np.full((n + 1, K), np.inf)
+    arg_disk = np.full((n + 1, K), -1, dtype=np.int32)
     Edisk[0] = 0.0
+    chain_index = index[:K]
     for d2 in range(1, n + 1):
-        cand = Edisk[:d2] + Emem[:d2, d2] + CD[d2]
-        k = int(np.argmin(cand))
-        Edisk[d2] = float(cand[k])
+        cand = Edisk[:d2] + Emem[:d2, :, d2] + CD[:, d2]
+        k = cand.argmin(axis=0)
+        Edisk[d2] = cand[k, chain_index]
         arg_disk[d2] = k
 
-    schedule = _extract_schedule(n, arg_disk, arg_mem, arg_verif)
-    return Solution(
-        algorithm="admv_star",
-        chain=chain,
-        platform=platform,
-        expected_time=float(Edisk[n]),
-        schedule=schedule,
-        diagnostics={"Edisk": Edisk, "Emem": Emem},
-    )
+    solutions = []
+    for c, chain in enumerate(chains):
+        schedule = _extract_schedule(
+            n,
+            arg_disk[:, c],
+            arg_mem[:, c],
+            arg_verif[:, :, c].transpose(1, 0, 2),
+        )
+        solutions.append(
+            Solution(
+                algorithm="admv_star",
+                chain=chain,
+                platform=platform,
+                expected_time=float(Edisk[n, c]),
+                schedule=schedule,
+                diagnostics={"Edisk": Edisk[:, c], "Emem": Emem[:, c]},
+            )
+        )
+    return solutions
 
 
 def _extract_schedule(

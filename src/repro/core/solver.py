@@ -18,19 +18,23 @@ notation, case-insensitive) and ``single`` / ``two_level`` / ``partial``.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+import math
+from collections.abc import Callable, Sequence
+
+import numpy as np
 
 from ..chains import TaskChain
 from ..exceptions import InvalidParameterError
 from ..obs import metrics as _metrics
 from ..platforms import Platform
+from .costs import cost_table, profile_of
 from .dp_partial import optimize_partial
 from .dp_single import optimize_single_level
-from .dp_two_level import optimize_two_level
+from .dp_two_level import optimize_two_level, optimize_two_level_batch
 from .exhaustive import exhaustive_search
 from .result import Solution
 
-__all__ = ["optimize", "ALGORITHMS", "canonical_algorithm"]
+__all__ = ["optimize", "optimize_batch", "ALGORITHMS", "canonical_algorithm"]
 
 _ALIASES: dict[str, str] = {
     "adv*": "adv_star",
@@ -129,9 +133,74 @@ def optimize(
     True
     """
     name = canonical_algorithm(algorithm)
+    (solution,) = _run(
+        name, 1, lambda: [_DISPATCH[name](chain, platform, costs=costs)]
+    )
+    return solution
+
+
+def optimize_batch(
+    weights,
+    platform: Platform,
+    algorithm: str = "admv",
+    *,
+    costs: Sequence | np.ndarray | None = None,
+) -> list[Solution]:
+    """:func:`optimize` for K chains of one length: ``weights`` is ``(K, n)``.
+
+    ``costs`` holds one :class:`~repro.core.costs.CostProfile` (or
+    ``None``, the uniform model) per chain, or their
+    :func:`~repro.core.costs.cost_table` stack.  ``admv_star`` solves all K
+    chains in one pass of its DP
+    (:func:`~repro.core.dp_two_level.optimize_two_level_batch`); the
+    other algorithms solve them one by one.  Solution ``k`` equals
+    ``optimize(TaskChain(weights[k]), platform, algorithm,
+    costs=costs[k])`` bit for bit, and ``dp.solves.<algorithm>`` counts
+    K solves.
+    """
+    name = canonical_algorithm(algorithm)
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.ndim != 2:
+        raise InvalidParameterError(
+            f"weights must be a (K, n) array, got shape {weights.shape}"
+        )
+    chains = [TaskChain(row) for row in weights]
+    if name != "admv_star":
+        table = cost_table(costs, len(chains), weights.shape[1], platform)
+        return [
+            optimize(chain, platform, name, costs=profile_of(row))
+            for chain, row in zip(chains, table)
+        ]
+    return _run(
+        name,
+        len(chains),
+        lambda: optimize_two_level_batch(chains, platform, costs=costs),
+    )
+
+
+def _run(
+    name: str, k: int, solve: Callable[[], list[Solution]]
+) -> list[Solution]:
+    """``solve()``'s ``k`` solutions, counted and timed when metrics are on.
+
+    A segment whose λW overflows float64 has an unbounded expected cost,
+    and an optimum built on it is inf or NaN: refused with a typed error.
+    """
     reg = _metrics()
-    if not reg.enabled:
-        return _DISPATCH[name](chain, platform, costs=costs)
-    reg.counter(f"dp.solves.{name}").inc()
-    with reg.timer("dp.solve").time():
-        return _DISPATCH[name](chain, platform, costs=costs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if reg.enabled:
+            reg.counter(f"dp.solves.{name}").inc(k)
+            with reg.timer("dp.solve").time():
+                solutions = solve()
+        else:
+            solutions = solve()
+    for solution in solutions:
+        if not math.isfinite(solution.expected_time):
+            raise InvalidParameterError(
+                f"the optimal expected makespan of {solution.chain.name} on "
+                f"{solution.platform.name} is {solution.expected_time!r}: "
+                "the segment costs overflow float64 (error rate x task "
+                "weight is too large); use shorter tasks or a platform with "
+                "lower rates"
+            )
+    return solutions

@@ -29,7 +29,14 @@ is lifted per worker:
   expectation under the outer ``max`` makes this a Jensen *lower bound*
   on the true expected makespan — the search ranks states by it, and
   :func:`~repro.simulation.parallel.simulate_parallel` certifies the
-  winner's true value.
+  winner's true value.  A hill-climbing round prices its whole
+  neighbourhood in one :meth:`ParallelObjective.values` call, in four
+  steps: a layout pass per state over task numbers and edge lists built
+  once per objective; the state, worker and interval memo lookups; one
+  :func:`~repro.core.solver.optimize_batch` call per interval length for
+  the intervals not yet solved (``ADMV*`` solves each group in one pass
+  of its DP); and a fold per state over the global order.  ``max`` is
+  exact, so the fold gives the bits of the epoch-graph recursion.
 * **Search** (:func:`search_parallel`): the PR-4/5 metaheuristics with
   the move set generalised to (assignment, order) pairs — all of
   :mod:`repro.dag.search`'s precedence-preserving order moves, plus
@@ -42,18 +49,21 @@ top-level entry point.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections.abc import Hashable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from ..exceptions import InvalidChainError, InvalidParameterError
 from ..chains import TaskChain
 from ..platforms import Platform
-from ..core.costs import CostProfile
+from ..core.costs import COST_NAMES, CostProfile
 from ..core.schedule import Action, Schedule
-from ..core.solver import optimize
+# optimize stays importable here: profilers wrap the chain DP by its
+# attribute on each calling module
+from ..core.solver import optimize  # noqa: F401
+from ..core.solver import optimize_batch
 from ..obs import MetricsRegistry, MetricsSnapshot, get_logger
 from ..obs import events as _ambient_events
 from ..obs import metrics as _ambient_metrics
@@ -159,7 +169,7 @@ class ParallelSchedule:
     # -- identity -------------------------------------------------------
     def key(self) -> tuple:
         """Hashable identity: the order plus its per-position workers."""
-        return (self.order, tuple(self.assignment[v] for v in self.order))
+        return (self.order, tuple(map(self.assignment.__getitem__, self.order)))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ParallelSchedule) and self.key() == other.key()
@@ -194,64 +204,135 @@ class ParallelSchedule:
 
     def layout(self) -> _Layout:
         """Commit boundaries + epoch dependencies (cached)."""
-        if self._layout is not None:
-            return self._layout
-        p = self.processors
-        worker_orders: list[list[Hashable]] = [[] for _ in range(p)]
-        wpos: dict[Hashable, tuple[int, int]] = {}
-        for v in self.order:
-            w = self.assignment[v]
-            worker_orders[w].append(v)
-            wpos[v] = (w, len(worker_orders[w]))  # 1-based local position
-        bset: list[set[int]] = [set() for _ in range(p)]
-        cross: list[tuple[Hashable, Hashable]] = []
-        for u, v in self.dag.graph.edges:
-            wu, pu = wpos[u]
-            wv, pv = wpos[v]
-            if wu == wv:
-                continue
-            cross.append((u, v))
-            if pu < len(worker_orders[wu]):
-                bset[wu].add(pu)  # commit after the producer
-            if pv > 1:
-                bset[wv].add(pv - 1)  # commit before the consumer
-        boundaries = tuple(tuple(sorted(s)) for s in bset)
-        deps_sets: list[list[set[tuple[int, int]]]] = [
-            [set() for _ in range(len(boundaries[w]) + 1)]
-            if worker_orders[w]
-            else []
-            for w in range(p)
-        ]
-        for u, v in cross:
-            wu, pu = wpos[u]
-            wv, pv = wpos[v]
-            # Producer epoch: the one *ending* at pu (pu is a boundary, or
-            # the chain end); consumer epoch: the one *containing* pv
-            # (whose first task pv is, by the boundary construction).
-            eu = bisect_left(boundaries[wu], pu)
-            ev = bisect_left(boundaries[wv], pv)
-            deps_sets[wv][ev].add((wu, eu))
-        deps = tuple(
-            tuple(tuple(sorted(s)) for s in deps_sets[w]) for w in range(p)
+        if self._layout is None:
+            index = _DagIndex(self.dag)
+            placed = _place(index, self.processors, self.key())
+            self._layout = _epochs(index, placed)
+        return self._layout
+
+
+class _DagIndex:
+    """The DAG with its tasks numbered (in graph order) for :func:`_place`."""
+
+    __slots__ = ("nodes", "number", "edges", "preds")
+
+    def __init__(self, dag: WorkflowDAG) -> None:
+        self.nodes: tuple[Hashable, ...] = tuple(dag.graph)
+        self.number = {v: i for i, v in enumerate(self.nodes)}
+        self.edges = tuple(
+            (self.number[u], self.number[v]) for u, v in dag.graph.edges
         )
-        gpos = {v: i for i, v in enumerate(self.order)}
-        epochs: list[tuple[int, tuple[int, int]]] = []
-        for w in range(p):
-            if not worker_orders[w]:
-                continue
-            bounds = (0,) + boundaries[w]
-            for e in range(len(boundaries[w]) + 1):
-                first = worker_orders[w][bounds[e]]  # local pos bounds[e]+1
-                epochs.append((gpos[first], (w, e)))
-        epochs.sort()
-        layout = _Layout(
-            worker_orders=tuple(tuple(o) for o in worker_orders),
-            boundaries=boundaries,
-            deps=deps,
-            epoch_sequence=tuple(ref for _, ref in epochs),
+        self.preds = tuple(
+            tuple(self.number[u] for u in dag.graph.predecessors(v))
+            for v in self.nodes
         )
-        self._layout = layout
-        return layout
+
+
+class _Pass(NamedTuple):
+    """One state's placement, in task numbers (see :func:`_place`)."""
+
+    numbers: list[int]  #: the global order
+    workers: tuple[int, ...]  #: the worker at each global position
+    seqs: list[list[int]]  #: each worker's task sequence
+    worker_of: list[int]
+    opens: list[bool]  #: whether the task opens an epoch on its worker
+    boundaries: tuple[tuple[int, ...], ...]  #: each worker's commit positions
+
+
+def _place(index: _DagIndex, processors: int, key: tuple) -> _Pass:
+    """Worker sequences and commit boundaries of the state ``key``.
+
+    One pass over the global order places every task on its worker and
+    one over the edges cuts each worker's chain after any task with a
+    remote successor and before any task with a remote predecessor.  A
+    task after a cut, or first on its worker, opens an epoch.
+    """
+    order, workers = key
+    number = index.number
+    numbers = [number[v] for v in order]
+    seqs: list[list[int]] = [[] for _ in range(processors)]
+    worker_of = [0] * len(numbers)
+    local = [0] * len(numbers)  # 1-based position on its worker
+    for i, w in zip(numbers, workers):
+        seq = seqs[w]
+        seq.append(i)
+        worker_of[i] = w
+        local[i] = len(seq)
+    opens = [False] * len(numbers)
+    for seq in seqs:
+        if seq:
+            opens[seq[0]] = True
+    for u, v in index.edges:
+        if worker_of[u] != worker_of[v]:
+            seq = seqs[worker_of[u]]
+            if local[u] < len(seq):
+                opens[seq[local[u]]] = True  # commit after the producer
+            opens[v] = True  # commit before the consumer
+    return _Pass(
+        numbers,
+        workers,
+        seqs,
+        worker_of,
+        opens,
+        tuple(
+            tuple([b for b in range(1, len(seq)) if opens[seq[b]]]) for seq in seqs
+        ),
+    )
+
+
+def _fold(
+    index: _DagIndex, placed: _Pass, durations: Sequence[Sequence[float]]
+) -> float:
+    """Critical-path fold of expected epoch durations (see module doc).
+
+    One pass over the global order: an epoch starts once its worker's
+    previous epoch and the epochs of its first task's remote predecessors
+    (each ending at its predecessor) have completed; remote predecessors
+    attach only to epoch-opening tasks, by the boundary construction.
+    ``max`` is exact, so taking it in any order gives the bits of the
+    epoch-graph recursion.  A predecessor on the same worker finished no
+    later than that worker's previous epoch, so it never raises a start.
+    """
+    numbers, workers, seqs, _, opens, _ = placed
+    preds = index.preds
+    completion = [0.0] * len(seqs)  # of each worker's latest epoch
+    finish = [0.0] * len(numbers)  # completion of each task's epoch
+    epochs = [iter(d) for d in durations]
+    for i, w in zip(numbers, workers):
+        if opens[i]:
+            start = completion[w]
+            for u in preds[i]:
+                if finish[u] > start:
+                    start = finish[u]
+            completion[w] = start + next(epochs[w])
+        finish[i] = completion[w]
+    return max(c for c, seq in zip(completion, seqs) if seq)
+
+
+def _epochs(index: _DagIndex, placed: _Pass) -> _Layout:
+    """The :class:`_Layout` of a placement, with task names."""
+    numbers, workers, seqs, worker_of, opens, boundaries = placed
+    epoch = [0] * len(numbers)
+    count = [-1] * len(seqs)
+    sequence: list[tuple[int, int]] = []
+    for i, w in zip(numbers, workers):
+        if opens[i]:
+            count[w] += 1
+            sequence.append((w, count[w]))
+        epoch[i] = count[w]
+    deps: list[list[set[tuple[int, int]]]] = [
+        [set() for _ in range(count[w] + 1)] if seq else []
+        for w, seq in enumerate(seqs)
+    ]
+    for u, v in index.edges:
+        if worker_of[u] != worker_of[v]:
+            deps[worker_of[v]][epoch[v]].add((worker_of[u], epoch[u]))
+    return _Layout(
+        worker_orders=tuple(tuple(index.nodes[i] for i in seq) for seq in seqs),
+        boundaries=boundaries,
+        deps=tuple(tuple(tuple(sorted(d)) for d in dw) for dw in deps),
+        epoch_sequence=tuple(sequence),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -344,6 +425,10 @@ class ParallelObjective:
     lower bound on the true expected makespan (``E[max] >= max of E``),
     exact whenever one worker's chain dominates every replication.
     Counters expose the solve/hit rates for diagnostics and benches.
+
+    :meth:`values` prices a list of states at once and :meth:`value` is
+    its one-state call; both leave the memos and counters a loop of
+    one-state calls would.  :meth:`price` adds the worker schedules.
     """
 
     def __init__(
@@ -364,11 +449,24 @@ class ParallelObjective:
         self.processors = int(processors)
         self.algorithm = algorithm
         self.heterogeneous = dag.has_heterogeneous_costs()
-        self._weight = {v: float(dag.weight(v)) for v in dag.graph}
-        self._multiplier = (
-            {v: float(dag.cost_multiplier(v)) for v in dag.graph}
+        # per task number: weights, cost multipliers (None when uniform)
+        # and their bytes, from which the memo keys are joined
+        self._index = _DagIndex(dag)
+        nodes = self._index.nodes
+        self._weights = np.array([float(dag.weight(v)) for v in nodes])
+        self._weight_bytes = [w.tobytes() for w in self._weights]
+        self._mults = (
+            np.array([float(dag.cost_multiplier(v)) for v in nodes])
             if self.heterogeneous
             else None
+        )
+        self._mult_bytes = (
+            None if self._mults is None else [m.tobytes() for m in self._mults]
+        )
+        self._rd = float(platform.RD)
+        self._rm = float(platform.RM)
+        self._unit_costs = np.array(
+            [getattr(platform, name) for name in COST_NAMES], dtype=np.float64
         )
         self._intervals: dict[tuple, tuple[float, tuple[int, ...]]] = {}
         self._workers: dict[tuple, tuple[tuple[float, ...], tuple[int, ...]]] = {}
@@ -405,138 +503,164 @@ class ParallelObjective:
     def state_cache_hits(self) -> int:
         return self._c_state_hits.value
 
-    # -- interval layer -------------------------------------------------
-    def _solve_interval(
+    # -- pricing -------------------------------------------------------
+    def _worker_keys(
         self,
-        weights: np.ndarray,
-        mults: np.ndarray | None,
-        rd0: float,
-        rm0: float,
-    ) -> tuple[float, tuple[int, ...]]:
-        key = (
-            weights.tobytes(),
-            None if mults is None else mults.tobytes(),
-            rd0,
-            rm0,
-        )
-        cached = self._intervals.get(key)
-        if cached is not None:
-            self._c_interval_hits.inc()
-            return cached
-        n = int(weights.size)
-        costs = (
-            CostProfile.uniform(n, self.platform)
-            if mults is None
-            else CostProfile.scaled(self.platform, mults)
-        )
-        if rd0 != 0.0 or rm0 != 0.0:
-            costs = costs.with_boundary_recovery(rd0, rm0)
-        with _span("parallel.price_interval", n=n):
-            solution = optimize(
-                TaskChain(weights), self.platform, algorithm=self.algorithm,
-                costs=costs,
-            )
-        levels = tuple(int(a) for a in solution.schedule.levels_array())
-        if levels[-1] != int(Action.DISK):
-            # The chain DP always disk-checkpoints the end; the commit
-            # protocol relies on it (the boundary checkpoint *is* the
-            # interval's final disk checkpoint).  Enforce, don't assume.
-            levels = levels[:-1] + (int(Action.DISK),)
-        result = (float(solution.expected_time), levels)
-        self._intervals[key] = result
-        self._c_interval_solves.inc()
-        return result
+        placed: _Pass,
+        workers: dict[tuple, tuple[tuple, ...]],
+        intervals: dict[tuple, tuple[tuple[int, ...], float, float]],
+    ) -> list[tuple | None]:
+        """Memo keys of ``placed``'s workers (``None`` for an idle one).
 
-    # -- worker layer ---------------------------------------------------
-    def _price_worker(
-        self, nodes: Sequence[Hashable], boundaries: tuple[int, ...]
-    ) -> tuple[tuple[float, ...], tuple[int, ...]]:
-        weights = np.asarray([self._weight[v] for v in nodes], dtype=np.float64)
-        mults = (
-            None
-            if self._multiplier is None
-            else np.asarray(
-                [self._multiplier[v] for v in nodes], dtype=np.float64
+        A worker missing from the memo and from ``workers`` (those priced
+        earlier in the same batch) is added to ``workers`` with its
+        interval keys, and each interval missing from the memo and from
+        ``intervals`` to ``intervals`` with its tasks and boundary
+        recovery costs.  Hits count as in a one-state-at-a-time loop.
+        """
+        keys: list[tuple | None] = []
+        worker_hits = interval_hits = 0
+        for seq, boundaries in zip(placed.seqs, placed.boundaries):
+            if not seq:
+                keys.append(None)
+                continue
+            wbytes = b"".join([self._weight_bytes[i] for i in seq])
+            mbytes = (
+                None
+                if self._mult_bytes is None
+                else b"".join([self._mult_bytes[i] for i in seq])
             )
-        )
-        key = (
-            weights.tobytes(),
-            None if mults is None else mults.tobytes(),
-            boundaries,
-        )
-        cached = self._workers.get(key)
-        if cached is not None:
-            self._c_worker_hits.inc()
-            return cached
-        durations: list[float] = []
-        levels: tuple[int, ...] = ()
-        cuts = (0,) + boundaries + (len(nodes),)
-        for e in range(len(boundaries) + 1):
-            lo, hi = cuts[e], cuts[e + 1]
-            if lo == 0:
-                rd0 = rm0 = 0.0
-            else:
-                scale = 1.0 if mults is None else float(mults[lo - 1])
-                rd0 = float(self.platform.RD) * scale
-                rm0 = float(self.platform.RM) * scale
-            value, interval_levels = self._solve_interval(
-                weights[lo:hi],
-                None if mults is None else mults[lo:hi],
-                rd0,
-                rm0,
-            )
-            durations.append(value)
-            levels = levels + interval_levels
-        result = (tuple(durations), levels)
-        self._workers[key] = result
-        self._c_worker_priced.inc()
-        return result
+            key = (wbytes, mbytes, boundaries)
+            keys.append(key)
+            if key in self._workers or key in workers:
+                worker_hits += 1
+                continue
+            interval_keys = []
+            cuts = (0,) + boundaries + (len(seq),)
+            for lo, hi in zip(cuts, cuts[1:]):
+                if lo == 0:
+                    rd0 = rm0 = 0.0
+                else:
+                    scale = (
+                        1.0 if self._mults is None else float(self._mults[seq[lo - 1]])
+                    )
+                    rd0 = self._rd * scale
+                    rm0 = self._rm * scale
+                ikey = (
+                    wbytes[8 * lo : 8 * hi],
+                    None if mbytes is None else mbytes[8 * lo : 8 * hi],
+                    rd0,
+                    rm0,
+                )
+                interval_keys.append(ikey)
+                if ikey in self._intervals or ikey in intervals:
+                    interval_hits += 1
+                else:
+                    intervals[ikey] = (seq[lo:hi], rd0, rm0)
+            workers[key] = tuple(interval_keys)
+        self._c_worker_hits.inc(worker_hits)
+        self._c_interval_hits.inc(interval_hits)
+        return keys
 
-    # -- state layer ----------------------------------------------------
+    def _price(
+        self,
+        workers: dict[tuple, tuple[tuple, ...]],
+        intervals: dict[tuple, tuple[tuple[int, ...], float, float]],
+    ) -> None:
+        """Solve ``intervals`` and memoize them and ``workers``.
+
+        The intervals are solved in one :func:`~repro.core.solver.
+        optimize_batch` call per length.
+        """
+        by_length: dict[int, list[tuple]] = {}
+        for ikey, (tasks, _, _) in intervals.items():
+            by_length.setdefault(len(tasks), []).append(ikey)
+        for n, ikeys in by_length.items():
+            tasks = np.array([intervals[ikey][0] for ikey in ikeys])
+            # the rows of CostProfile.scaled(platform, multipliers) (or
+            # .uniform) with_boundary_recovery(rd0, rm0), stacked
+            costs = np.zeros((len(ikeys), 6, n + 1))
+            costs[:, :, 1:] = (
+                self._unit_costs[:, None]
+                if self._mults is None
+                else self._unit_costs[:, None] * self._mults[tasks][:, None, :]
+            )
+            costs[:, 2:4, 0] = [intervals[ikey][1:] for ikey in ikeys]
+            with _span("parallel.price_intervals", k=len(ikeys), n=n):
+                solutions = optimize_batch(
+                    self._weights[tasks],
+                    self.platform,
+                    self.algorithm,
+                    costs=costs,
+                )
+            for ikey, solution in zip(ikeys, solutions):
+                levels = tuple(int(a) for a in solution.schedule.levels_array())
+                if levels[-1] != int(Action.DISK):
+                    # The chain DP always disk-checkpoints the end; the
+                    # commit protocol relies on it (the boundary checkpoint
+                    # *is* the interval's final disk checkpoint).  Enforce,
+                    # don't assume.
+                    levels = levels[:-1] + (int(Action.DISK),)
+                self._intervals[ikey] = (float(solution.expected_time), levels)
+        self._c_interval_solves.inc(len(intervals))
+        for key, interval_keys in workers.items():
+            priced = [self._intervals[ikey] for ikey in interval_keys]
+            levels: tuple[int, ...] = ()
+            for _, interval_levels in priced:
+                levels = levels + interval_levels
+            self._workers[key] = (tuple(value for value, _ in priced), levels)
+        self._c_worker_priced.inc(len(workers))
+
     def price(self, state: ParallelSchedule) -> ParallelPricing:
         """Schedules, epoch durations and surrogate value of ``state``."""
-        layout = state.layout()
-        schedules: list[Schedule | None] = []
-        durations: list[tuple[float, ...]] = []
-        for w in range(state.processors):
-            nodes = layout.worker_orders[w]
-            if not nodes:
-                schedules.append(None)
-                durations.append(())
-                continue
-            epoch_durations, levels = self._price_worker(
-                nodes, layout.boundaries[w]
-            )
-            schedules.append(Schedule(levels))
-            durations.append(epoch_durations)
-        completion: dict[tuple[int, int], float] = {}
-        for w, e in layout.epoch_sequence:
-            start = completion[(w, e - 1)] if e > 0 else 0.0
-            for dep in layout.deps[w][e]:
-                start = max(start, completion[dep])
-            completion[(w, e)] = start + durations[w][e]
-        value = max(
-            completion[(w, len(durations[w]) - 1)]
-            for w in range(state.processors)
-            if durations[w]
-        )
+        placed = _place(self._index, self.processors, state.key())
+        workers: dict[tuple, tuple[tuple, ...]] = {}
+        intervals: dict[tuple, tuple[tuple[int, ...], float, float]] = {}
+        keys = self._worker_keys(placed, workers, intervals)
+        self._price(workers, intervals)
+        priced = [None if key is None else self._workers[key] for key in keys]
+        durations = tuple(() if p is None else p[0] for p in priced)
         return ParallelPricing(
-            value=value,
-            worker_schedules=tuple(schedules),
-            epoch_durations=tuple(durations),
+            value=_fold(self._index, placed, durations),
+            worker_schedules=tuple(
+                None if p is None else Schedule(p[1]) for p in priced
+            ),
+            epoch_durations=durations,
         )
+
+    def values(self, states: Sequence[ParallelSchedule]) -> list[float]:
+        """Surrogate expected makespans of ``states`` (memoized).
+
+        Prices a whole neighbourhood at once: one layout pass per state,
+        the memo lookups of a one-state-at-a-time loop (a state, worker or
+        interval repeated inside the batch counts as a hit), one batched
+        DP call per interval length for every interval missing, and one
+        fold per new state.  Values, memos and counters equal those of
+        ``[value(s) for s in states]``.
+        """
+        keys = [state.key() for state in states]
+        fresh: dict[tuple, tuple[_Pass, list[tuple | None]]] = {}
+        workers: dict[tuple, tuple[tuple, ...]] = {}
+        intervals: dict[tuple, tuple[tuple[int, ...], float, float]] = {}
+        for key in keys:
+            if key in self._values or key in fresh:
+                continue
+            placed = _place(self._index, self.processors, key)
+            fresh[key] = (placed, self._worker_keys(placed, workers, intervals))
+        self._price(workers, intervals)
+        for key, (placed, worker_keys) in fresh.items():
+            self._values[key] = _fold(
+                self._index,
+                placed,
+                [() if k is None else self._workers[k][0] for k in worker_keys],
+            )
+        self._c_state_priced.inc(len(fresh))
+        self._c_state_hits.inc(len(keys) - len(fresh))
+        return [self._values[key] for key in keys]
 
     def value(self, state: ParallelSchedule) -> float:
         """Surrogate expected makespan of ``state`` (memoized)."""
-        key = state.key()
-        cached = self._values.get(key)
-        if cached is not None:
-            self._c_state_hits.inc()
-            return cached
-        value = self.price(state).value
-        self._values[key] = value
-        self._c_state_priced.inc()
-        return value
+        return self.values((state,))[0]
 
     @property
     def states_scored(self) -> int:
@@ -634,14 +758,17 @@ def _parallel_climb(
     while rounds < max_rounds:
         rounds += 1
         round_best, round_value = None, best_value
-        for candidate, _ in parallel_neighborhood(
-            best,
-            rng=rng,
-            max_reinsertions=reinsert_cap,
-            max_reassignments=reassign_cap,
-        ):
-            c_proposed.inc()
-            value = objective.value(candidate)
+        neighbors = [
+            candidate
+            for candidate, _ in parallel_neighborhood(
+                best,
+                rng=rng,
+                max_reinsertions=reinsert_cap,
+                max_reassignments=reassign_cap,
+            )
+        ]
+        c_proposed.inc(len(neighbors))
+        for candidate, value in zip(neighbors, objective.values(neighbors)):
             if _improves(value, round_value):
                 round_best, round_value = candidate, value
         if round_best is None:

@@ -141,10 +141,14 @@ def _parse_chain(request: dict) -> TaskChain:
             f"unknown pattern {pattern!r}; expected one of "
             f"{', '.join(sorted(PATTERNS))}"
         )
+    # the random pattern draws its weights from the request's seed, so
+    # that identical requests name identical chains
+    seeded = {"rng": _field(request, "seed", int, 0)} if pattern == "random" else {}
     return make_chain(
         pattern,
         _field(request, "tasks", int, 20),
         _field(request, "total_weight", float, PAPER_TOTAL_WEIGHT),
+        **seeded,
     )
 
 
@@ -168,10 +172,10 @@ def _parse_dag(request: dict):
 
 _SOLVE_FIELDS = (
     "platform", "pattern", "tasks", "total_weight", "weights", "chain",
-    "algorithm",
+    "algorithm", "seed",
 )
 _SIMULATE_FIELDS = _SOLVE_FIELDS + (
-    "schedule", "runs", "seed", "target_ci", "backend", "engine",
+    "schedule", "runs", "target_ci", "backend", "engine",
 )
 _DAG_FIELDS = (
     "platform", "dag", "generator", "algorithm", "strategy", "method",
@@ -300,6 +304,8 @@ class Engine:
             content: dict[str, Any] = {
                 "platform": _parse_platform(request),
                 "chain": _parse_chain(request),
+                # a random pattern's seed reaches the key through the
+                # chain it draws
                 "algorithm": canonical_algorithm(
                     str(request.get("algorithm", "admv"))
                 ),

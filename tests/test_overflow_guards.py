@@ -18,10 +18,12 @@ import numpy as np
 import pytest
 
 from repro.chains import TaskChain
-from repro.core import evaluate_schedule, optimize
+from repro.core import evaluate_schedule, optimize, optimize_batch
 from repro.core.closed_form import phi, t_lost
 from repro.core.factors import PairFactors
 from repro.core.schedule import Schedule
+from repro.exceptions import InvalidParameterError
+from repro.experiments.dag_search import stress_platform
 from repro.platforms import Platform
 
 #: The smallest falsifying rates hypothesis produced (subnormal doubles).
@@ -91,3 +93,22 @@ class TestLargeLambdaW:
         # Saturated exponentials are inf, the lost-time limit is 1/λ_f.
         assert np.isinf(factors.es[0, 2])
         assert factors.tlost[0, 2] == pytest.approx(1.0 / 5.0)
+
+
+class TestOverflowingChains:
+    """Segments whose λW overflows float64 make the DP optimum inf or
+    NaN; the optimizers refuse it with a typed error instead of
+    returning it."""
+
+    CHAIN = [13000.0, 832000.0]
+
+    @pytest.mark.parametrize("algorithm", ["adv_star", "admv_star", "admv"])
+    def test_optimize_raises(self, algorithm):
+        with pytest.raises(InvalidParameterError, match="overflow"):
+            optimize(TaskChain(self.CHAIN), stress_platform(), algorithm=algorithm)
+
+    @pytest.mark.parametrize("algorithm", ["adv_star", "admv_star", "admv"])
+    def test_optimize_batch_raises(self, algorithm):
+        weights = np.array([[1.0, 2.0], self.CHAIN])
+        with pytest.raises(InvalidParameterError, match="overflow"):
+            optimize_batch(weights, stress_platform(), algorithm)

@@ -1,0 +1,178 @@
+"""Pin the p=2 search path: same moves, same prices, same counts.
+
+Pricing a hill-climbing round's whole neighbourhood in one
+:meth:`ParallelObjective.values` call, with the interval solves batched
+through :func:`repro.core.optimize_batch`, must leave every search
+decision as it was.  These seeded runs were recorded with the
+one-state-at-a-time objective and one ``optimize`` call per interval:
+the winning order and assignment, the bits of its surrogate value, each
+worker's schedule and every ``parallel.*`` and ``search.moves.*``
+counter must all come out unchanged.
+
+The platform makes disk checkpoints dear and memory checkpoints cheap,
+so the worker schedules mix both levels instead of checkpointing every
+task to disk.
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from repro.dag.generate import generate
+from repro.dag.parallel import search_parallel
+from repro.obs import EventBus, MetricsRegistry, instrument
+from repro.platforms import Platform
+
+PLATFORM = Platform.from_costs(
+    "golden-parallel", lf=1e-4, ls=8e-4, CD=600.0, CM=10.0, Vg=2.0, r=0.8
+)
+DAGS = {
+    "uniform": dict(
+        kind="layered", seed=3, tasks=12, layers=4, density=0.5,
+        weights="lognormal",
+    ),
+    "hetero": dict(
+        kind="layered", seed=5, tasks=12, layers=4, density=0.5,
+        weights="lognormal", cost_spread=1.0,
+    ),
+}
+SEARCH = dict(seed=7, restarts=1, iterations=40, max_rounds=4)
+COUNTERS = (
+    "parallel.interval.hits",
+    "parallel.interval.solves",
+    "parallel.state.hits",
+    "parallel.state.priced",
+    "parallel.worker.hits",
+    "parallel.worker.priced",
+    "search.moves.accepted",
+    "search.moves.proposed",
+)
+
+#: (dag, algorithm, method, winning order, worker per position,
+#:  expected_time.hex(), per-worker schedule levels, counters)
+GOLDEN = [
+    (
+        "uniform",
+        "admv_star",
+        "hill_climb",
+        "t01 t02 t00 t04 t03 t05 t06 t07 t09 t08 t11 t10",
+        "011011100001",
+        "0x1.4ee68b9cae262p+13",
+        ("443334", "334434"),
+        (3021, 142, 35, 971, 1164, 780, 17, 999),
+    ),
+    (
+        "uniform",
+        "admv_star",
+        "anneal",
+        "t01 t02 t03 t00 t05 t07 t09 t06 t10 t08 t04 t11",
+        "011111100111",
+        "0x1.5c413d5d56f76p+13",
+        ("434", "334433334"),
+        (1081, 103, 21, 266, 253, 281, 151, 280),
+    ),
+    (
+        "uniform",
+        "admv",
+        "hybrid",
+        "t01 t02 t00 t04 t03 t05 t06 t07 t09 t08 t11 t10",
+        "011011100001",
+        "0x1.4ee68b9cae262p+13",
+        ("443334", "334434"),
+        (3080, 148, 41, 1006, 1213, 801, 34, 1039),
+    ),
+    (
+        "hetero",
+        "admv_star",
+        "hill_climb",
+        "t00 t01 t02 t04 t03 t08 t07 t05 t11 t09 t10 t06",
+        "101100011001",
+        "0x1.2c67582926c89p+13",
+        ("444434", "444434"),
+        (3939, 233, 53, 930, 1085, 777, 26, 976),
+    ),
+    (
+        "hetero",
+        "admv_star",
+        "hybrid",
+        "t00 t01 t02 t04 t03 t08 t07 t05 t11 t09 t10 t06",
+        "101100011001",
+        "0x1.2c67582926c89p+13",
+        ("444434", "444434"),
+        (4052, 235, 57, 967, 1137, 799, 46, 1016),
+    ),
+    (
+        "hetero",
+        "admv",
+        "anneal",
+        "t00 t01 t03 t04 t05 t02 t08 t07 t06 t09 t11 t10",
+        "101001111011",
+        "0x1.35f4e1c212974p+13",
+        ("4444", "44343434"),
+        (1290, 145, 23, 264, 271, 259, 160, 280),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "dag_name, algorithm, method, order, workers, value, levels, counters",
+    GOLDEN,
+    ids=[f"{g[0]}-{g[1]}-{g[2]}" for g in GOLDEN],
+)
+def test_parallel_search_path_is_pinned(
+    dag_name, algorithm, method, order, workers, value, levels, counters
+):
+    spec = dict(DAGS[dag_name])
+    dag = generate(spec.pop("kind"), **spec)
+    result = search_parallel(
+        dag, PLATFORM, 2, algorithm=algorithm, method=method, **SEARCH
+    )
+    solution = result.solution
+    assert " ".join(map(str, solution.order)) == order
+    assert "".join(str(solution.assignment[v]) for v in solution.order) == workers
+    assert solution.expected_time.hex() == value
+    assert (
+        tuple(
+            "".join(str(int(a)) for a in schedule.levels_array())
+            for schedule in solution.worker_schedules
+        )
+        == levels
+    )
+    assert tuple(result.metrics.counter(name) for name in COUNTERS) == counters
+    # no counter of either family appears outside the pinned list
+    assert {
+        name
+        for name in result.metrics.counters
+        if name.startswith(("parallel.", "search.moves."))
+    } <= set(COUNTERS)
+
+
+@pytest.mark.parametrize("method", ["hill_climb", "hybrid"])
+def test_parallel_search_is_n_jobs_invariant(method):
+    """Sharding the start climbs changes only the memo accounting: the
+    result and the multiset of events stay the same."""
+    spec = dict(DAGS["hetero"])
+    dag = generate(spec.pop("kind"), **spec)
+
+    def run(n_jobs):
+        bus = EventBus()
+        with instrument(MetricsRegistry(), events=bus):
+            result = search_parallel(
+                dag, PLATFORM, 2, algorithm="admv_star", method=method,
+                n_jobs=n_jobs, **{**SEARCH, "restarts": 2},
+            )
+        events = sorted(
+            (e.kind, json.dumps(e.data, sort_keys=True, default=str))
+            for e in bus.snapshot().events
+        )
+        return result, events
+
+    serial, serial_events = run(None)
+    sharded, sharded_events = run(2)
+    assert sharded.solution.order == serial.solution.order
+    assert sharded.solution.assignment == serial.solution.assignment
+    assert sharded.expected_time.hex() == serial.expected_time.hex()
+    assert sharded_events == serial_events
+    assert {kind for kind, _ in serial_events} >= {"search.climb", "search.round"}

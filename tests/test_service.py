@@ -158,6 +158,29 @@ class TestEngine:
             == base
         )
 
+    def test_random_pattern_is_seeded_by_the_request(self):
+        """Two identical random-pattern requests name one chain: one miss,
+        then a byte-identical hit; another seed is another chain."""
+        engine = Engine(cache_entries=32)
+        request = {
+            "platform": "hera", "pattern": "random", "tasks": 8,
+            "algorithm": "adv_star",
+        }
+        first = engine.handle("solve", dict(request))
+        second = engine.handle("solve", dict(request))
+        assert (first.cache, second.cache) == ("miss", "hit")
+        assert second.body == first.body
+        assert engine.request_key("solve", {**request, "seed": 0}) == first.key
+        reseeded = engine.handle("solve", {**request, "seed": 1})
+        assert reseeded.cache == "miss"
+        assert reseeded.key != first.key
+        assert reseeded.body != first.body
+        # the seed reaches the key through the chain it draws
+        for endpoint in ("solve", "simulate"):
+            assert engine.request_key(
+                endpoint, {**request, "seed": 3}
+            ) != engine.request_key(endpoint, {**request, "seed": 4})
+
     def test_eviction_under_small_budget_recomputes_identically(self):
         engine = Engine(cache_entries=2)
         first = engine.handle("solve", dict(SOLVE))
@@ -404,6 +427,17 @@ class TestHttp:
         err = json.loads(body)
         assert err["kind"] == "error"
         assert repr(field) in err["error"]
+
+    def test_overflowing_chain_is_400(self, server):
+        status, _, body = _post(
+            server,
+            "/solve",
+            {"platform": "hera", "weights": [1e9], "algorithm": "admv_star"},
+        )
+        assert status == 400, body
+        err = json.loads(body)
+        assert err["kind"] == "error"
+        assert "overflow" in err["error"]
 
     def test_keep_alive_replies_do_not_stall(self, server):
         """Warm replies on one kept-alive connection take about a
