@@ -100,12 +100,56 @@ class TaskChain:
             raise InvalidChainError(
                 "all task weights must be positive finite numbers"
             )
+        self._freeze(arr, name)
+
+    def _freeze(self, arr: np.ndarray, name: str) -> None:
+        """Store validated weights ``arr`` (owned, 1-D) and their prefix sums."""
         arr.setflags(write=False)
         prefix = np.concatenate(([0.0], np.cumsum(arr)))
         prefix.setflags(write=False)
         object.__setattr__(self, "weights", arr)
         object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "name", name or f"chain-{arr.size}")
+
+    @classmethod
+    def batch(cls, rows: Iterable[Iterable[float]]) -> list["TaskChain"]:
+        """One chain per row of ``rows``, the rows validated together.
+
+        Rows may differ in length.  A row that is empty or not 1-D, or
+        a weight that is not a positive finite number, raises
+        :class:`InvalidChainError` naming the row.
+        """
+        if isinstance(rows, (str, bytes)) or not isinstance(rows, Iterable):
+            raise InvalidChainError("weights must be a sequence of rows")
+        arrays = []
+        for i, row in enumerate(rows):
+            try:
+                arr = np.array(row, dtype=np.float64)
+            except (TypeError, ValueError):
+                arr = None
+            if arr is None or arr.ndim != 1 or arr.size == 0:
+                raise InvalidChainError(
+                    f"weights row {i} must be a non-empty 1-D sequence of "
+                    "task weights"
+                )
+            arrays.append(arr)
+        if not arrays:
+            return []
+        flat = np.concatenate(arrays)
+        bad = ~(np.isfinite(flat) & (flat > 0.0))
+        if bad.any():
+            ends = np.cumsum([arr.size for arr in arrays])
+            i = int(np.searchsorted(ends, np.argmax(bad), side="right"))
+            raise InvalidChainError(
+                f"weights row {i}: all task weights must be positive finite "
+                "numbers"
+            )
+        chains = []
+        for arr in arrays:
+            chain = cls.__new__(cls)
+            chain._freeze(arr, "")
+            chains.append(chain)
+        return chains
 
     # ------------------------------------------------------------------
     # basic container behaviour

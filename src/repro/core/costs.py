@@ -268,38 +268,43 @@ class CostProfile:
 def cost_table(
     costs: Sequence[CostProfile | None] | np.ndarray | None,
     k: int,
-    n: int,
+    n: int | Sequence[int],
     platform: Platform,
 ) -> np.ndarray:
-    """The costs of ``k`` chains of ``n`` tasks as one ``(k, 6, n + 1)`` array.
+    """The costs of ``k`` chains as one ``(k, 6, n + 1)`` array.
 
-    Row ``i`` holds chain ``i``'s ``CD, CM, RD, RM, Vg, Vp`` arrays, in that
-    order.  ``costs`` is ``None`` (the platform's uniform costs for every
-    chain), a sequence of ``k`` profiles (``None`` entries are uniform),
-    or such an array already.  The stack is validated once: it must have
-    that shape and every cost must be finite and ``>= 0``.
+    ``n`` is the chains' common length, or their ``k`` lengths: the
+    stack then runs to the longest, and row ``i`` is zero past its own
+    length.  Row ``i`` holds chain ``i``'s ``CD, CM, RD, RM, Vg, Vp``
+    arrays, in that order.  ``costs`` is ``None`` (the platform's uniform
+    costs for every chain), a sequence of ``k`` profiles (``None``
+    entries are uniform), or such an array already.  The stack is
+    validated once: it must have that shape and every cost must be
+    finite and ``>= 0``.
     """
+    lengths = [n] * k if isinstance(n, (int, np.integer)) else list(n)
+    n_max = max(lengths, default=0)
     if costs is None:
         costs = [None] * k
     if isinstance(costs, np.ndarray):
         table = np.asarray(costs, dtype=np.float64)
     else:
-        table = np.zeros((len(costs), 6, n + 1))
-        for row, profile in zip(table, costs):
+        table = np.zeros((len(costs), 6, n_max + 1))
+        for row, profile, m in zip(table, costs, lengths):
             if profile is None:
-                # the arrays of CostProfile.uniform(n, platform)
-                row[:, 1:] = [[getattr(platform, name)] for name in COST_NAMES]
+                # the arrays of CostProfile.uniform(m, platform)
+                row[:, 1 : m + 1] = [[getattr(platform, name)] for name in COST_NAMES]
                 continue
-            if profile.n != n:
+            if profile.n != m:
                 raise InvalidParameterError(
                     f"cost profile covers {profile.n} tasks but the chain "
-                    f"has {n}"
+                    f"has {m}"
                 )
-            row[:] = [getattr(profile, name) for name in COST_NAMES]
-    if table.shape != (k, 6, n + 1):
+            row[:, : m + 1] = [getattr(profile, name) for name in COST_NAMES]
+    if table.shape != (k, 6, n_max + 1):
         raise InvalidParameterError(
-            f"expected the costs of {k} chains of {n} tasks, a "
-            f"{(k, 6, n + 1)} stack, got shape {table.shape}"
+            f"expected the costs of {k} chains of up to {n_max} tasks, a "
+            f"{(k, 6, n_max + 1)} stack, got shape {table.shape}"
         )
     if not np.isfinite(table).all() or (table < 0.0).any():
         raise InvalidParameterError("costs must be >= 0 and finite")

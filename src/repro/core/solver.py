@@ -28,7 +28,7 @@ from ..exceptions import InvalidParameterError
 from ..obs import metrics as _metrics
 from ..platforms import Platform
 from .costs import cost_table, profile_of
-from .dp_partial import optimize_partial
+from .dp_partial import optimize_partial, optimize_partial_batch
 from .dp_single import optimize_single_level
 from .dp_two_level import optimize_two_level, optimize_two_level_batch
 from .exhaustive import exhaustive_search
@@ -88,6 +88,12 @@ def _run_exhaustive(
     )
 
 
+#: the algorithms whose DP solves K chains in one pass
+_BATCHED: dict[str, Callable[..., list[Solution]]] = {
+    "admv_star": optimize_two_level_batch,
+    "admv": optimize_partial_batch,
+}
+
 _DISPATCH: dict[str, Callable[[TaskChain, Platform], Solution]] = {
     "adv_star": optimize_single_level,
     "admv_star": optimize_two_level,
@@ -146,36 +152,33 @@ def optimize_batch(
     *,
     costs: Sequence | np.ndarray | None = None,
 ) -> list[Solution]:
-    """:func:`optimize` for K chains of one length: ``weights`` is ``(K, n)``.
+    """:func:`optimize` for K chains: ``weights`` holds one row per chain.
 
-    ``costs`` holds one :class:`~repro.core.costs.CostProfile` (or
-    ``None``, the uniform model) per chain, or their
-    :func:`~repro.core.costs.cost_table` stack.  ``admv_star`` solves all K
-    chains in one pass of its DP
-    (:func:`~repro.core.dp_two_level.optimize_two_level_batch`); the
-    other algorithms solve them one by one.  Solution ``k`` equals
+    The rows may differ in length.  ``costs`` holds one
+    :class:`~repro.core.costs.CostProfile` (or ``None``, the uniform
+    model) per chain, or their :func:`~repro.core.costs.cost_table`
+    stack, ``(K, 6, n + 1)`` for the longest row's ``n``.  ``admv_star``
+    and ``admv`` solve all K chains in one pass of their DP
+    (:func:`~repro.core.dp_two_level.optimize_two_level_batch`,
+    :func:`~repro.core.dp_partial.optimize_partial_batch`); the other
+    algorithms solve them one by one.  Solution ``k`` equals
     ``optimize(TaskChain(weights[k]), platform, algorithm,
     costs=costs[k])`` bit for bit, and ``dp.solves.<algorithm>`` counts
-    K solves.
+    K solves.  The rows are validated together
+    (:meth:`~repro.chains.TaskChain.batch`); ``K = 0`` gives ``[]``.
     """
     name = canonical_algorithm(algorithm)
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.ndim != 2:
-        raise InvalidParameterError(
-            f"weights must be a (K, n) array, got shape {weights.shape}"
-        )
-    chains = [TaskChain(row) for row in weights]
-    if name != "admv_star":
-        table = cost_table(costs, len(chains), weights.shape[1], platform)
+    chains = TaskChain.batch(weights)
+    if not chains:
+        return []
+    batched = _BATCHED.get(name)
+    if batched is None:
+        table = cost_table(costs, len(chains), [c.n for c in chains], platform)
         return [
-            optimize(chain, platform, name, costs=profile_of(row))
+            optimize(chain, platform, name, costs=profile_of(row[:, : chain.n + 1]))
             for chain, row in zip(chains, table)
         ]
-    return _run(
-        name,
-        len(chains),
-        lambda: optimize_two_level_batch(chains, platform, costs=costs),
-    )
+    return _run(name, len(chains), lambda: batched(chains, platform, costs=costs))
 
 
 def _run(

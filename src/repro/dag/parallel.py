@@ -33,10 +33,11 @@ is lifted per worker:
   neighbourhood in one :meth:`ParallelObjective.values` call, in four
   steps: a layout pass per state over task numbers and edge lists built
   once per objective; the state, worker and interval memo lookups; one
-  :func:`~repro.core.solver.optimize_batch` call per interval length for
-  the intervals not yet solved (``ADMV*`` solves each group in one pass
-  of its DP); and a fold per state over the global order.  ``max`` is
-  exact, so the fold gives the bits of the epoch-graph recursion.
+  :func:`~repro.core.solver.optimize_batch` call for the intervals not
+  yet solved, whatever their lengths (``ADMV*`` and ``ADMV`` solve them
+  in one pass of their DP); and a fold per state over the global order.
+  ``max`` is exact, so the fold gives the bits of the epoch-graph
+  recursion.
 * **Search** (:func:`search_parallel`): the PR-4/5 metaheuristics with
   the move set generalised to (assignment, order) pairs — all of
   :mod:`repro.dag.search`'s precedence-preserving order moves, plus
@@ -569,26 +570,27 @@ class ParallelObjective:
     ) -> None:
         """Solve ``intervals`` and memoize them and ``workers``.
 
-        The intervals are solved in one :func:`~repro.core.solver.
-        optimize_batch` call per length.
+        The intervals, of any lengths, are solved in one
+        :func:`~repro.core.solver.optimize_batch` call.
         """
-        by_length: dict[int, list[tuple]] = {}
-        for ikey, (tasks, _, _) in intervals.items():
-            by_length.setdefault(len(tasks), []).append(ikey)
-        for n, ikeys in by_length.items():
-            tasks = np.array([intervals[ikey][0] for ikey in ikeys])
+        if intervals:
+            ikeys = list(intervals)
+            tasks = [list(intervals[ikey][0]) for ikey in ikeys]
+            n_max = max(len(row) for row in tasks)
             # the rows of CostProfile.scaled(platform, multipliers) (or
-            # .uniform) with_boundary_recovery(rd0, rm0), stacked
-            costs = np.zeros((len(ikeys), 6, n + 1))
-            costs[:, :, 1:] = (
-                self._unit_costs[:, None]
-                if self._mults is None
-                else self._unit_costs[:, None] * self._mults[tasks][:, None, :]
-            )
+            # .uniform) with_boundary_recovery(rd0, rm0), stacked and
+            # zero past each interval's length
+            costs = np.zeros((len(ikeys), 6, n_max + 1))
+            for row, seq in zip(costs, tasks):
+                row[:, 1 : len(seq) + 1] = (
+                    self._unit_costs[:, None]
+                    if self._mults is None
+                    else self._unit_costs[:, None] * self._mults[seq]
+                )
             costs[:, 2:4, 0] = [intervals[ikey][1:] for ikey in ikeys]
-            with _span("parallel.price_intervals", k=len(ikeys), n=n):
+            with _span("parallel.price_intervals", k=len(ikeys), n_max=n_max):
                 solutions = optimize_batch(
-                    self._weights[tasks],
+                    [self._weights[seq] for seq in tasks],
                     self.platform,
                     self.algorithm,
                     costs=costs,
@@ -634,8 +636,8 @@ class ParallelObjective:
         Prices a whole neighbourhood at once: one layout pass per state,
         the memo lookups of a one-state-at-a-time loop (a state, worker or
         interval repeated inside the batch counts as a hit), one batched
-        DP call per interval length for every interval missing, and one
-        fold per new state.  Values, memos and counters equal those of
+        DP call for every interval missing, and one fold per new state.
+        Values, memos and counters equal those of
         ``[value(s) for s in states]``.
         """
         keys = [state.key() for state in states]

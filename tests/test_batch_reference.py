@@ -2,11 +2,12 @@
 
 Two batch paths price a p=2 search neighbourhood in one call:
 
-* :func:`repro.core.dp_two_level.optimize_two_level_batch` solves K
-  chains of one length in one pass of the ``ADMV*`` DP; every row must
-  equal its own ``K = 1`` solve and the one-``d1``-at-a-time loop of
-  ``test_dp_batched_reference.py`` (``==`` on ``Edisk``, ``Emem`` and the
-  schedule);
+* :func:`repro.core.dp_two_level.optimize_two_level_batch` and
+  :func:`repro.core.dp_partial.optimize_partial_batch` solve K chains in
+  one pass of the ``ADMV*`` and ``ADMV`` DPs, padding the shorter ones
+  to the longest; every row must equal its own ``K = 1`` solve and the
+  one-``d1``-at-a-time loop of ``test_dp_batched_reference.py`` (``==``
+  on ``Edisk``, ``Emem`` and the schedule);
 * :meth:`repro.dag.parallel.ParallelObjective.values` prices a list of
   states; it must leave the values, the memos and the counters of one
   :meth:`~repro.dag.parallel.ParallelObjective.value` call per state.
@@ -20,6 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,7 +38,9 @@ from repro.dag.parallel import (
     random_parallel_neighbor,
 )
 from repro.dag.search import random_order
+from repro.exceptions import InvalidChainError
 from repro.obs import MetricsRegistry, instrument
+from repro.platforms import HERA
 from test_dp_batched_reference import PLATFORMS, reference_two_level
 
 
@@ -124,6 +128,87 @@ def test_optimize_batch_equals_one_optimize_per_row(case, algorithm):
         for got in (listed[k], stacked[k]):
             assert got.expected_time == one.expected_time
             assert got.schedule == one.schedule
+
+
+@st.composite
+def ragged_batches(draw):
+    """(rows of lengths 1..12, platform, one profile per row)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    platform = draw(st.sampled_from(PLATFORMS))
+    lengths = draw(st.lists(st.integers(1, 12), min_size=1, max_size=6))
+    scale = draw(st.sampled_from([1.0, 100.0, 3000.0]))
+    rows = [rng.lognormal(0.0, 1.0, n) * scale for n in lengths]
+    costs = [_profile(draw, rng, platform, n) for n in lengths]
+    return rows, platform, costs
+
+
+def _assert_row_is_its_own_solve(got, row, platform, algorithm, profile):
+    one = optimize(TaskChain(row), platform, algorithm, costs=profile)
+    assert got.chain == one.chain
+    assert got.expected_time == one.expected_time
+    assert got.schedule == one.schedule
+    for name in ("Edisk", "Emem"):
+        _assert_bits(got.diagnostics[name], one.diagnostics[name])
+
+
+@settings(max_examples=60, deadline=None)
+@given(ragged_batches(), st.sampled_from(("admv_star", "admv")))
+def test_ragged_rows_equal_their_one_chain_solves(case, algorithm):
+    """Rows of mixed lengths, their profiles or their padded stack."""
+    rows, platform, costs = case
+    lengths = [len(row) for row in rows]
+    listed = optimize_batch(rows, platform, algorithm, costs=costs)
+    stacked = optimize_batch(
+        rows,
+        platform,
+        algorithm,
+        costs=cost_table(costs, len(rows), lengths, platform),
+    )
+    for k, row in enumerate(rows):
+        for got in (listed[k], stacked[k]):
+            _assert_row_is_its_own_solve(got, row, platform, algorithm, costs[k])
+
+
+@pytest.mark.parametrize("algorithm", ["admv_star", "admv", "adv_star"])
+def test_ragged_batch_with_one_task_rows_and_a_single_longest_row(algorithm):
+    rng = np.random.default_rng(11)
+    platform = PLATFORMS[-1]
+    rows = [rng.lognormal(0.0, 1.0, n) * 100.0 for n in (1, 5, 1, 9, 3, 1)]
+    solutions = optimize_batch(rows, platform, algorithm)
+    assert [s.chain.n for s in solutions] == [1, 5, 1, 9, 3, 1]
+    for got, row in zip(solutions, rows):
+        one = optimize(TaskChain(row), platform, algorithm)
+        assert got.expected_time == one.expected_time
+        assert got.schedule == one.schedule
+
+
+def test_ragged_rows_are_valid_input():
+    solutions = optimize_batch([[1.0, 2.0], [3.0]], HERA, "admv_star")
+    assert [s.chain.n for s in solutions] == [2, 1]
+
+
+@pytest.mark.parametrize("algorithm", ["admv_star", "admv", "adv_star"])
+def test_an_empty_batch_gives_no_solutions(algorithm):
+    assert optimize_batch([], HERA, algorithm) == []
+    assert optimize_batch(np.empty((0, 4)), HERA, algorithm) == []
+
+
+@pytest.mark.parametrize(
+    "rows, bad",
+    [
+        ([[1.0, 2.0], []], 1),
+        ([[[1.0, 2.0]], [3.0]], 0),
+        ([[1.0], 2.0], 1),
+        ([[1.0, 2.0], [3.0, float("nan")]], 1),
+        ([[1.0, float("inf")], [3.0]], 0),
+        ([[1.0], [2.0], [0.0, 1.0]], 2),
+        ([[1.0], [2.0, -1.0], [3.0]], 1),
+    ],
+)
+def test_invalid_rows_are_named(rows, bad):
+    for algorithm in ("admv_star", "admv", "adv_star"):
+        with pytest.raises(InvalidChainError, match=f"row {bad}"):
+            optimize_batch(rows, HERA, algorithm)
 
 
 # ----------------------------------------------------------------------
