@@ -750,7 +750,11 @@ def _parallel_climb(
     *,
     max_rounds: int,
 ) -> tuple[ParallelSchedule, float, int]:
-    """Steepest-descent hill climbing over the sampled neighborhood."""
+    """Steepest-descent hill climbing over the sampled neighborhood.
+
+    Each round moves to the first minimum of the neighbourhood when it
+    improves on the incumbent; ``rounds`` counts the moves made.
+    """
     best, best_value = state, objective.value(state)
     reinsert_cap, reassign_cap = _neighbor_caps(len(state.order))
     c_proposed = objective.metrics.counter("search.moves.proposed")
@@ -758,8 +762,6 @@ def _parallel_climb(
     bus = _ambient_events()
     rounds = 0
     while rounds < max_rounds:
-        rounds += 1
-        round_best, round_value = None, best_value
         neighbors = [
             candidate
             for candidate, _ in parallel_neighborhood(
@@ -770,15 +772,22 @@ def _parallel_climb(
             )
         ]
         c_proposed.inc(len(neighbors))
-        for candidate, value in zip(neighbors, objective.values(neighbors)):
-            if _improves(value, round_value):
-                round_best, round_value = candidate, value
-        if round_best is None:
+        values = objective.values(neighbors)
+        if not values:
             break
-        best, best_value = round_best, round_value
+        k = min(range(len(values)), key=values.__getitem__)
+        if not _improves(values[k], best_value):
+            break
+        best, best_value = neighbors[k], values[k]
+        rounds += 1
         c_accepted.inc()
         if bus.enabled:
-            bus.emit("search.round", round=rounds, value=best_value)
+            bus.emit(
+                "search.round",
+                round=rounds,
+                value=best_value,
+                proposed=len(neighbors),
+            )
     return best, best_value, rounds
 
 
@@ -792,7 +801,7 @@ def _parallel_anneal(
     """Simulated annealing over (assignment, order) moves."""
     current, current_value = state, objective.value(state)
     best, best_value = current, current_value
-    temperature = max(current_value * 0.02, 1e-9)
+    temperature = 0.02 * current_value
     c_proposed = objective.metrics.counter("search.moves.proposed")
     c_accepted = objective.metrics.counter("search.moves.accepted")
     bus = _ambient_events()
@@ -805,7 +814,9 @@ def _parallel_anneal(
         c_proposed.inc()
         value = objective.value(candidate)
         delta = value - current_value
-        if delta < 0.0 or rng.random() < math.exp(-delta / temperature):
+        if delta <= 0.0 or rng.random() < math.exp(
+            -delta / max(temperature, 1e-300)
+        ):
             current, current_value = candidate, value
             accepted += 1
             c_accepted.inc()

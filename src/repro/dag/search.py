@@ -775,23 +775,28 @@ def _join_hill_climb(
     *,
     max_rounds: int = 200,
 ) -> tuple[JoinSchedule, float, int]:
-    """Steepest descent over flips + repositions; exact values only."""
+    """Steepest descent over flips + repositions; exact values only.
+
+    Each round moves to the first minimum of the neighbourhood when it
+    improves on the incumbent.
+    """
     value = objective.value(schedule)
     c_proposed = objective.metrics.counter("search.moves.proposed")
     c_accepted = objective.metrics.counter("search.moves.accepted")
+    bus = _ambient_events()
     rounds = 0
     for _ in range(max_rounds):
-        best_value, best_schedule = value, schedule
-        for cand in join_neighborhood(schedule):
-            c_proposed.inc()
-            v = objective.value(cand)
-            if _improves(v, best_value):
-                best_value, best_schedule = v, cand
-        if not _improves(best_value, value):
+        cands = list(join_neighborhood(schedule))
+        c_proposed.inc(len(cands))
+        values = [objective.value(cand) for cand in cands]
+        k = min(range(len(values)), key=values.__getitem__)
+        if not _improves(values[k], value):
             break
-        value, schedule = best_value, best_schedule
+        value, schedule = values[k], cands[k]
         c_accepted.inc()
         rounds += 1
+        if bus.enabled:
+            bus.emit("search.round", round=rounds, value=value, proposed=len(cands))
     return schedule, value, rounds
 
 
@@ -809,8 +814,9 @@ def _join_anneal(
     temperature = 0.02 * value
     c_proposed = objective.metrics.counter("search.moves.proposed")
     c_accepted = objective.metrics.counter("search.moves.accepted")
+    bus = _ambient_events()
     accepted = 0
-    for _ in range(iterations):
+    for it in range(iterations):
         cand = random_join_neighbor(schedule, rng)
         c_proposed.inc()
         v = objective.value(cand)
@@ -823,6 +829,13 @@ def _join_anneal(
             c_accepted.inc()
             if _improves(value, best_value):
                 best_schedule, best_value = schedule, value
+                if bus.enabled:
+                    bus.emit(
+                        "search.best",
+                        iteration=it,
+                        value=best_value,
+                        accepted=accepted,
+                    )
         temperature *= cooling
     return best_schedule, best_value, accepted
 

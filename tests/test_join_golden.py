@@ -134,7 +134,7 @@ GOLDEN = [
         "111111111100",
         "0x1.bb4f74d9d187ep+13",
         (
-            ("threshold", "0x1.c0612f025ed8ap+13"),
+            ("threshold", "0x1.c0612f025ed89p+13"),
             ("heavy-first", "0x1.bb4f74d9d187ep+13"),
             ("light-first", "0x1.d7d36fdcd3d62p+13"),
             ("random-0", "0x1.bf7a7c9e6640dp+13"),
@@ -164,7 +164,7 @@ GOLDEN = [
         "111111111100",
         "0x1.bb4f74d9d187ep+13",
         (
-            ("threshold", "0x1.c0612f025ed8ap+13"),
+            ("threshold", "0x1.c0612f025ed89p+13"),
             ("heavy-first", "0x1.bb4f74d9d187ep+13"),
             ("light-first", "0x1.d7d36fdcd3d62p+13"),
             ("random-0", "0x1.bf7a7c9e6640dp+13"),

@@ -7,7 +7,10 @@ decision as it was.  These seeded runs were recorded with the
 one-state-at-a-time objective and one ``optimize`` call per interval:
 the winning order and assignment, the bits of its surrogate value, each
 worker's schedule and every ``parallel.*`` and ``search.moves.*``
-counter must all come out unchanged.
+counter must all come out unchanged.  Four anneal and hybrid pins were
+re-recorded when the p=2 annealer took the chain and join annealers'
+``delta <= 0`` acceptance rule (a zero-cost move is accepted without
+drawing a uniform).
 
 The platform makes disk checkpoints dear and memory checkpoints cheap,
 so the worker schedules mix both levels instead of checkpointing every
@@ -67,11 +70,11 @@ GOLDEN = [
         "uniform",
         "admv_star",
         "anneal",
-        "t01 t02 t03 t00 t05 t07 t09 t06 t10 t08 t04 t11",
-        "011111100111",
-        "0x1.5c413d5d56f76p+13",
-        ("434", "334433334"),
-        (1081, 103, 21, 266, 253, 281, 151, 280),
+        "t01 t02 t03 t00 t05 t04 t06 t10 t07 t08 t09 t11",
+        "101010001111",
+        "0x1.64ea8c7d67aeep+13",
+        ("44434", "3443334"),
+        (1057, 115, 30, 257, 229, 287, 154, 280),
     ),
     (
         "uniform",
@@ -81,7 +84,7 @@ GOLDEN = [
         "011011100001",
         "0x1.4ee68b9cae262p+13",
         ("443334", "334434"),
-        (3080, 148, 41, 1006, 1213, 801, 34, 1039),
+        (3090, 144, 42, 1005, 1212, 800, 40, 1039),
     ),
     (
         "hetero",
@@ -101,17 +104,17 @@ GOLDEN = [
         "101100011001",
         "0x1.2c67582926c89p+13",
         ("444434", "444434"),
-        (4052, 235, 57, 967, 1137, 799, 46, 1016),
+        (4044, 235, 57, 967, 1140, 796, 43, 1016),
     ),
     (
         "hetero",
         "admv",
         "anneal",
-        "t00 t01 t03 t04 t05 t02 t08 t07 t06 t09 t11 t10",
-        "101001111011",
-        "0x1.35f4e1c212974p+13",
-        ("4444", "44343434"),
-        (1290, 145, 23, 264, 271, 259, 160, 280),
+        "t00 t01 t04 t02 t03 t06 t05 t07 t08 t09 t11 t10",
+        "010101100100",
+        "0x1.3951f7225e707p+13",
+        ("4443434", "44444"),
+        (1286, 170, 39, 248, 208, 290, 147, 280),
     ),
 ]
 
