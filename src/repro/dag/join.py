@@ -36,24 +36,33 @@ Optimization
 ------------
 :func:`exhaustive_join` enumerates all ``2^(n-1)`` decision vectors (and
 optionally source orders); :func:`local_search_join` is a hill-climbing
-heuristic (flip / re-position moves) that matches the exhaustive optimum on
+heuristic (flip / adjacent-swap moves) that matches the exhaustive optimum on
 small instances in our tests and scales to hundreds of sources.
+:class:`JoinObjective` is the memoized objective both it and the join-aware
+order search (:func:`repro.dag.search.search_order`) climb through the
+shared local-search kernel (:mod:`repro.dag.local_search`).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..exceptions import InvalidParameterError
+from ..obs import MetricsRegistry
+from .local_search import hill_climb
 from .workflow import WorkflowDAG, canonical_node_key
 
 __all__ = [
     "JoinInstance",
+    "JoinObjective",
     "JoinSchedule",
+    "join_neighborhood",
+    "random_join_neighbor",
     "evaluate_join",
     "exhaustive_join",
     "local_search_join",
@@ -62,13 +71,6 @@ __all__ = [
     "join_from_dag",
     "join_sources",
 ]
-
-#: Relative improvement below which the local search considers itself
-#: converged — one value for every makespan scale (an absolute epsilon is
-#: below one ulp once makespans exceed ~10^4 s and the loop never stops
-#: improving-by-noise).  Matches :data:`repro.dag.search.RELATIVE_TOLERANCE`.
-RELATIVE_TOLERANCE = 1e-12
-
 
 @dataclass(frozen=True)
 class JoinInstance:
@@ -135,6 +137,120 @@ class JoinSchedule:
     @property
     def n_checkpoints(self) -> int:
         return sum(self.checkpoint)
+
+
+class JoinObjective:
+    """Memoized exact objective over join states (order + decisions).
+
+    :func:`evaluate_join` is an exact ``O(n)`` closed form, so unlike
+    :class:`~repro.dag.search.ChainObjective` there is no DP/bound split
+    — every state is priced exactly and memoized on the
+    ``(order, checkpoint)`` tuple, and :meth:`screen` is exact.  The
+    *forever-vulnerable* semantics are what make order search worthwhile
+    here: an unprotected source inflates every later segment, so
+    repositioning sources interacts with the checkpoint decisions.
+    """
+
+    def __init__(
+        self,
+        instance: JoinInstance,
+        *,
+        metrics: MetricsRegistry | None = None,
+    ) -> None:
+        self.instance = instance
+        self._memo: dict[tuple, float] = {}
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._c_evals = self.metrics.counter("search.join.evaluations")
+        self._c_hits = self.metrics.counter("search.join.hits")
+
+    @property
+    def evaluations(self) -> int:
+        return self._c_evals.value
+
+    @property
+    def cache_hits(self) -> int:
+        return self._c_hits.value
+
+    def value(self, schedule: JoinSchedule) -> float:
+        key = (schedule.order, schedule.checkpoint)
+        cached = self._memo.get(key)
+        if cached is not None:
+            self._c_hits.inc()
+            return cached
+        v = evaluate_join(self.instance, schedule)
+        self._memo[key] = v
+        self._c_evals.inc()
+        return v
+
+    @property
+    def orders_scored(self) -> int:
+        return self.evaluations + self.cache_hits
+
+    # -- the local-search protocol (repro.dag.local_search) ------------
+    def score(self, schedule: JoinSchedule) -> tuple[float, None]:
+        return self.value(schedule), None
+
+    def neighbors(self, schedule: JoinSchedule, rng) -> list[JoinSchedule]:
+        return list(join_neighborhood(schedule))
+
+    def random_neighbor(self, schedule: JoinSchedule, rng) -> JoinSchedule:
+        return random_join_neighbor(schedule, rng)
+
+    def screen(self, schedules, incumbent: None) -> list[float]:
+        return [self.value(schedule) for schedule in schedules]
+
+    def confirm(self, schedule: JoinSchedule, screened: float) -> tuple[float, None]:
+        return screened, None
+
+
+def _reposition(schedule: JoinSchedule, i: int, j: int) -> JoinSchedule:
+    """Move the ``i``-th source to position ``j``, its decision with it."""
+    order = list(schedule.order)
+    decisions = list(schedule.checkpoint)
+    order.insert(j, order.pop(i))
+    decisions.insert(j, decisions.pop(i))
+    return JoinSchedule(tuple(order), tuple(decisions))
+
+
+def _flip(schedule: JoinSchedule, i: int) -> JoinSchedule:
+    """Toggle the ``i``-th source's checkpoint decision."""
+    flipped = list(schedule.checkpoint)
+    flipped[i] = not flipped[i]
+    return JoinSchedule(schedule.order, tuple(flipped))
+
+
+def join_neighborhood(schedule: JoinSchedule) -> Iterator[JoinSchedule]:
+    """All single-move neighbors of a join state.
+
+    Two move families, mirroring the chain search's precedence moves:
+
+    * **flip-decision** — toggle one source's checkpoint bit;
+    * **reposition-source** — move one source to another position, its
+      decision travelling with it (sources are independent, so every
+      permutation is feasible; only the sink is pinned last).
+    """
+    n = len(schedule.order)
+    for i in range(n):
+        yield _flip(schedule, i)
+    for i in range(n):
+        for j in range(n):
+            if j != i:
+                yield _reposition(schedule, i, j)
+
+
+def random_join_neighbor(
+    schedule: JoinSchedule, rng: np.random.Generator
+) -> JoinSchedule:
+    """One uniformly-drawn join move: a flip or a reposition, with equal
+    probability."""
+    n = len(schedule.order)
+    if n < 2 or rng.random() < 0.5:
+        return _flip(schedule, int(rng.integers(n)))
+    i = int(rng.integers(n))
+    j = int(rng.integers(n - 1))
+    if j >= i:
+        j += 1
+    return _reposition(schedule, i, j)
 
 
 def _segment_cost(V: float, rate: float, R_eff: float) -> float:
@@ -268,11 +384,15 @@ def local_search_join(
     """Hill climbing over (decision flips, adjacent order swaps).
 
     Starts from the heaviest-first order with the threshold decisions and
-    repeatedly applies the best single move until a local optimum.  Runs in
-    ``O(rounds * n^2)`` evaluations, each ``O(n)``.  Convergence uses a
-    *relative* improvement test (``RELATIVE_TOLERANCE``): an absolute
-    ``1e-15`` epsilon is below one ulp for large makespans, which made the
-    loop spin through all ``max_rounds`` re-accepting float noise.
+    repeatedly applies the best single move until a local optimum — the
+    shared kernel's :func:`~repro.dag.local_search.hill_climb` over a
+    :class:`JoinObjective` whose neighbours are the flips, then (with
+    ``optimize_order``) the adjacent swaps, decisions staying with their
+    positions.  Runs in ``O(rounds * n)`` evaluations, each ``O(n)``.
+    Convergence uses the kernel's *relative* improvement test: an
+    absolute ``1e-15`` epsilon is below one ulp for large makespans,
+    which made the loop spin through all ``max_rounds`` re-accepting
+    float noise.
     """
     n = instance.n_sources
     start_order = tuple(
@@ -282,32 +402,31 @@ def local_search_join(
     decisions = tuple(
         thr.checkpoint[thr.order.index(src)] for src in start_order
     )
-    schedule = JoinSchedule(start_order, decisions)
-    value = evaluate_join(instance, schedule)
 
-    for _ in range(max_rounds):
-        best_value, best_schedule = value, schedule
-        # decision flips
-        for i in range(n):
-            flipped = list(schedule.checkpoint)
-            flipped[i] = not flipped[i]
-            cand = JoinSchedule(schedule.order, tuple(flipped))
-            cand_value = evaluate_join(instance, cand)
-            if cand_value < best_value:
-                best_value, best_schedule = cand_value, cand
-        # adjacent swaps (order moves), decisions travel with positions
-        if optimize_order:
-            for i in range(n - 1):
-                order = list(schedule.order)
-                order[i], order[i + 1] = order[i + 1], order[i]
-                cand = JoinSchedule(tuple(order), schedule.checkpoint)
-                cand_value = evaluate_join(instance, cand)
-                if cand_value < best_value:
-                    best_value, best_schedule = cand_value, cand
-        if best_value >= value * (1.0 - RELATIVE_TOLERANCE):
-            break
-        value, schedule = best_value, best_schedule
-    return value, schedule
+    objective = _FlipSwapObjective(instance, optimize_order)
+    climb = hill_climb(
+        objective, JoinSchedule(start_order, decisions), None, max_rounds=max_rounds
+    )
+    return climb.value, climb.state
+
+
+class _FlipSwapObjective(JoinObjective):
+    """:func:`local_search_join`'s neighbourhood: every flip, then (with
+    ``optimize_order``) every adjacent swap, decisions staying with their
+    positions."""
+
+    def __init__(self, instance: JoinInstance, optimize_order: bool) -> None:
+        super().__init__(instance)
+        self.optimize_order = optimize_order
+
+    def neighbors(self, schedule: JoinSchedule, rng) -> list[JoinSchedule]:
+        n = len(schedule.order)
+        cands = [_flip(schedule, i) for i in range(n)]
+        for i in range(n - 1 if self.optimize_order else 0):
+            order = list(schedule.order)
+            order[i], order[i + 1] = order[i + 1], order[i]
+            cands.append(JoinSchedule(tuple(order), schedule.checkpoint))
+        return cands
 
 
 def simulate_join(

@@ -38,10 +38,11 @@ is lifted per worker:
   in one pass of their DP); and a fold per state over the global order.
   ``max`` is exact, so the fold gives the bits of the epoch-graph
   recursion.
-* **Search** (:func:`search_parallel`): the PR-4/5 metaheuristics with
-  the move set generalised to (assignment, order) pairs — all of
-  :mod:`repro.dag.search`'s precedence-preserving order moves, plus
-  reassignment moves relocating one task to another worker.
+* **Search** (:func:`search_parallel`): the chain search's kernel
+  (:mod:`repro.dag.local_search`) with the move set generalised to
+  (assignment, order) pairs — all of :mod:`repro.dag.search`'s
+  precedence-preserving order moves, plus reassignment moves relocating
+  one task to another worker.
 
 :func:`optimize_parallel` (and ``optimize_dag(processors=p)``) is the
 top-level entry point.
@@ -49,9 +50,9 @@ top-level entry point.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Hashable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -66,18 +67,11 @@ from ..core.schedule import Action, Schedule
 from ..core.solver import optimize  # noqa: F401
 from ..core.solver import optimize_batch
 from ..obs import MetricsRegistry, MetricsSnapshot, get_logger
-from ..obs import events as _ambient_events
-from ..obs import metrics as _ambient_metrics
 from ..obs import span as _span
 from ..simulation.parallel import ParallelPlan, WorkerPlan
 from .linearize import candidate_orders
-from .search import (
-    SEARCH_METHODS,
-    _improves,
-    neighborhood,
-    random_neighbor,
-    random_order,
-)
+from .local_search import SEARCH_METHODS, multistart, neighbor_cap
+from .search import neighborhood, random_neighbor, start_orders, subsample
 from .workflow import WorkflowDAG
 
 __all__ = [
@@ -669,6 +663,27 @@ class ParallelObjective:
         """Total states this objective has priced (any path)."""
         return self.states_priced + self.state_cache_hits
 
+    # -- the local-search protocol (repro.dag.local_search) ------------
+    def score(self, state: ParallelSchedule) -> tuple[float, None]:
+        return self.value(state), None
+
+    def neighbors(self, state: ParallelSchedule, rng) -> list[ParallelSchedule]:
+        cap = neighbor_cap(len(state.order))
+        moves = parallel_neighborhood(
+            state, rng=rng, max_reinsertions=cap, max_reassignments=cap
+        )
+        return [cand for cand, _ in moves]
+
+    def random_neighbor(self, state: ParallelSchedule, rng) -> ParallelSchedule | None:
+        picked = random_parallel_neighbor(state, rng)
+        return None if picked is None else picked[0]
+
+    def screen(self, states: Sequence[ParallelSchedule], incumbent) -> list[float]:
+        return self.values(states)
+
+    def confirm(self, state: ParallelSchedule, screened: float) -> tuple[float, None]:
+        return screened, None
+
 
 # ----------------------------------------------------------------------
 # moves
@@ -700,195 +715,29 @@ def parallel_neighborhood(
         for w in range(state.processors)
         if w != state.assignment[v]
     ]
-    if max_reassignments is not None and len(moves) > max_reassignments:
-        if rng is None:
-            raise InvalidParameterError(
-                "max_reassignments requires an rng to subsample"
-            )
-        picked = rng.choice(len(moves), size=max_reassignments, replace=False)
-        moves = [moves[int(k)] for k in sorted(picked)]
-    for v, w in moves:
+    for v, w in subsample(moves, max_reassignments, rng, "max_reassignments"):
         yield state.with_worker(v, w), ("assign", v, w)
 
 
 def random_parallel_neighbor(
     state: ParallelSchedule,
     rng: np.random.Generator,
-    *,
-    p_reassign: float = 0.5,
 ) -> tuple[ParallelSchedule, tuple] | None:
-    """One uniformly-drawn feasible move (``None`` iff the state is rigid)."""
-    if state.processors > 1 and rng.random() < p_reassign:
-        v = state.order[int(rng.integers(len(state.order)))]
-        choices = [w for w in range(state.processors) if w != state.assignment[v]]
-        w = int(choices[int(rng.integers(len(choices)))])
-        return state.with_worker(v, w), ("assign", v, w)
-    picked = random_neighbor(state.dag, list(state.order), rng)
-    if picked is None:
-        if state.processors == 1:
+    """One uniformly-drawn feasible move (``None`` iff the state is rigid):
+    a reassignment or an order move, with equal probability; a rigid
+    order falls back to a reassignment."""
+    picked = None
+    if state.processors == 1 or rng.random() >= 0.5:
+        picked = random_neighbor(state.dag, list(state.order), rng)
+        if picked is None and state.processors == 1:
             return None
+    if picked is None:
         v = state.order[int(rng.integers(len(state.order)))]
         choices = [w for w in range(state.processors) if w != state.assignment[v]]
         w = int(choices[int(rng.integers(len(choices)))])
         return state.with_worker(v, w), ("assign", v, w)
     order, move = picked
     return state.with_order(order), ("order",) + move
-
-
-# ----------------------------------------------------------------------
-# search drivers
-# ----------------------------------------------------------------------
-def _neighbor_caps(n: int) -> tuple[int, int]:
-    cap = max(16, 2 * n)
-    return cap, cap
-
-
-def _parallel_climb(
-    objective: ParallelObjective,
-    state: ParallelSchedule,
-    rng: np.random.Generator,
-    *,
-    max_rounds: int,
-) -> tuple[ParallelSchedule, float, int]:
-    """Steepest-descent hill climbing over the sampled neighborhood.
-
-    Each round moves to the first minimum of the neighbourhood when it
-    improves on the incumbent; ``rounds`` counts the moves made.
-    """
-    best, best_value = state, objective.value(state)
-    reinsert_cap, reassign_cap = _neighbor_caps(len(state.order))
-    c_proposed = objective.metrics.counter("search.moves.proposed")
-    c_accepted = objective.metrics.counter("search.moves.accepted")
-    bus = _ambient_events()
-    rounds = 0
-    while rounds < max_rounds:
-        neighbors = [
-            candidate
-            for candidate, _ in parallel_neighborhood(
-                best,
-                rng=rng,
-                max_reinsertions=reinsert_cap,
-                max_reassignments=reassign_cap,
-            )
-        ]
-        c_proposed.inc(len(neighbors))
-        values = objective.values(neighbors)
-        if not values:
-            break
-        k = min(range(len(values)), key=values.__getitem__)
-        if not _improves(values[k], best_value):
-            break
-        best, best_value = neighbors[k], values[k]
-        rounds += 1
-        c_accepted.inc()
-        if bus.enabled:
-            bus.emit(
-                "search.round",
-                round=rounds,
-                value=best_value,
-                proposed=len(neighbors),
-            )
-    return best, best_value, rounds
-
-
-def _parallel_anneal(
-    objective: ParallelObjective,
-    state: ParallelSchedule,
-    rng: np.random.Generator,
-    *,
-    iterations: int,
-) -> tuple[ParallelSchedule, float, int]:
-    """Simulated annealing over (assignment, order) moves."""
-    current, current_value = state, objective.value(state)
-    best, best_value = current, current_value
-    temperature = 0.02 * current_value
-    c_proposed = objective.metrics.counter("search.moves.proposed")
-    c_accepted = objective.metrics.counter("search.moves.accepted")
-    bus = _ambient_events()
-    accepted = 0
-    for it in range(max(0, iterations)):
-        picked = random_parallel_neighbor(current, rng)
-        if picked is None:
-            break
-        candidate, _ = picked
-        c_proposed.inc()
-        value = objective.value(candidate)
-        delta = value - current_value
-        if delta <= 0.0 or rng.random() < math.exp(
-            -delta / max(temperature, 1e-300)
-        ):
-            current, current_value = candidate, value
-            accepted += 1
-            c_accepted.inc()
-            if _improves(current_value, best_value):
-                best, best_value = current, current_value
-                if bus.enabled:
-                    bus.emit(
-                        "search.best",
-                        iteration=it,
-                        value=best_value,
-                        accepted=accepted,
-                    )
-        temperature *= 0.99
-    return best, best_value, accepted
-
-
-def _climb_state(
-    objective: ParallelObjective,
-    method: str,
-    state: ParallelSchedule,
-    rng: np.random.Generator,
-    *,
-    iterations: int,
-    max_rounds: int,
-) -> tuple[ParallelSchedule, float, int]:
-    if method == "anneal":
-        return _parallel_anneal(objective, state, rng, iterations=iterations)
-    return _parallel_climb(objective, state, rng, max_rounds=max_rounds)
-
-
-def _parallel_climb_worker(payload: tuple):
-    """Pool entry point (module-level so it pickles for ``n_jobs``)."""
-    (
-        dag,
-        platform,
-        processors,
-        algorithm,
-        method,
-        order,
-        assignment,
-        climb_seed,
-        iterations,
-        max_rounds,
-    ) = payload
-    objective = ParallelObjective(
-        dag, platform, processors, algorithm=algorithm
-    )
-    state = ParallelSchedule(
-        dag, processors, order, assignment, _validate=False
-    )
-    from ..obs import NULL_REGISTRY, EventBus, instrument
-
-    bus = EventBus()
-    # counters live on the objective's own registry; the ambient scope
-    # only carries the event bus home
-    with instrument(NULL_REGISTRY, events=bus):
-        best, value, rounds = _climb_state(
-            objective,
-            method,
-            state,
-            np.random.default_rng(climb_seed),
-            iterations=iterations,
-            max_rounds=max_rounds,
-        )
-    return (
-        best.order,
-        best.assignment,
-        value,
-        rounds,
-        objective.metrics.snapshot(),
-        bus.snapshot(),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -1023,37 +872,21 @@ def _start_states(
     restarts: int,
     rng: np.random.Generator,
 ) -> list[tuple[str, ParallelSchedule]]:
-    starts: list[tuple[str, ParallelSchedule]] = []
-    seen: set[tuple] = set()
-
-    def push(label: str, state: ParallelSchedule) -> None:
-        key = state.key()
-        if key not in seen:
-            seen.add(key)
-            starts.append((label, state))
-
-    for k, order in enumerate(candidate_orders(dag, "auto")):
-        state = ParallelSchedule(
-            dag,
-            processors,
-            order,
-            greedy_assignment(dag, order, processors),
-            _validate=False,
-        )
-        push(f"heuristic-{k}", state)
-    if processors >= dag.n:
-        push("dedicated", _dedicated_schedule(dag, processors))
-    for r in range(max(0, restarts)):
-        order = random_order(dag, rng)
-        state = ParallelSchedule(
-            dag,
-            processors,
-            order,
-            greedy_assignment(dag, order, processors),
-            _validate=False,
-        )
-        push(f"random-{r}", state)
-    return starts
+    """The chain search's start orders, each on its greedy assignment,
+    plus the one-task-per-worker seed when ``processors >= n``; a state
+    equal to an earlier one is dropped."""
+    states: list[tuple[str, ParallelSchedule]] = []
+    for label, order in start_orders(dag, restarts, rng):
+        assignment = greedy_assignment(dag, order, processors)
+        state = ParallelSchedule(dag, processors, order, assignment, _validate=False)
+        states.append((label, state))
+    if processors >= dag.n:  # after the heuristic orders, before the random ones
+        dedicated = ("dedicated", _dedicated_schedule(dag, processors))
+        states.insert(len(states) - max(0, restarts), dedicated)
+    starts: dict[tuple, tuple[str, ParallelSchedule]] = {}
+    for label, state in states:
+        starts.setdefault(state.key(), (label, state))
+    return list(starts.values())
 
 
 def search_parallel(
@@ -1107,103 +940,35 @@ def search_parallel(
     starts = _start_states(
         dag, processors, restarts, np.random.default_rng(ss_starts)
     )
-    climb_seeds = ss_climbs.spawn(len(starts))
-    climb_method = "hill_climb" if method == "hybrid" else method
-
-    objective.metrics.counter("search.starts").inc(len(starts))
     objective.metrics.counter("search.restarts").inc(max(0, restarts))
-    results: list[tuple[str, ParallelSchedule, float, int]] = []
-    shard_snapshots: list[MetricsSnapshot] = []
-    use_pool = (
-        n_jobs is not None
-        and n_jobs > 1
-        and len(starts) > 1
-        and type(objective) is ParallelObjective
-    )
-    if use_pool:
-        from concurrent.futures import ProcessPoolExecutor
-
-        payloads = [
-            (
+    search = multistart(
+        objective,
+        starts,
+        ss_climbs.spawn(len(starts)),
+        method=method,
+        iterations=iterations,
+        max_rounds=max_rounds,
+        n_jobs=n_jobs,
+        factory=(
+            partial(
+                ParallelObjective,
                 dag,
                 platform,
                 processors,
-                objective.algorithm,
-                climb_method,
-                state.order,
-                state.assignment,
-                climb_seed,
-                iterations,
-                max_rounds,
+                algorithm=objective.algorithm,
             )
-            for (_, state), climb_seed in zip(starts, climb_seeds)
-        ]
-        with _span(
-            "search.pool", n_jobs=min(n_jobs, len(starts)), starts=len(starts)
-        ), ProcessPoolExecutor(max_workers=min(n_jobs, len(starts))) as pool:
-            bus = _ambient_events()
-            for (
-                (label, _),
-                (order, assignment, value, rounds, shard, eshard),
-            ) in zip(starts, pool.map(_parallel_climb_worker, payloads)):
-                state = ParallelSchedule(
-                    dag, processors, order, assignment, _validate=False
-                )
-                results.append((label, state, value, rounds))
-                shard_snapshots.append(shard)
-                bus.replay(eshard)
-    else:
-        for (label, state), climb_seed in zip(starts, climb_seeds):
-            with _span("search.start", label=label) as sp:
-                best, value, rounds = _climb_state(
-                    objective,
-                    climb_method,
-                    state,
-                    np.random.default_rng(climb_seed),
-                    iterations=iterations,
-                    max_rounds=max_rounds,
-                )
-                sp.set(rounds=rounds, value=value)
-            results.append((label, best, value, rounds))
-
-    best_state: ParallelSchedule | None = None
-    best_value = math.inf
-    rounds_total = 0
-    start_values: dict[str, float] = {}
-    bus = _ambient_events()
-    for label, state, value, rounds in results:
-        start_values[label] = value
-        rounds_total += rounds
-        if bus.enabled:
-            bus.emit(
-                "search.climb", label=label, value=value, rounds=rounds
-            )
-        if best_state is None or _improves(value, best_value):
-            best_state, best_value = state, value
-    assert best_state is not None
-
+            if type(objective) is ParallelObjective
+            else None
+        ),
+    )
     if method == "hybrid":
-        with _span("search.anneal") as sp:
-            state, value, rounds = _parallel_anneal(
-                objective,
-                best_state,
-                np.random.default_rng(ss_anneal),
-                iterations=iterations,
-            )
-            sp.set(value=value)
-        rounds_total += rounds
-        start_values["anneal"] = value
-        if _improves(value, best_value):
-            best_state, best_value = state, value
+        search.anneal(ss_anneal)
+    best_state, best_value = search.best.state, search.best.value
 
     pricing = objective.price(best_state)
-    # Associative snapshot fold replaces the pool_counters int array —
     # taken after the final pricing so its (cache-hit) accounting is
-    # included, exactly as the live-attribute reads used to be.
-    merged = MetricsSnapshot.merge_all(
-        [objective.metrics.snapshot(), *shard_snapshots]
-    )
-    _ambient_metrics().merge_snapshot(merged)
+    # included
+    merged = search.publish()
     logger.debug(
         "search_parallel done: dag=%s p=%d method=%s seed=%d value=%.6g "
         "states=%d intervals=%d",
@@ -1241,12 +1006,12 @@ def search_parallel(
         algorithm=objective.algorithm,
         processors=processors,
         starts=len(starts),
-        rounds=rounds_total,
+        rounds=search.rounds,
         states_priced=merged.counter("parallel.state.priced"),
         state_cache_hits=merged.counter("parallel.state.hits"),
         interval_solves=merged.counter("parallel.interval.solves"),
         interval_cache_hits=merged.counter("parallel.interval.hits"),
-        start_values=start_values,
+        start_values=search.start_values,
         n_jobs=n_jobs,
         metrics=merged,
     )

@@ -65,17 +65,26 @@ reposition-source (the decision travels with the source) and
 flip-decision.  :func:`search_order` dispatches on
 :meth:`~repro.dag.workflow.WorkflowDAG.is_join` automatically.
 
-Multi-start, crossover, parallelism
------------------------------------
-The climbs start from every fixed heuristic order (including the
-critical-path / bottom-level priority rules) plus random restarts; each
-start draws its moves from an independently spawned child seed, so the
-result is reproducible for a fixed ``(seed, n_jobs)`` — in fact invariant
-in ``n_jobs``, which only shards the start climbs across worker
-processes.  Elite survivors are then recombined with a
-precedence-preserving one-point order crossover (MoRoTA-style: a prefix
-of one parent completed in the other parent's relative order is always a
-valid linear extension) and the children are climbed too.
+One kernel, multi-start, crossover, parallelism
+-----------------------------------------------
+Both objectives implement the problem protocol of
+:mod:`repro.dag.local_search` (``score``, ``neighbors``,
+``random_neighbor``, ``screen``, ``confirm``), and every climb runs on
+that one kernel — the same hill climber, annealer and multistart driver
+as the p=2 search (:mod:`repro.dag.parallel`).  A hill-climbing round
+accepts the first bound-ranked neighbour an exact solve confirms as an
+improvement, which on an exact screen (join states) is the first minimum
+of the neighbourhood; annealing accepts a move on ``delta <= 0`` or with
+Metropolis probability.  The climbs start from every fixed heuristic
+order (including the critical-path / bottom-level priority rules) plus
+random restarts; each start draws its moves from an independently
+spawned child seed, so the result is reproducible for a fixed
+``(seed, n_jobs)`` — in fact invariant in ``n_jobs``, which only shards
+the start climbs across worker processes.  Elite survivors are then
+recombined with a precedence-preserving one-point order crossover
+(MoRoTA-style: a prefix of one parent completed in the other parent's
+relative order is always a valid linear extension) and the children are
+climbed too.
 
 The winning order can optionally be **certified** by replaying it through
 the batched adaptive Monte-Carlo engine (``certify=True``; the array-API
@@ -87,9 +96,9 @@ stamp to the result.  Join winners are certified against
 
 from __future__ import annotations
 
-import math
 from collections.abc import Hashable, Iterator, MutableMapping, Sequence
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -103,20 +112,27 @@ from ..core.schedule import Schedule
 from ..core.solver import optimize
 from ..exceptions import InvalidParameterError
 from ..obs import MetricsRegistry, MetricsSnapshot, get_logger
-from ..obs import events as _ambient_events
-from ..obs import metrics as _ambient_metrics
 from ..obs import span as _span
 from ..platforms import Platform
 from .join import (
     JoinInstance,
+    JoinObjective,
     JoinSchedule,
-    evaluate_join,
     join_from_dag,
+    join_neighborhood,
     join_sources,
+    random_join_neighbor,
     simulate_join,
     threshold_join,
 )
 from .linearize import DagSolution, candidate_orders
+from .local_search import (
+    SEARCH_METHODS,
+    hill_climb,
+    multistart,
+    neighbor_cap,
+    simulated_annealing,
+)
 from .workflow import WorkflowDAG, canonical_node_key
 
 __all__ = [
@@ -140,10 +156,6 @@ __all__ = [
     "uses_join_objective",
     "SEARCH_METHODS",
 ]
-
-#: Relative improvement below which two orders are considered equivalent
-#: (guards against accepting float noise as progress).
-RELATIVE_TOLERANCE = 1e-12
 
 logger = get_logger(__name__)
 
@@ -225,26 +237,29 @@ def neighborhood(
             if j == i or abs(j - i) == 1:  # no-op / duplicate of a swap
                 continue
             moves.append((i, j))
-    if max_reinsertions is not None and len(moves) > max_reinsertions:
-        if rng is None:
-            raise InvalidParameterError(
-                "max_reinsertions requires an rng to subsample"
-            )
-        picked = rng.choice(len(moves), size=max_reinsertions, replace=False)
-        moves = [moves[int(k)] for k in sorted(picked)]
-    for i, j in moves:
+    for i, j in subsample(moves, max_reinsertions, rng, "max_reinsertions"):
         yield apply_reinsertion(order, i, j), ("reinsert", i, j)
+
+
+def subsample(moves: list, cap: int | None, rng, name: str) -> list:
+    """``cap`` of ``moves`` drawn uniformly by ``rng``, in their order
+    (all of them when ``cap`` is ``None`` or not below their count)."""
+    if cap is None or len(moves) <= cap:
+        return moves
+    if rng is None:
+        raise InvalidParameterError(f"{name} requires an rng to subsample")
+    picked = rng.choice(len(moves), size=cap, replace=False)
+    return [moves[int(k)] for k in sorted(picked)]
 
 
 def random_neighbor(
     dag: WorkflowDAG,
     order: Sequence[Hashable],
     rng: np.random.Generator,
-    *,
-    p_reinsert: float = 0.5,
 ) -> tuple[list[Hashable], tuple] | None:
-    """One uniformly-drawn feasible move (``None`` iff the order is rigid)."""
-    if rng.random() >= p_reinsert:
+    """One uniformly-drawn feasible move (``None`` iff the order is rigid):
+    an adjacent swap or a reinsertion, with equal probability."""
+    if rng.random() >= 0.5:
         swaps = adjacent_swaps(dag, order)
         if swaps:
             i = int(swaps[int(rng.integers(len(swaps)))])
@@ -283,6 +298,18 @@ def random_order(
             if indeg[w] == 0:
                 ready.append(w)
     return order
+
+
+def start_orders(
+    dag: WorkflowDAG, restarts: int, rng: np.random.Generator
+) -> list[tuple[str, list[Hashable]]]:
+    """Labelled start orders: every fixed heuristic order
+    (:func:`~repro.dag.linearize.candidate_orders`), then ``restarts``
+    random ones drawn from ``rng``."""
+    return [
+        (f"heuristic-{k}", order)
+        for k, order in enumerate(candidate_orders(dag, "auto"))
+    ] + [(f"random-{r}", random_order(dag, rng)) for r in range(max(0, restarts))]
 
 
 def crossover_orders(
@@ -524,322 +551,33 @@ class ChainObjective:
             self._c_bound_hits.inc(len(orders) - len(fresh))
         return [self._bounds[key] for key in keys]
 
+    # -- the local-search protocol (repro.dag.local_search) ------------
+    def score(self, order: Sequence[Hashable]) -> tuple[float, Solution]:
+        solution = self.exact(order)
+        return solution.expected_time, solution
 
-# ----------------------------------------------------------------------
-# search drivers
-# ----------------------------------------------------------------------
-def _improves(candidate: float, incumbent: float) -> bool:
-    return candidate < incumbent * (1.0 - RELATIVE_TOLERANCE)
-
-
-def hill_climb(
-    dag: WorkflowDAG,
-    objective: ChainObjective,
-    start: Sequence[Hashable],
-    rng: np.random.Generator,
-    *,
-    max_rounds: int = 200,
-    max_reinsertions: int | None = None,
-    polish_budget: int | None = None,
-) -> tuple[list[Hashable], Solution, int]:
-    """Steepest-feasible descent from ``start``; returns order, solution
-    and the number of improvement rounds taken.
-
-    Each round screens the whole neighborhood with frozen-schedule bounds
-    (one :meth:`ChainObjective.bounds` batch), exact-confirms candidates
-    in bound order, and accepts the first genuine improvement.  When no bound promises progress, the round
-    *polishes*: it exact-evaluates the ``polish_budget`` most promising
-    neighbors anyway (``None`` = all of them), because the bound can hide
-    an improvement that only materialises after re-optimizing the
-    placements.  The climb stops at an order no evaluated neighbor beats.
-    """
-    order = list(start)
-    solution = objective.exact(order)
-    if max_reinsertions is None:
-        max_reinsertions = max(16, 2 * dag.n)
-    c_proposed = objective.metrics.counter("search.moves.proposed")
-    c_accepted = objective.metrics.counter("search.moves.accepted")
-    bus = _ambient_events()
-    rounds = 0
-    for _ in range(max_rounds):
-        cands = [
-            cand
-            for cand, _ in neighborhood(
-                dag, order, rng=rng, max_reinsertions=max_reinsertions
-            )
-        ]
-        scored = sorted(
-            zip(objective.bounds(cands, solution), cands),
-            key=lambda pair: pair[0],
+    def neighbors(self, order: Sequence[Hashable], rng) -> list[list[Hashable]]:
+        moves = neighborhood(
+            self.dag, order, rng=rng, max_reinsertions=neighbor_cap(self.dag.n)
         )
-        c_proposed.inc(len(scored))
-        accepted = False
-        value = solution.expected_time
-        for b, cand in scored:
-            if not _improves(b, value):
-                break
-            cand_solution = objective.exact(cand)
-            if _improves(cand_solution.expected_time, value):
-                order, solution, accepted = cand, cand_solution, True
-                break
-        if not accepted:
-            budget = len(scored) if polish_budget is None else polish_budget
-            for b, cand in scored[:budget]:
-                cand_solution = objective.exact(cand)
-                if _improves(cand_solution.expected_time, value):
-                    order, solution, accepted = cand, cand_solution, True
-                    break
-        if not accepted:
-            return order, solution, rounds
-        c_accepted.inc()
-        rounds += 1
-        if bus.enabled:
-            bus.emit(
-                "search.round",
-                round=rounds,
-                value=solution.expected_time,
-                proposed=len(scored),
-            )
-    return order, solution, rounds
+        return [cand for cand, _ in moves]
+
+    def random_neighbor(self, order: Sequence[Hashable], rng) -> list[Hashable] | None:
+        picked = random_neighbor(self.dag, order, rng)
+        return None if picked is None else picked[0]
+
+    def screen(self, orders: Sequence, incumbent: Solution) -> list[float]:
+        return self.bounds(orders, incumbent)
+
+    def confirm(self, order: Sequence[Hashable], screened: float) -> tuple:
+        return self.score(order)
 
 
-def simulated_annealing(
-    dag: WorkflowDAG,
-    objective: ChainObjective,
-    start: Sequence[Hashable],
-    rng: np.random.Generator,
-    *,
-    iterations: int = 400,
-    initial_temperature: float | None = None,
-    cooling: float = 0.99,
-) -> tuple[list[Hashable], Solution, int]:
-    """Metropolis walk over orders; returns the best order visited.
-
-    Moves are screened with the frozen-schedule bound of the *current*
-    solution; accepted moves are exact-evaluated (memoized), so the walk
-    anneals on true values while paying the DP only for accepted states.
-    The default initial temperature is 2% of the start value — enough to
-    hop over order-of-``V*`` barriers without random-walking.
-    """
-    order = list(start)
-    solution = objective.exact(order)
-    best_order, best_solution = order, solution
-    temperature = (
-        initial_temperature
-        if initial_temperature is not None
-        else 0.02 * solution.expected_time
-    )
-    c_proposed = objective.metrics.counter("search.moves.proposed")
-    c_accepted = objective.metrics.counter("search.moves.accepted")
-    bus = _ambient_events()
-    accepted = 0
-    for it in range(iterations):
-        neighbor = random_neighbor(dag, order, rng)
-        if neighbor is None:  # rigid DAG (a chain): nothing to explore
-            break
-        cand, _move = neighbor
-        c_proposed.inc()
-        b = objective.bound(cand, solution)
-        delta = b - solution.expected_time
-        if delta <= 0.0 or rng.random() < math.exp(
-            -delta / max(temperature, 1e-300)
-        ):
-            solution = objective.exact(cand)
-            order = cand
-            accepted += 1
-            c_accepted.inc()
-            if _improves(solution.expected_time, best_solution.expected_time):
-                best_order, best_solution = order, solution
-                if bus.enabled:
-                    bus.emit(
-                        "search.best",
-                        iteration=it,
-                        value=best_solution.expected_time,
-                        accepted=accepted,
-                    )
-        temperature *= cooling
-    return best_order, best_solution, accepted
-
-
-SEARCH_METHODS = ("hill_climb", "anneal", "hybrid")
 
 
 # ----------------------------------------------------------------------
 # join-aware search (APDCM'15 forever-vulnerable objective)
 # ----------------------------------------------------------------------
-class JoinObjective:
-    """Memoized exact objective over join states (order + decisions).
-
-    :func:`repro.dag.join.evaluate_join` is an exact ``O(n)`` closed
-    form, so unlike :class:`ChainObjective` there is no DP/bound split —
-    every state is priced exactly and memoized on the
-    ``(order, checkpoint)`` tuple.  The *forever-vulnerable* semantics
-    are what make order search worthwhile here: an unprotected source
-    inflates every later segment, so repositioning sources interacts
-    with the checkpoint decisions.
-    """
-
-    def __init__(
-        self,
-        instance: JoinInstance,
-        *,
-        metrics: MetricsRegistry | None = None,
-    ) -> None:
-        self.instance = instance
-        self._memo: dict[tuple, float] = {}
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._c_evals = self.metrics.counter("search.join.evaluations")
-        self._c_hits = self.metrics.counter("search.join.hits")
-
-    @property
-    def evaluations(self) -> int:
-        return self._c_evals.value
-
-    @property
-    def cache_hits(self) -> int:
-        return self._c_hits.value
-
-    def value(self, schedule: JoinSchedule) -> float:
-        key = (schedule.order, schedule.checkpoint)
-        cached = self._memo.get(key)
-        if cached is not None:
-            self._c_hits.inc()
-            return cached
-        v = evaluate_join(self.instance, schedule)
-        self._memo[key] = v
-        self._c_evals.inc()
-        return v
-
-    @property
-    def orders_scored(self) -> int:
-        return self.evaluations + self.cache_hits
-
-
-def join_neighborhood(schedule: JoinSchedule) -> Iterator[JoinSchedule]:
-    """All single-move neighbors of a join state.
-
-    Two move families, mirroring the chain search's precedence moves:
-
-    * **flip-decision** — toggle one source's checkpoint bit;
-    * **reposition-source** — move one source to another position, its
-      decision travelling with it (sources are independent, so every
-      permutation is feasible; only the sink is pinned last).
-    """
-    n = len(schedule.order)
-    for i in range(n):
-        flipped = list(schedule.checkpoint)
-        flipped[i] = not flipped[i]
-        yield JoinSchedule(schedule.order, tuple(flipped))
-    for i in range(n):
-        for j in range(n):
-            if j == i:
-                continue
-            order = list(schedule.order)
-            decisions = list(schedule.checkpoint)
-            src = order.pop(i)
-            dec = decisions.pop(i)
-            order.insert(j, src)
-            decisions.insert(j, dec)
-            yield JoinSchedule(tuple(order), tuple(decisions))
-
-
-def random_join_neighbor(
-    schedule: JoinSchedule,
-    rng: np.random.Generator,
-    *,
-    p_flip: float = 0.5,
-) -> JoinSchedule:
-    """One uniformly-drawn join move (flip with probability ``p_flip``)."""
-    n = len(schedule.order)
-    if n < 2 or rng.random() < p_flip:
-        i = int(rng.integers(n))
-        flipped = list(schedule.checkpoint)
-        flipped[i] = not flipped[i]
-        return JoinSchedule(schedule.order, tuple(flipped))
-    i = int(rng.integers(n))
-    j = int(rng.integers(n - 1))
-    if j >= i:
-        j += 1
-    order = list(schedule.order)
-    decisions = list(schedule.checkpoint)
-    src = order.pop(i)
-    dec = decisions.pop(i)
-    order.insert(j, src)
-    decisions.insert(j, dec)
-    return JoinSchedule(tuple(order), tuple(decisions))
-
-
-def _join_hill_climb(
-    objective: JoinObjective,
-    schedule: JoinSchedule,
-    *,
-    max_rounds: int = 200,
-) -> tuple[JoinSchedule, float, int]:
-    """Steepest descent over flips + repositions; exact values only.
-
-    Each round moves to the first minimum of the neighbourhood when it
-    improves on the incumbent.
-    """
-    value = objective.value(schedule)
-    c_proposed = objective.metrics.counter("search.moves.proposed")
-    c_accepted = objective.metrics.counter("search.moves.accepted")
-    bus = _ambient_events()
-    rounds = 0
-    for _ in range(max_rounds):
-        cands = list(join_neighborhood(schedule))
-        c_proposed.inc(len(cands))
-        values = [objective.value(cand) for cand in cands]
-        k = min(range(len(values)), key=values.__getitem__)
-        if not _improves(values[k], value):
-            break
-        value, schedule = values[k], cands[k]
-        c_accepted.inc()
-        rounds += 1
-        if bus.enabled:
-            bus.emit("search.round", round=rounds, value=value, proposed=len(cands))
-    return schedule, value, rounds
-
-
-def _join_anneal(
-    objective: JoinObjective,
-    schedule: JoinSchedule,
-    rng: np.random.Generator,
-    *,
-    iterations: int = 400,
-    cooling: float = 0.99,
-) -> tuple[JoinSchedule, float, int]:
-    """Metropolis walk over join states; returns the best state visited."""
-    value = objective.value(schedule)
-    best_schedule, best_value = schedule, value
-    temperature = 0.02 * value
-    c_proposed = objective.metrics.counter("search.moves.proposed")
-    c_accepted = objective.metrics.counter("search.moves.accepted")
-    bus = _ambient_events()
-    accepted = 0
-    for it in range(iterations):
-        cand = random_join_neighbor(schedule, rng)
-        c_proposed.inc()
-        v = objective.value(cand)
-        delta = v - value
-        if delta <= 0.0 or rng.random() < math.exp(
-            -delta / max(temperature, 1e-300)
-        ):
-            schedule, value = cand, v
-            accepted += 1
-            c_accepted.inc()
-            if _improves(value, best_value):
-                best_schedule, best_value = schedule, value
-                if bus.enabled:
-                    bus.emit(
-                        "search.best",
-                        iteration=it,
-                        value=best_value,
-                        accepted=accepted,
-                    )
-        temperature *= cooling
-    return best_schedule, best_value, accepted
-
-
 class JoinDagSolution(DagSolution):
     """A :class:`DagSolution` priced under the join model.
 
@@ -970,71 +708,6 @@ class SearchResult:
         return "\n".join(lines)
 
 
-def _climb(
-    dag: WorkflowDAG,
-    objective: ChainObjective,
-    method: str,
-    start: Sequence[Hashable],
-    rng: np.random.Generator,
-    *,
-    iterations: int,
-    max_rounds: int,
-    polish_budget: int | None,
-) -> tuple[list[Hashable], Solution, int]:
-    """One climb (hill climbing or annealing, per ``method``)."""
-    if method == "anneal":
-        return simulated_annealing(
-            dag, objective, start, rng, iterations=iterations
-        )
-    return hill_climb(
-        dag,
-        objective,
-        start,
-        rng,
-        max_rounds=max_rounds,
-        polish_budget=polish_budget,
-    )
-
-
-def _climb_worker(payload: tuple):
-    """Process-pool entry point: one start climbed with a fresh objective.
-
-    Module-level so it pickles; each worker builds its own
-    :class:`ChainObjective` (memos are value-transparent, so private
-    caches change the work accounting but never the result) and ships
-    its registry snapshot home for the associative merge.
-    """
-    (
-        dag,
-        platform,
-        algorithm,
-        method,
-        start,
-        seed_seq,
-        iterations,
-        max_rounds,
-        polish_budget,
-    ) = payload
-    from ..obs import NULL_REGISTRY, EventBus, instrument
-
-    objective = ChainObjective(dag, platform, algorithm=algorithm)
-    bus = EventBus()
-    # the climb's counters live on the objective's own registry; the
-    # ambient scope only carries the event bus home
-    with instrument(NULL_REGISTRY, events=bus):
-        order, solution, rounds = _climb(
-            dag,
-            objective,
-            method,
-            start,
-            np.random.default_rng(seed_seq),
-            iterations=iterations,
-            max_rounds=max_rounds,
-            polish_budget=polish_budget,
-        )
-    return order, solution, rounds, objective.metrics.snapshot(), bus.snapshot()
-
-
 def uses_join_objective(dag: WorkflowDAG) -> bool:
     """Will :func:`search_order` price ``dag`` under the join objective?
 
@@ -1093,47 +766,18 @@ def _search_join_order(
         decisions = tuple(bool(b) for b in start_rng.random(n) < 0.5)
         starts.append((f"random-{r}", JoinSchedule(order, decisions)))
 
-    objective.metrics.counter("search.starts").inc(len(starts))
     objective.metrics.counter("search.restarts").inc(max(0, restarts))
-    best_schedule: JoinSchedule | None = None
-    best_value = math.inf
-    rounds_total = 0
-    start_values: dict[str, float] = {}
-    for (label, start), climb_seed in zip(starts, ss_climbs.spawn(len(starts))):
-        with _span("search.start", label=label) as sp:
-            if method == "anneal":
-                sched, value, rounds = _join_anneal(
-                    objective,
-                    start,
-                    np.random.default_rng(climb_seed),
-                    iterations=iterations,
-                )
-            else:
-                sched, value, rounds = _join_hill_climb(
-                    objective, start, max_rounds=max_rounds
-                )
-            sp.set(rounds=rounds, value=value)
-        if _ambient_events().enabled:
-            _ambient_events().emit(
-                "search.climb", label=label, value=value, rounds=rounds
-            )
-        start_values[label] = value
-        rounds_total += rounds
-        if best_schedule is None or _improves(value, best_value):
-            best_schedule, best_value = sched, value
-    assert best_schedule is not None
-
+    search = multistart(
+        objective,
+        starts,
+        ss_climbs.spawn(len(starts)),
+        method=method,
+        iterations=iterations,
+        max_rounds=max_rounds,
+    )
     if method == "hybrid":
-        sched, value, rounds = _join_anneal(
-            objective,
-            best_schedule,
-            np.random.default_rng(ss_anneal),
-            iterations=iterations,
-        )
-        rounds_total += rounds
-        start_values["anneal"] = value
-        if _improves(value, best_value):
-            best_schedule, best_value = sched, value
+        search.anneal(ss_anneal)
+    best_schedule, best_value = search.best.state, search.best.value
 
     order_nodes = [sources[i] for i in best_schedule.order] + [sink]
     _, chain = dag.serialise(order_nodes)
@@ -1187,21 +831,20 @@ def _search_join_order(
             seed=seed,
         )
 
-    merged = objective.metrics.snapshot()
-    _ambient_metrics().merge_snapshot(merged)
+    merged = search.publish()
     return SearchResult(
         solution=solution,
         method=method,
         seed=seed,
         algorithm="join",
         starts=len(starts),
-        rounds=rounds_total,
+        rounds=search.rounds,
         orders_scored=objective.orders_scored,
         exact_evaluations=objective.evaluations,
         exact_cache_hits=objective.cache_hits,
         bound_evaluations=0,
         bound_cache_hits=0,
-        start_values=start_values,
+        start_values=search.start_values,
         certificate=certificate,
         metrics=merged,
     )
@@ -1299,104 +942,34 @@ def search_order(
     ss_starts, ss_climbs, ss_recombine, ss_anneal = np.random.SeedSequence(
         seed
     ).spawn(4)
-    start_rng = np.random.default_rng(ss_starts)
-    starts: list[tuple[str, list[Hashable]]] = [
-        (f"heuristic-{k}", order)
-        for k, order in enumerate(candidate_orders(dag, "auto"))
-    ]
-    for r in range(max(0, restarts)):
-        starts.append((f"random-{r}", random_order(dag, start_rng)))
-    climb_seeds = ss_climbs.spawn(len(starts))
-    climb_kwargs = dict(
+    starts = start_orders(dag, restarts, np.random.default_rng(ss_starts))
+    objective.metrics.counter("search.restarts").inc(max(0, restarts))
+    search = multistart(
+        objective,
+        starts,
+        ss_climbs.spawn(len(starts)),
+        method=method,
         iterations=iterations,
         max_rounds=max_rounds,
         polish_budget=polish_budget,
+        n_jobs=n_jobs,
+        # pool workers rebuild a *stock* ChainObjective from the algorithm
+        # name, so a caller-supplied objective (possibly a subclass with
+        # its own pricing) keeps every climb in-process
+        factory=(
+            partial(ChainObjective, dag, platform, algorithm=objective.algorithm)
+            if type(objective) is ChainObjective
+            else None
+        ),
     )
-
-    objective.metrics.counter("search.starts").inc(len(starts))
-    objective.metrics.counter("search.restarts").inc(max(0, restarts))
-    results: list[tuple[str, list[Hashable], Solution, int]] = []
-    shard_snapshots: list[MetricsSnapshot] = []
-    # pool workers rebuild a *stock* ChainObjective from the algorithm
-    # name, so a caller-supplied objective (possibly a subclass with its
-    # own pricing) must keep every climb in-process to stay authoritative
-    use_pool = (
-        n_jobs is not None
-        and n_jobs > 1
-        and len(starts) > 1
-        and type(objective) is ChainObjective
-    )
-    if use_pool:
-        from concurrent.futures import ProcessPoolExecutor
-
-        payloads = [
-            (
-                dag,
-                platform,
-                objective.algorithm,
-                method,
-                start,
-                climb_seed,
-                iterations,
-                max_rounds,
-                polish_budget,
-            )
-            for (_, start), climb_seed in zip(starts, climb_seeds)
-        ]
-        with _span(
-            "search.pool", n_jobs=min(n_jobs, len(starts)), starts=len(starts)
-        ), ProcessPoolExecutor(max_workers=min(n_jobs, len(starts))) as pool:
-            bus = _ambient_events()
-            for (label, _), (order, solution, rounds, shard, eshard) in zip(
-                starts, pool.map(_climb_worker, payloads)
-            ):
-                results.append((label, order, solution, rounds))
-                shard_snapshots.append(shard)
-                bus.replay(eshard)
-    else:
-        for (label, start), climb_seed in zip(starts, climb_seeds):
-            with _span("search.start", label=label) as sp:
-                order, solution, rounds = _climb(
-                    dag,
-                    objective,
-                    method,
-                    start,
-                    np.random.default_rng(climb_seed),
-                    **climb_kwargs,
-                )
-                sp.set(rounds=rounds, value=solution.expected_time)
-            results.append((label, order, solution, rounds))
-
-    best_order: list[Hashable] | None = None
-    best_solution: Solution | None = None
-    rounds_total = 0
-    start_values: dict[str, float] = {}
-    bus = _ambient_events()
-    for label, order, solution, rounds in results:
-        start_values[label] = solution.expected_time
-        rounds_total += rounds
-        if bus.enabled:
-            bus.emit(
-                "search.climb",
-                label=label,
-                value=solution.expected_time,
-                rounds=rounds,
-            )
-        if best_solution is None or _improves(
-            solution.expected_time, best_solution.expected_time
-        ):
-            best_order, best_solution = order, solution
-    assert best_order is not None and best_solution is not None
 
     # -- elite recombination (precedence-preserving one-point OX) ------
     recombined = 0
     if recombine > 0 and dag.n >= 2:
         elites: list[list[Hashable]] = []
-        for _, order, solution, _ in sorted(
-            results, key=lambda r: r[2].expected_time
-        ):
-            if order not in elites:
-                elites.append(order)
+        for climb in sorted(search.climbs, key=lambda c: c.value):
+            if climb.state not in elites:
+                elites.append(climb.state)
             if len(elites) >= 4:
                 break
         if len(elites) >= 2:
@@ -1407,45 +980,17 @@ def search_order(
                 cut = int(select_rng.integers(1, dag.n))
                 child = crossover_orders(elites[int(a)], elites[int(b)], cut)
                 with _span("search.crossover", child=c) as sp:
-                    order, solution, rounds = _climb(
-                        dag,
-                        objective,
-                        method,
-                        child,
-                        np.random.default_rng(seeds[c + 1]),
-                        **climb_kwargs,
-                    )
-                    sp.set(value=solution.expected_time)
-                start_values[f"crossover-{c}"] = solution.expected_time
-                rounds_total += rounds
+                    climb = search.climb(f"crossover-{c}", child, seeds[c + 1])
+                    sp.set(value=climb.value)
                 recombined += 1
-                if _improves(
-                    solution.expected_time, best_solution.expected_time
-                ):
-                    best_order, best_solution = order, solution
 
     if method == "hybrid":
-        with _span("search.anneal") as sp:
-            order, solution, rounds = simulated_annealing(
-                dag,
-                objective,
-                best_order,
-                np.random.default_rng(ss_anneal),
-                iterations=iterations,
-            )
-            sp.set(value=solution.expected_time)
-        rounds_total += rounds
-        start_values["anneal"] = solution.expected_time
-        if _improves(solution.expected_time, best_solution.expected_time):
-            best_order, best_solution = order, solution
+        search.anneal(ss_anneal)
+    best_order, best_solution = search.best.state, search.best.detail
 
-    # One associative fold replaces the old pool_counters int array: the
-    # in-process objective's snapshot plus every worker shard, merged in
-    # any order with the same totals.
-    merged = MetricsSnapshot.merge_all(
-        [objective.metrics.snapshot(), *shard_snapshots]
-    )
-    _ambient_metrics().merge_snapshot(merged)
+    # the in-process objective's snapshot plus every worker shard, merged
+    # in any order with the same totals
+    merged = search.publish()
     exact_evaluations = merged.counter("search.exact.evaluations")
     exact_cache_hits = merged.counter("search.exact.hits")
     bound_evaluations = merged.counter("search.bound.evaluations")
@@ -1496,7 +1041,7 @@ def search_order(
         seed=seed,
         algorithm=objective.algorithm,
         starts=len(starts),
-        rounds=rounds_total,
+        rounds=search.rounds,
         orders_scored=(
             exact_evaluations
             + exact_cache_hits
@@ -1507,7 +1052,7 @@ def search_order(
         exact_cache_hits=exact_cache_hits,
         bound_evaluations=bound_evaluations,
         bound_cache_hits=bound_cache_hits,
-        start_values=start_values,
+        start_values=search.start_values,
         certificate=certificate,
         n_jobs=n_jobs,
         recombined=recombined,

@@ -5,7 +5,7 @@ replay, ``n_jobs``-invariant search, byte-identical warm cache payloads,
 array-API portability of the lockstep kernel — rests on coding
 invariants.  This package enforces them at lint time with an AST rule
 engine (:mod:`.engine`), a repo-specific ruleset (:mod:`.rules`,
-``RPR001``–``RPR006``), inline reasoned suppressions (:mod:`.suppress`)
+``RPR001``–``RPR007``), inline reasoned suppressions (:mod:`.suppress`)
 and JSON/human reporters (:mod:`.report`).  Run it as
 ``python -m repro.devtools`` or via the ``repro-lint`` console script;
 ``docs/DEVTOOLS.md`` is the rule catalog.

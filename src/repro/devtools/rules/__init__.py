@@ -7,7 +7,7 @@ from __future__ import annotations
 from ..engine import Rule
 from .concurrency import LockDisciplineRule
 from .determinism import DeterminismRule, SpawnDisciplineRule
-from .hygiene import LibraryHygieneRule
+from .hygiene import LibraryHygieneRule, ProcessPoolRule
 from .portability import ArrayApiPortabilityRule
 from .schema import SchemaCoverageRule
 
@@ -17,6 +17,7 @@ __all__ = [
     "ArrayApiPortabilityRule",
     "LockDisciplineRule",
     "LibraryHygieneRule",
+    "ProcessPoolRule",
     "SchemaCoverageRule",
     "SpawnDisciplineRule",
 ]
@@ -29,4 +30,5 @@ DEFAULT_RULES: tuple[Rule, ...] = (
     LibraryHygieneRule(),
     SchemaCoverageRule(),
     SpawnDisciplineRule(),
+    ProcessPoolRule(),
 )

@@ -1,4 +1,5 @@
-"""RPR004: library hygiene — no stray stdout, no bare excepts.
+"""RPR004/RPR007: library hygiene — no stray stdout, no bare excepts,
+no private process pools.
 
 The CLI owns stdout (its JSON output must stay machine-parseable), the
 logging layer owns stderr; a ``print`` anywhere else corrupts piped
@@ -7,6 +8,10 @@ output.  A bare ``except:`` swallows ``KeyboardInterrupt`` and
 rule migrates the ``ast``-walk audit that used to live inline in
 ``tests/test_obs.py`` so the logic exists once, with suppression
 support.
+
+Worker processes start with instrumentation off, so a pool opened
+anywhere but :func:`repro.obs.fan_out` silently drops the metrics and
+events of everything it runs (RPR007).
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from typing import Iterable
 from ..engine import BaseRule, FileContext
 from ..model import Finding
 
-__all__ = ["LibraryHygieneRule"]
+__all__ = ["LibraryHygieneRule", "ProcessPoolRule"]
 
 
 class LibraryHygieneRule(BaseRule):
@@ -51,4 +56,41 @@ class LibraryHygieneRule(BaseRule):
                     node,
                     "bare 'except:' swallows KeyboardInterrupt and "
                     "SystemExit; catch Exception or something narrower",
+                )
+
+
+class ProcessPoolRule(BaseRule):
+    code = "RPR007"
+    name = "process-fan-out"
+    rationale = (
+        "Library code outside repro/obs/ never names ProcessPoolExecutor: "
+        "worker processes start with instrumentation off, and "
+        "repro.obs.fan_out (with repro.obs.process_pool for a pool kept "
+        "across calls) is the one place that runs each payload under a "
+        "private registry and event bus and merges/replays them in "
+        "payload order."
+    )
+
+    def check_file(self, ctx: FileContext) -> Iterable[Finding]:
+        if ctx.rel.startswith("repro/obs/"):
+            return
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.ImportFrom):
+                named = any(
+                    alias.name == "ProcessPoolExecutor" for alias in node.names
+                )
+            else:
+                named = (
+                    isinstance(node, ast.Name) and node.id == "ProcessPoolExecutor"
+                ) or (
+                    isinstance(node, ast.Attribute)
+                    and node.attr == "ProcessPoolExecutor"
+                )
+            if named:
+                yield ctx.finding(
+                    self.code,
+                    node,
+                    "ProcessPoolExecutor outside repro/obs/; run worker "
+                    "processes through repro.obs.fan_out so their metrics "
+                    "and events reach the caller",
                 )

@@ -30,18 +30,26 @@ on for a scope with::
         run_the_workload()
     report = build_profile(inst.registry.snapshot(), inst.tracer)
 
-The ambient state is *thread*-local (and therefore also process-local):
-``ProcessPoolExecutor`` shards start with instrumentation off and ship
-their private registry snapshots home in their return values (see
-``search_order``), and the ``repro serve`` worker threads each carry
-their own per-request/per-job scope without cross-talk, keeping every
-merge explicit and deterministic rather than ambient.
+The ambient state is *thread*-local (and therefore also process-local),
+so worker processes start with instrumentation off.  Library code
+reaches them through :func:`fan_out` only (lint rule RPR007): when the
+caller's scope is observing, each payload runs under a private registry
+and event bus in its worker, and the parent merges the shipped metric
+snapshots and replays the events in payload order — the same totals and
+event multiset as the in-process loop.  The ``repro serve`` worker
+threads each carry their own per-request/per-job scope without
+cross-talk, keeping every merge explicit and deterministic rather than
+ambient.
 """
 
 from __future__ import annotations
 
 import threading
+from collections.abc import Callable, Iterable
+from concurrent.futures import Executor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import repeat
 
 from .events import (
     DEFAULT_EVENT_CAPACITY,
@@ -108,6 +116,8 @@ __all__ = [
     "instant",
     "events",
     "emit",
+    "fan_out",
+    "process_pool",
     "build_profile",
     "render_profile",
     "write_profile",
@@ -225,3 +235,56 @@ def instrument(
             events=events if events is not None else NULL_EVENTS,
         )
     )
+
+
+def process_pool(max_workers: int) -> Executor:
+    """A worker-process pool to pass to several :func:`fan_out` calls."""
+    # imported here: multiprocessing stays out of every `import repro`
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=max_workers)
+
+
+def _call(fn: Callable, args: tuple):
+    return fn(*args)
+
+
+def _call_observed(fn: Callable, args: tuple):
+    registry = MetricsRegistry()
+    bus = EventBus()
+    with instrument(registry, events=bus):
+        result = fn(*args)
+    return result, registry.snapshot(), bus.snapshot()
+
+
+def fan_out(
+    fn: Callable,
+    payloads: Iterable[tuple],
+    *,
+    n_jobs: int,
+    pool: Executor | None = None,
+) -> list:
+    """``[fn(*payload) for payload in payloads]`` in worker processes
+    (``fn`` module-level, payloads picklable).
+
+    When the ambient registry or event bus is live, each payload runs
+    under a private registry and bus whose snapshots ride home, to be
+    merged and replayed here in payload order.  ``pool`` reuses a
+    :func:`process_pool` (its owner shuts it down); otherwise a pool of
+    ``min(n_jobs, len(payloads))`` workers lives for this call.
+    """
+    payloads = list(payloads)
+    registry, bus = metrics(), events()
+    observing = registry.enabled or bus.enabled
+    entry = _call_observed if observing else _call
+    with (
+        nullcontext(pool) if pool is not None
+        else process_pool(min(n_jobs, len(payloads)))
+    ) as running:
+        results = list(running.map(entry, repeat(fn), payloads))
+    if not observing:
+        return results
+    for _, snapshot, shipped in results:
+        registry.merge_snapshot(snapshot)
+        bus.replay(shipped)
+    return [result for result, _, _ in results]

@@ -43,8 +43,10 @@ from ..exceptions import InvalidParameterError
 from ..obs import (
     estimate_eta,
     events as _events,
+    fan_out,
     get_logger,
     metrics as _metrics,
+    process_pool,
     span as _span,
 )
 from ..platforms import Platform
@@ -266,28 +268,6 @@ def _chunk_stats(
     )
 
 
-def _chunk_stats_observed(
-    compiled: CompiledSchedule,
-    child: np.random.SeedSequence,
-    n: int,
-    max_attempts: int,
-    backend: "str | Backend | None" = None,
-):
-    """Worker entry point that ships its kernel metrics home.
-
-    Worker processes inherit no ambient instrumentation, so the chunk
-    runs under a private registry and event bus whose snapshots ride
-    back with the stats for the parent to merge/replay.
-    """
-    from ..obs import EventBus, MetricsRegistry, instrument
-
-    reg = MetricsRegistry()
-    bus = EventBus()
-    with instrument(reg, events=bus):
-        stats = _chunk_stats(compiled, child, n, max_attempts, backend)
-    return stats, reg.snapshot(), bus.snapshot()
-
-
 def _record_round(
     sp, reg, bus, r: "AdaptiveRound", *, target: float, elapsed_s: float
 ) -> None:
@@ -501,7 +481,6 @@ def run_adaptive(
         _require_shardable(be)
     reg = _metrics()
     bus = _events()
-    observing = reg.enabled or bus.enabled
     t0 = perf_counter()
     try:
         with _span(
@@ -518,29 +497,18 @@ def run_adaptive(
                     sizes = _chunk_sizes(round_n, chunk_size)
                     children = seed_seq.spawn(len(sizes))
                     if shard and len(sizes) > 1:
-                        entry = (
-                            _chunk_stats_observed
-                            if observing
-                            else _chunk_stats
-                        )
-                        args = (
-                            [compiled] * len(sizes),
-                            children,
-                            sizes,
-                            [max_attempts] * len(sizes),
-                            # workers re-resolve the backend by name
-                            [be.name] * len(sizes),
-                        )
                         if pool is None:
-                            from concurrent.futures import ProcessPoolExecutor
-
-                            pool = ProcessPoolExecutor(max_workers=n_jobs)
-                        stats = list(pool.map(entry, *args))
-                        if observing:
-                            for _, snap, esnap in stats:
-                                reg.merge_snapshot(snap)
-                                bus.replay(esnap)
-                            stats = [s for s, _, _ in stats]
+                            pool = process_pool(n_jobs)
+                        stats = fan_out(
+                            _chunk_stats,
+                            [
+                                # workers re-resolve the backend by name
+                                (compiled, child, n, max_attempts, be.name)
+                                for child, n in zip(children, sizes)
+                            ],
+                            n_jobs=n_jobs,
+                            pool=pool,
+                        )
                     else:
                         stats = [
                             _chunk_stats(compiled, child, n, max_attempts, be)

@@ -60,7 +60,7 @@ import numpy as np
 
 from ..chains import TaskChain
 from ..exceptions import InvalidParameterError, ReproError, SimulationError
-from ..obs import events as _events, metrics as _metrics, span as _span
+from ..obs import events as _events, fan_out, metrics as _metrics, span as _span
 from ..platforms import Platform
 from ..core.costs import CostProfile
 from ..core.schedule import Schedule
@@ -462,30 +462,6 @@ def _run_chunk(
     )
 
 
-def _run_chunk_observed(
-    compiled: CompiledSchedule,
-    child: np.random.SeedSequence,
-    n: int,
-    max_attempts: int,
-    backend: "str | Backend | None" = None,
-):
-    """Worker entry point that ships its kernel metrics and events home.
-
-    Worker processes inherit no ambient instrumentation, so the kernel
-    runs under a private registry and event bus whose snapshots ride back
-    with the result for the parent to merge/replay.
-    """
-    from ..obs import EventBus, MetricsRegistry, instrument
-
-    reg = MetricsRegistry()
-    bus = EventBus()
-    with instrument(reg, events=bus):
-        part = run_compiled(
-            compiled, n, np.random.default_rng(child), max_attempts, backend
-        )
-    return part, reg.snapshot(), bus.snapshot()
-
-
 def simulate_batch(
     chain: TaskChain,
     platform: Platform,
@@ -538,9 +514,6 @@ def simulate_batch(
     sizes = _chunk_sizes(n_runs, chunk_size)
     children = seed_seq.spawn(len(sizes))
 
-    reg = _metrics()
-    bus = _events()
-    observing = reg.enabled or bus.enabled
     with _span(
         "sim.batch",
         n_runs=n_runs,
@@ -550,30 +523,15 @@ def simulate_batch(
     ):
         if n_jobs is not None and n_jobs > 1 and len(sizes) > 1:
             _require_shardable(be)
-            from concurrent.futures import ProcessPoolExecutor
-
-            entry = _run_chunk_observed if observing else _run_chunk
-            with ProcessPoolExecutor(
-                max_workers=min(n_jobs, len(sizes))
-            ) as pool:
-                parts = list(
-                    pool.map(
-                        entry,
-                        [compiled] * len(sizes),
-                        children,
-                        sizes,
-                        [max_attempts] * len(sizes),
-                        [be.name] * len(sizes),  # workers re-resolve by name
-                    )
-                )
-            if observing:
-                # Fold the worker-side kernel snapshots into this run's
-                # registry and replay shipped events in shard order; the
-                # result parts stay exactly as before.
-                for _, snap, esnap in parts:
-                    reg.merge_snapshot(snap)
-                    bus.replay(esnap)
-                parts = [part for part, _, _ in parts]
+            parts = fan_out(
+                _run_chunk,
+                [
+                    # workers re-resolve the backend by name
+                    (compiled, child, n, max_attempts, be.name)
+                    for child, n in zip(children, sizes)
+                ],
+                n_jobs=n_jobs,
+            )
         else:
             parts = [
                 _run_chunk(compiled, child, n, max_attempts, be)

@@ -51,7 +51,7 @@ import numpy as np
 
 from ..exceptions import InvalidParameterError, InvalidScheduleError, SimulationError
 from ..chains import TaskChain
-from ..obs import events as _events, metrics as _metrics, span as _span
+from ..obs import fan_out, metrics as _metrics, span as _span
 from ..platforms import Platform
 from ..core.costs import CostProfile
 from ..core.schedule import Action, Schedule
@@ -591,28 +591,6 @@ def _run_parallel_chunk(
     )
 
 
-def _run_parallel_chunk_observed(
-    cplan: _CompiledPlan,
-    child: np.random.SeedSequence,
-    n: int,
-    max_attempts: int,
-    backend: "str | Backend | None" = None,
-):
-    """Chunk entry point that ships its kernel metrics and events home.
-
-    Worker processes inherit no ambient instrumentation, so the chunk
-    runs under a private registry and event bus whose snapshots ride back
-    with the result for the parent to merge/replay.
-    """
-    from ..obs import EventBus, MetricsRegistry, instrument
-
-    reg = MetricsRegistry()
-    bus = EventBus()
-    with instrument(reg, events=bus):
-        part = _run_parallel_chunk(cplan, child, n, max_attempts, backend)
-    return part, reg.snapshot(), bus.snapshot()
-
-
 def simulate_parallel(
     plan: ParallelPlan,
     platform: Platform,
@@ -659,32 +637,15 @@ def simulate_parallel(
     ):
         if n_jobs is not None and n_jobs > 1 and len(sizes) > 1:
             _require_shardable(be)
-            from concurrent.futures import ProcessPoolExecutor
-
-            observing = _metrics().enabled or _events().enabled
-            entry = (
-                _run_parallel_chunk_observed
-                if observing
-                else _run_parallel_chunk
+            parts = fan_out(
+                _run_parallel_chunk,
+                [
+                    # workers re-resolve the backend by name
+                    (cplan, child, n, max_attempts, be.name)
+                    for child, n in zip(children, sizes)
+                ],
+                n_jobs=n_jobs,
             )
-            with ProcessPoolExecutor(
-                max_workers=min(n_jobs, len(sizes))
-            ) as pool:
-                parts = list(
-                    pool.map(
-                        entry,
-                        [cplan] * len(sizes),
-                        children,
-                        sizes,
-                        [max_attempts] * len(sizes),
-                        [be.name] * len(sizes),  # workers re-resolve by name
-                    )
-                )
-            if observing:
-                for _, snap, esnap in parts:
-                    _metrics().merge_snapshot(snap)
-                    _events().replay(esnap)
-                parts = [part for part, _, _ in parts]
         else:
             parts = [
                 _run_parallel_chunk(cplan, child, n, max_attempts, be)

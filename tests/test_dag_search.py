@@ -297,10 +297,9 @@ class TestSearch:
             (hill_climb, {"max_rounds": 5}),
             (simulated_annealing, {"iterations": 50}),
         ):
-            order, solution, _ = driver(
-                pipeline, objective, start, rng, **kwargs
-            )
+            order, value, solution, _ = driver(objective, start, rng, **kwargs)
             pipeline.serialise(order)
+            assert value == solution.expected_time
             assert solution.expected_time <= objective.exact(
                 start
             ).expected_time * (1 + 1e-12)

@@ -410,6 +410,47 @@ class TestSpawnDisciplineRule:
 
 
 # ----------------------------------------------------------------------
+# RPR007 process fan-out
+# ----------------------------------------------------------------------
+class TestProcessPoolRule:
+    def test_private_pool_fires(self, tmp_path):
+        root = _project(tmp_path, {
+            "repro/dag/shards.py": """
+                import concurrent.futures
+                from concurrent.futures import ProcessPoolExecutor
+
+                def run_all(fn, payloads):
+                    with ProcessPoolExecutor(max_workers=2) as pool:
+                        return list(pool.map(fn, payloads))
+
+                def run_more(fn, payloads):
+                    with concurrent.futures.ProcessPoolExecutor() as pool:
+                        return list(pool.map(fn, payloads))
+            """,
+        })
+        report = _run(root, ["RPR007"])
+        assert [f.line for f in report.active] == [3, 6, 10]
+        assert "repro.obs.fan_out" in report.active[0].message
+
+    def test_fan_out_is_quiet_and_obs_may_pool(self, tmp_path):
+        root = _project(tmp_path, {
+            "repro/dag/shards.py": """
+                from ..obs import fan_out
+
+                def run_all(fn, payloads):
+                    return fan_out(fn, payloads, n_jobs=2)
+            """,
+            "repro/obs/__init__.py": """
+                from concurrent.futures import ProcessPoolExecutor
+
+                def process_pool(n):
+                    return ProcessPoolExecutor(max_workers=n)
+            """,
+        })
+        assert _run(root, ["RPR007"]).ok
+
+
+# ----------------------------------------------------------------------
 # suppression parsing (+ RPR000 hygiene)
 # ----------------------------------------------------------------------
 class TestSuppressions:

@@ -1,0 +1,461 @@
+"""The shared local-search kernel against the per-variant loops it replaced.
+
+The chain, join and p=2 order searches used to run six private
+climb/anneal loops (and :func:`repro.dag.join.local_search_join` a
+seventh).  Their last versions are kept here as the oracle, with the
+options no caller set folded into constants and the chain loops
+returning values instead of solutions: the hill climbers move to the
+first minimum of the neighbourhood (the chain's to the first
+bound-ranked candidate an exact solve confirms), the annealers accept
+on ``delta <= 0`` or with Metropolis probability from 2% of the start
+value cooled by 0.99, and ``rounds`` counts accepted moves.  The
+hypothesis gates run kernel and
+oracle on fresh objectives and require ``==`` on the value bits, the
+final state, ``rounds``, every objective counter and the multiset of
+progress events, for small random DAGs x {chain, join, p=2} x every
+search method.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.dag.generate import generate
+from repro.dag.join import (
+    JoinInstance,
+    JoinObjective,
+    JoinSchedule,
+    evaluate_join,
+    join_from_dag,
+    join_neighborhood,
+    local_search_join,
+    random_join_neighbor,
+    threshold_join,
+)
+from repro.dag.local_search import hill_climb, simulated_annealing
+from repro.dag.parallel import (
+    ParallelObjective,
+    list_schedule,
+    parallel_neighborhood,
+    random_parallel_neighbor,
+)
+from repro.dag.search import (
+    ChainObjective,
+    neighborhood,
+    random_neighbor,
+    random_order,
+)
+from repro.experiments.dag_search import stress_platform
+from repro.obs import EventBus, MetricsRegistry, events, instrument
+
+RELATIVE_TOLERANCE = 1e-12
+PLATFORM = stress_platform()
+
+
+def _improves(candidate: float, incumbent: float) -> bool:
+    return candidate < incumbent * (1.0 - RELATIVE_TOLERANCE)
+
+
+# ----------------------------------------------------------------------
+# the oracle: the per-variant loops
+# ----------------------------------------------------------------------
+def reference_chain_climb(dag, objective, start, rng, *, max_rounds, polish_budget):
+    order = list(start)
+    solution = objective.exact(order)
+    max_reinsertions = max(16, 2 * dag.n)
+    c_proposed = objective.metrics.counter("search.moves.proposed")
+    c_accepted = objective.metrics.counter("search.moves.accepted")
+    bus = events()
+    rounds = 0
+    for _ in range(max_rounds):
+        cands = [
+            cand
+            for cand, _ in neighborhood(
+                dag, order, rng=rng, max_reinsertions=max_reinsertions
+            )
+        ]
+        scored = sorted(
+            zip(objective.bounds(cands, solution), cands),
+            key=lambda pair: pair[0],
+        )
+        c_proposed.inc(len(scored))
+        accepted = False
+        value = solution.expected_time
+        for b, cand in scored:
+            if not _improves(b, value):
+                break
+            cand_solution = objective.exact(cand)
+            if _improves(cand_solution.expected_time, value):
+                order, solution, accepted = cand, cand_solution, True
+                break
+        if not accepted:
+            budget = len(scored) if polish_budget is None else polish_budget
+            for b, cand in scored[:budget]:
+                cand_solution = objective.exact(cand)
+                if _improves(cand_solution.expected_time, value):
+                    order, solution, accepted = cand, cand_solution, True
+                    break
+        if not accepted:
+            return order, solution.expected_time, rounds
+        c_accepted.inc()
+        rounds += 1
+        if bus.enabled:
+            bus.emit(
+                "search.round",
+                round=rounds,
+                value=solution.expected_time,
+                proposed=len(scored),
+            )
+    return order, solution.expected_time, rounds
+
+
+def reference_chain_anneal(dag, objective, start, rng, *, iterations):
+    order = list(start)
+    solution = objective.exact(order)
+    best_order, best_solution = order, solution
+    temperature = 0.02 * solution.expected_time
+    c_proposed = objective.metrics.counter("search.moves.proposed")
+    c_accepted = objective.metrics.counter("search.moves.accepted")
+    bus = events()
+    accepted = 0
+    for it in range(iterations):
+        neighbor = random_neighbor(dag, order, rng)
+        if neighbor is None:
+            break
+        cand, _move = neighbor
+        c_proposed.inc()
+        b = objective.bound(cand, solution)
+        delta = b - solution.expected_time
+        if delta <= 0.0 or rng.random() < math.exp(
+            -delta / max(temperature, 1e-300)
+        ):
+            solution = objective.exact(cand)
+            order = cand
+            accepted += 1
+            c_accepted.inc()
+            if _improves(solution.expected_time, best_solution.expected_time):
+                best_order, best_solution = order, solution
+                if bus.enabled:
+                    bus.emit(
+                        "search.best",
+                        iteration=it,
+                        value=best_solution.expected_time,
+                        accepted=accepted,
+                    )
+        temperature *= 0.99
+    return best_order, best_solution.expected_time, accepted
+
+
+def reference_join_climb(objective, schedule, *, max_rounds):
+    value = objective.value(schedule)
+    c_proposed = objective.metrics.counter("search.moves.proposed")
+    c_accepted = objective.metrics.counter("search.moves.accepted")
+    bus = events()
+    rounds = 0
+    for _ in range(max_rounds):
+        cands = list(join_neighborhood(schedule))
+        c_proposed.inc(len(cands))
+        values = [objective.value(cand) for cand in cands]
+        k = min(range(len(values)), key=values.__getitem__)
+        if not _improves(values[k], value):
+            break
+        value, schedule = values[k], cands[k]
+        c_accepted.inc()
+        rounds += 1
+        if bus.enabled:
+            bus.emit("search.round", round=rounds, value=value, proposed=len(cands))
+    return schedule, value, rounds
+
+
+def reference_join_anneal(objective, schedule, rng, *, iterations):
+    value = objective.value(schedule)
+    best_schedule, best_value = schedule, value
+    temperature = 0.02 * value
+    c_proposed = objective.metrics.counter("search.moves.proposed")
+    c_accepted = objective.metrics.counter("search.moves.accepted")
+    bus = events()
+    accepted = 0
+    for it in range(iterations):
+        cand = random_join_neighbor(schedule, rng)
+        c_proposed.inc()
+        v = objective.value(cand)
+        delta = v - value
+        if delta <= 0.0 or rng.random() < math.exp(
+            -delta / max(temperature, 1e-300)
+        ):
+            schedule, value = cand, v
+            accepted += 1
+            c_accepted.inc()
+            if _improves(value, best_value):
+                best_schedule, best_value = schedule, value
+                if bus.enabled:
+                    bus.emit(
+                        "search.best",
+                        iteration=it,
+                        value=best_value,
+                        accepted=accepted,
+                    )
+        temperature *= 0.99
+    return best_schedule, best_value, accepted
+
+
+def reference_parallel_climb(objective, state, rng, *, max_rounds):
+    best, best_value = state, objective.value(state)
+    cap = max(16, 2 * len(state.order))
+    c_proposed = objective.metrics.counter("search.moves.proposed")
+    c_accepted = objective.metrics.counter("search.moves.accepted")
+    bus = events()
+    rounds = 0
+    while rounds < max_rounds:
+        neighbors = [
+            candidate
+            for candidate, _ in parallel_neighborhood(
+                best, rng=rng, max_reinsertions=cap, max_reassignments=cap
+            )
+        ]
+        c_proposed.inc(len(neighbors))
+        values = objective.values(neighbors)
+        if not values:
+            break
+        k = min(range(len(values)), key=values.__getitem__)
+        if not _improves(values[k], best_value):
+            break
+        best, best_value = neighbors[k], values[k]
+        rounds += 1
+        c_accepted.inc()
+        if bus.enabled:
+            bus.emit(
+                "search.round",
+                round=rounds,
+                value=best_value,
+                proposed=len(neighbors),
+            )
+    return best, best_value, rounds
+
+
+def reference_parallel_anneal(objective, state, rng, *, iterations):
+    current, current_value = state, objective.value(state)
+    best, best_value = current, current_value
+    temperature = 0.02 * current_value
+    c_proposed = objective.metrics.counter("search.moves.proposed")
+    c_accepted = objective.metrics.counter("search.moves.accepted")
+    bus = events()
+    accepted = 0
+    for it in range(max(0, iterations)):
+        picked = random_parallel_neighbor(current, rng)
+        if picked is None:
+            break
+        candidate, _ = picked
+        c_proposed.inc()
+        value = objective.value(candidate)
+        delta = value - current_value
+        if delta <= 0.0 or rng.random() < math.exp(
+            -delta / max(temperature, 1e-300)
+        ):
+            current, current_value = candidate, value
+            accepted += 1
+            c_accepted.inc()
+            if _improves(current_value, best_value):
+                best, best_value = current, current_value
+                if bus.enabled:
+                    bus.emit(
+                        "search.best",
+                        iteration=it,
+                        value=best_value,
+                        accepted=accepted,
+                    )
+        temperature *= 0.99
+    return best, best_value, accepted
+
+
+def reference_local_search_join(instance, *, optimize_order=True, max_rounds=200):
+    n = instance.n_sources
+    start_order = tuple(sorted(range(n), key=lambda i: -instance.source_weights[i]))
+    _, thr = threshold_join(instance)
+    decisions = tuple(thr.checkpoint[thr.order.index(src)] for src in start_order)
+    schedule = JoinSchedule(start_order, decisions)
+    value = evaluate_join(instance, schedule)
+    for _ in range(max_rounds):
+        best_value, best_schedule = value, schedule
+        for i in range(n):
+            flipped = list(schedule.checkpoint)
+            flipped[i] = not flipped[i]
+            cand = JoinSchedule(schedule.order, tuple(flipped))
+            cand_value = evaluate_join(instance, cand)
+            if cand_value < best_value:
+                best_value, best_schedule = cand_value, cand
+        if optimize_order:
+            for i in range(n - 1):
+                order = list(schedule.order)
+                order[i], order[i + 1] = order[i + 1], order[i]
+                cand = JoinSchedule(tuple(order), schedule.checkpoint)
+                cand_value = evaluate_join(instance, cand)
+                if cand_value < best_value:
+                    best_value, best_schedule = cand_value, cand
+        if best_value >= value * (1.0 - RELATIVE_TOLERANCE):
+            break
+        value, schedule = best_value, best_schedule
+    return value, schedule
+
+
+# ----------------------------------------------------------------------
+# the gate
+# ----------------------------------------------------------------------
+def _problem(variant, n, seed, hetero, algorithm):
+    """(objective factory, start state, oracle climb, oracle anneal)."""
+    if variant == "join":
+        dag = generate("join", sources=max(2, n - 1), seed=seed, weights="lognormal")
+        instance = join_from_dag(dag, rate=PLATFORM.lf, C=PLATFORM.CD, R=PLATFORM.RD)
+        rng = np.random.default_rng(seed)
+        start = JoinSchedule(
+            tuple(int(x) for x in rng.permutation(instance.n_sources)),
+            tuple(bool(b) for b in rng.random(instance.n_sources) < 0.5),
+        )
+        return (
+            lambda: JoinObjective(instance),
+            start,
+            lambda obj, s, rng, r: reference_join_climb(obj, s, max_rounds=r),
+            reference_join_anneal,
+        )
+    dag = generate(
+        "layered",
+        tasks=n,
+        layers=min(3, n),
+        density=0.5,
+        seed=seed,
+        weights="lognormal",
+        cost_spread=1.0 if hetero else 0.0,
+    )
+    if variant == "chain":
+        return (
+            lambda: ChainObjective(dag, PLATFORM, algorithm=algorithm),
+            random_order(dag, np.random.default_rng(seed)),
+            lambda obj, s, rng, r: reference_chain_climb(
+                dag, obj, s, rng, max_rounds=r, polish_budget=2
+            ),
+            lambda obj, s, rng, iterations: reference_chain_anneal(
+                dag, obj, s, rng, iterations=iterations
+            ),
+        )
+    return (
+        lambda: ParallelObjective(dag, PLATFORM, 2, algorithm=algorithm),
+        list_schedule(dag, 2),
+        lambda obj, s, rng, r: reference_parallel_climb(obj, s, rng, max_rounds=r),
+        reference_parallel_anneal,
+    )
+
+
+def _state_key(state):
+    return state.key() if hasattr(state, "key") else state
+
+
+def _observed(run):
+    bus = EventBus()
+    with instrument(MetricsRegistry(), events=bus):
+        out = run()
+    return out, sorted(
+        (e.kind, json.dumps(e.data, sort_keys=True)) for e in bus.snapshot().events
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    variant=st.sampled_from(["chain", "join", "parallel"]),
+    method=st.sampled_from(["hill_climb", "anneal", "hybrid"]),
+    n=st.integers(2, 7),
+    seed=st.integers(0, 2**16),
+    hetero=st.booleans(),
+    algorithm=st.sampled_from(["admv_star", "adv_star"]),
+    max_rounds=st.integers(0, 4),
+    iterations=st.integers(0, 40),
+)
+def test_kernel_equals_the_loops(
+    variant, method, n, seed, hetero, algorithm, max_rounds, iterations
+):
+    factory, start, ref_climb, ref_anneal = _problem(
+        variant, n, seed, hetero, algorithm
+    )
+    climb_seed, anneal_seed = np.random.SeedSequence(seed).spawn(2)
+
+    def kernel():
+        objective = factory()
+        runs = []
+        if method != "anneal":
+            c = hill_climb(
+                objective,
+                start,
+                np.random.default_rng(climb_seed),
+                max_rounds=max_rounds,
+                polish_budget=2,
+            )
+            runs.append((_state_key(c.state), c.value.hex(), c.rounds))
+        if method != "hill_climb":
+            walk_from = c.state if method == "hybrid" else start
+            seed_seq = anneal_seed if method == "hybrid" else climb_seed
+            c = simulated_annealing(
+                objective,
+                walk_from,
+                np.random.default_rng(seed_seq),
+                iterations=iterations,
+            )
+            runs.append((_state_key(c.state), c.value.hex(), c.rounds))
+        return runs, objective.metrics.snapshot().counters
+
+    def oracle():
+        objective = factory()
+        runs = []
+        if method != "anneal":
+            state, value, rounds = ref_climb(
+                objective, start, np.random.default_rng(climb_seed), max_rounds
+            )
+            runs.append((_state_key(state), value.hex(), rounds))
+        if method != "hill_climb":
+            walk_from = state if method == "hybrid" else start
+            seed_seq = anneal_seed if method == "hybrid" else climb_seed
+            state, value, rounds = ref_anneal(
+                objective,
+                walk_from,
+                np.random.default_rng(seed_seq),
+                iterations=iterations,
+            )
+            runs.append((_state_key(state), value.hex(), rounds))
+        return runs, objective.metrics.snapshot().counters
+
+    assert _observed(kernel) == _observed(oracle)
+
+
+@st.composite
+def join_instances(draw):
+    n = draw(st.integers(1, 12))
+    weights = draw(
+        st.lists(st.floats(1.0, 5000.0), min_size=n, max_size=n)
+    )
+    return JoinInstance(
+        tuple(weights),
+        draw(st.floats(1.0, 2000.0)),
+        rate=draw(st.floats(0.0, 2e-3)),
+        C=draw(st.floats(0.0, 800.0)),
+        R=draw(st.floats(0.0, 800.0)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    instance=join_instances(),
+    optimize_order=st.booleans(),
+    max_rounds=st.integers(0, 200),
+)
+def test_local_search_join_equals_the_loop(instance, optimize_order, max_rounds):
+    value, schedule = local_search_join(
+        instance, optimize_order=optimize_order, max_rounds=max_rounds
+    )
+    want_value, want_schedule = reference_local_search_join(
+        instance, optimize_order=optimize_order, max_rounds=max_rounds
+    )
+    assert value.hex() == want_value.hex()
+    assert schedule == want_schedule
