@@ -11,8 +11,10 @@ The package splits into four layers, each usable on its own:
   metrics pool.
 - :mod:`.jobs` — :class:`JobQueue`, worker threads draining queued
   campaigns with a queued/running/done/failed/cancelled lifecycle.
-- :mod:`.http` — the stdlib ``ThreadingHTTPServer`` front-end
-  (:func:`make_server` / :func:`serve`), wired to ``repro serve``.
+- :mod:`.http` — the stdlib ``asyncio`` HTTP/1.1 front-end
+  (:func:`make_server` / :func:`serve`), wired to ``repro serve``: warm
+  requests are answered on the event loop, everything that computes
+  runs in a bounded pool of worker threads.
 """
 
 from .cache import ContentCache

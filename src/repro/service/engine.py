@@ -20,13 +20,20 @@ request rendered — the hit/miss status travels out-of-band (HTTP
 headers, :attr:`EngineResponse.cache`), never inside the body, so
 clients can hash response bodies across a server restart or a cache
 flush and get stable answers.
+
+Raw request bodies go through a bounded spelling memo: a body seen
+before maps straight to its content key, skipping ``json.loads`` and
+:meth:`Engine.request_key`.  Identical cold requests in flight at once
+are computed once: later arrivals wait for the first one's body.
 """
 
 from __future__ import annotations
 
 import json
 import threading
+from concurrent.futures import Future
 from dataclasses import dataclass, field
+from hashlib import blake2b
 from time import perf_counter
 from typing import Any, Callable
 
@@ -80,6 +87,17 @@ class EngineResponse:
 
 def _render(doc: dict) -> bytes:
     return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+
+
+def _load_body(body: bytes) -> dict:
+    """The JSON object a raw request body spells; an empty body is ``{}``."""
+    try:
+        doc = json.loads(body.decode("utf-8") or "{}")
+    except (UnicodeDecodeError, ValueError, RecursionError) as exc:
+        raise InvalidParameterError(f"request is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise InvalidParameterError("request body must be a JSON object")
+    return doc
 
 
 def _reject_unknown(request: dict, allowed: tuple[str, ...], endpoint: str):
@@ -164,10 +182,16 @@ def _parse_dag(request: dict):
             "'dag' must be a workflow document (see `repro dag generate "
             "--json`)"
         )
-    generator = dict(request.get("generator") or {})
+    generator = request.get("generator") or {}
+    if not isinstance(generator, dict):
+        raise InvalidParameterError("'generator' must be an object")
+    generator = dict(generator)
     kind = str(generator.pop("kind", "layered"))
     seed = _coerce(generator.pop("seed", 0), int, "generator.seed")
-    return generate(kind, seed=seed, **generator)
+    try:
+        return generate(kind, seed=seed, **generator)
+    except TypeError as exc:  # an option the generator does not take
+        raise InvalidParameterError(f"bad 'generator': {exc}") from None
 
 
 _SOLVE_FIELDS = (
@@ -194,6 +218,10 @@ class Engine:
         event_capacity: int = DEFAULT_EVENT_CAPACITY,
     ) -> None:
         self.cache = ContentCache(cache_entries)
+        #: (endpoint, blake2b-128 of a raw body) -> its content key
+        self.spellings = ContentCache(cache_entries)
+        #: content key -> future of the body its first cold request renders
+        self._inflight: dict[str, Future] = {}
         #: Engine-wide progress stream: every request/job session forwards
         #: its events here (tagged with endpoint / job id); ``GET /events``
         #: serves this bus as SSE.
@@ -215,12 +243,20 @@ class Engine:
     def handle(
         self,
         endpoint: str,
-        request: dict,
+        request: dict | bytes,
         *,
         collect_trace: bool = False,
         events: "EventBus | TaggedBus | None" = None,
-    ) -> EngineResponse:
+        compute: bool = True,
+    ) -> EngineResponse | None:
         """Execute one endpoint request (cache-aware).
+
+        ``request`` is the request document or its raw JSON body.  A body
+        goes through the spelling memo, so a repeated one skips
+        ``json.loads`` and :meth:`request_key`.  With ``compute=False``
+        only a cached reply is returned, and ``None`` stands for any
+        request that would need work (the HTTP loop thread answers warm
+        requests only).
 
         Raises :class:`~repro.exceptions.InvalidParameterError` for
         malformed requests (the HTTP layer maps it to 400) and
@@ -232,20 +268,37 @@ class Engine:
                 f"unknown endpoint {endpoint!r}; expected one of "
                 f"{', '.join(ENDPOINTS)}"
             )
-        if not isinstance(request, dict):
-            raise InvalidParameterError(
-                f"request body must be a JSON object, got "
-                f"{type(request).__name__}"
-            )
-        key = self.request_key(endpoint, request)
+        if isinstance(request, bytes):
+            spelling = (endpoint, blake2b(request, digest_size=16).digest())
+            key = self.spellings.get(spelling)
+            if key is None:
+                if not compute:
+                    return None
+                request = _load_body(request)
+                key = self.request_key(endpoint, request)
+                self.spellings.put(spelling, key)
+        else:
+            key = self.request_key(endpoint, request)
+        if not compute and ("response", key) not in self.cache:
+            return None
         t0 = perf_counter()
         cached = self.cache.get(("response", key))
+        if cached is None and not compute:
+            return None  # evicted since the check above
+        leader = flight = None
         with self._lock:
             self._requests[endpoint] = self._requests.get(endpoint, 0) + 1
-            if cached is not None:
+            if cached is None:
+                flight = self._inflight.get(key)
+                if flight is None:
+                    leader = self._inflight[key] = Future()
+            if leader is None:
                 self._cache_hits[endpoint] = (
                     self._cache_hits.get(endpoint, 0) + 1
                 )
+        if flight is not None:
+            # an identical request is computing: share its body (or error)
+            cached = flight.result()
         if cached is not None:
             wall = perf_counter() - t0
             with self._lock:
@@ -257,24 +310,28 @@ class Engine:
                 endpoint=endpoint,
                 wall_s=wall,
             )
-
         registry = MetricsRegistry()
         tracer = Tracer()
-        bus = (
-            events
-            if events is not None
-            else TaggedBus(self.events, endpoint=endpoint)
-        )
-        with instrument(registry, tracer, events=bus), span(
-            f"service.{endpoint}", key=key[:12]
-        ):
-            doc = handler(request)
-        wall = perf_counter() - t0
-        logger.info(
-            "computed /%s %s in %.3fs", endpoint, key[:12], wall
-        )
-        body = _render(doc)
-        self.cache.put(("response", key), body)
+        if events is None:
+            events = TaggedBus(self.events, endpoint=endpoint)
+        try:
+            if isinstance(request, bytes):
+                request = _load_body(request)
+            with instrument(registry, tracer, events=events), span(
+                f"service.{endpoint}", key=key[:12]
+            ):
+                doc = handler(request)
+            wall = perf_counter() - t0
+            body = _render(doc)
+            self.cache.put(("response", key), body)
+            leader.set_result(body)
+        except BaseException as exc:
+            leader.set_exception(exc)
+            raise
+        finally:
+            with self._lock:
+                del self._inflight[key]
+        logger.info("computed /%s %s in %.3fs", endpoint, key[:12], wall)
         snapshot = registry.snapshot()
         with self._lock:
             self._service.histogram("service.request.wall_s").observe(wall)
@@ -299,6 +356,11 @@ class Engine:
         pattern or an explicit list), and the same options collide on
         purpose; dict ordering and display names never matter.
         """
+        if not isinstance(request, dict):
+            raise InvalidParameterError(
+                f"request body must be a JSON object, got "
+                f"{type(request).__name__}"
+            )
         if endpoint == "solve":
             _reject_unknown(request, _SOLVE_FIELDS, endpoint)
             content: dict[str, Any] = {

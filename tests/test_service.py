@@ -1,9 +1,11 @@
 """The persistent service: engine, cache, job queue, HTTP front-end.
 
-The HTTP tests run a real in-process :class:`ThreadingHTTPServer` on an
-ephemeral loopback port (one per test class, shut down in the fixture),
-so request routing, status codes, and the out-of-band cache headers are
-exercised exactly as a client sees them.  Determinism-sensitive
+The HTTP tests run a real in-process server (the ``asyncio`` front of
+:mod:`repro.service.http`) on an ephemeral loopback port (one per
+module or test, shut down in the fixture), so request routing, status
+codes, and the out-of-band cache headers are exercised exactly as a
+client sees them.  The front's own framing, fuzzing and dropped-client
+tests are in ``test_service_front.py``.  Determinism-sensitive
 lifecycle tests (cancel-before-start, manual drain) run a ``workers=0``
 queue directly.
 """

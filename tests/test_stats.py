@@ -81,10 +81,23 @@ class TestTCritical:
         assert t_critical(10, 0.999) > t_critical(10, 0.95)
 
     def test_rejects_bad_confidence(self):
-        with pytest.raises(InvalidParameterError):
-            t_critical(10, 1.0)
-        with pytest.raises(InvalidParameterError):
-            t_critical(10, 0.0)
+        for _ in range(2):  # the memo must not swallow the check
+            with pytest.raises(InvalidParameterError):
+                t_critical(10, 1.0)
+            with pytest.raises(InvalidParameterError):
+                t_critical(10, 0.0)
+
+    def test_memo_matches_scipy_bit_for_bit(self):
+        from scipy import stats as scipy_stats
+
+        for count in (2, 3, 17, 1000, 2**20):
+            for confidence in (0.5, 0.95, 0.99, 0.999):
+                expected = float(
+                    scipy_stats.t.ppf(0.5 + confidence / 2.0, df=count - 1)
+                )
+                for _ in range(2):  # the cold call, then the memo
+                    assert t_critical(count, confidence) == expected
+                assert t_critical(np.int64(count), confidence) == expected
 
 
 class TestRegularSamples:
