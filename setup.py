@@ -26,7 +26,8 @@ setup(
     python_requires=">=3.10",
     # numpy >= 2: the batched kernel targets the array-API standard names
     # (np.bool / np.astype / np.concat) that NumPy only exposes from 2.0.
-    install_requires=["numpy>=2.0", "scipy"],
+    # networkx: repro.dag stores and sorts workflow graphs with it.
+    install_requires=["numpy>=2.0", "scipy", "networkx"],
     entry_points={
         "console_scripts": [
             "repro = repro.cli:main",

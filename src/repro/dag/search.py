@@ -620,41 +620,37 @@ def _certify_join(
 ):
     """Monte-Carlo agreement stamp for a join schedule.
 
-    Replays the schedule through :func:`repro.dag.join.simulate_join` in
-    geometrically growing rounds until the relative CI half-width on the
-    mean reaches ``target_ci`` (or ``max_runs`` caps the spend) — the
-    join-model analogue of the adaptive chain certification.
+    The adaptive round driver over :func:`repro.dag.join.simulate_join`
+    makespans — the join-model analogue of the chain certification, with
+    the same floor, round growth, agreement rule and events.  Each round
+    draws from the next child of the campaign seed.
     """
     from ..experiments.common import AgreementStamp
-    from ..simulation.stats import summarize
-
-    rng = np.random.default_rng(seed)
-    samples = np.empty(0, dtype=np.float64)
-    batch = 2000
-    while True:
-        batch = max(1, min(batch, max_runs - samples.size))
-        samples = np.concatenate(
-            [samples, simulate_join(instance, schedule, runs=batch, rng=rng)]
-        )
-        summary = summarize(samples)
-        if (
-            summary.relative_ci_half_width <= target_ci
-            or samples.size >= max_runs
-        ):
-            break
-        batch *= 2
-    return AgreementStamp(
-        platform=platform.name,
-        label=label,
-        analytic=analytic,
-        simulated=summary.mean,
-        relative_gap=(summary.mean - analytic) / analytic,
-        reps=int(samples.size),
-        relative_half_width=summary.relative_ci_half_width,
-        target_ci=target_ci,
-        agrees=summary.contains(analytic),
-        converged=summary.relative_ci_half_width <= target_ci,
+    from ..simulation.adaptive import (
+        DEFAULT_MIN_RUNS,
+        StreamingMoments,
+        _ChunkStats,
+        _run_rounds,
     )
+
+    def sample(seed_seq: np.random.SeedSequence, n: int) -> list[_ChunkStats]:
+        rng = np.random.default_rng(seed_seq.spawn(1)[0])
+        makespans = simulate_join(instance, schedule, runs=n, rng=rng)
+        return [_ChunkStats(moments=StreamingMoments.from_samples(makespans))]
+
+    result = _run_rounds(
+        sample,
+        "certify_join",
+        target_relative_ci=target_ci,
+        confidence=0.99,
+        min_runs=min(DEFAULT_MIN_RUNS, max_runs),
+        max_runs=max_runs,
+        growth=2.0,
+        seed=seed,
+        analytic=analytic,
+        join=True,
+    )
+    return AgreementStamp.from_adaptive(result, platform=platform.name, label=label)
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,15 @@ the rendering (:func:`certify_solution` / :func:`render_stamps`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..analysis.sweep import default_task_grid
 from ..chains import TaskChain
 from ..core.result import Solution
 from ..platforms import TABLE1_ROWS, Platform
+
+if TYPE_CHECKING:
+    from ..simulation.adaptive import AdaptiveResult
 
 __all__ = [
     "PAPER_ALGORITHMS",
@@ -76,6 +80,24 @@ class AgreementStamp:
     agrees: bool  #: analytic value inside the certified CI
     converged: bool
 
+    @classmethod
+    def from_adaptive(
+        cls, result: AdaptiveResult, *, platform: str, label: str
+    ) -> "AgreementStamp":
+        """The stamp of an adaptive campaign run against its analytic value."""
+        return cls(
+            platform=platform,
+            label=label,
+            analytic=result.analytic,
+            simulated=result.mean,
+            relative_gap=result.relative_gap,
+            reps=result.reps_used,
+            relative_half_width=result.relative_half_width,
+            target_ci=result.target_relative_ci,
+            agrees=result.agrees_with_analytic,
+            converged=result.converged,
+        )
+
     def line(self) -> str:
         mark = "ok " if self.agrees else "FAIL"
         tail = "" if self.converged else " [cap hit before target]"
@@ -121,18 +143,8 @@ def certify_solution(
         backend=backend,
         costs=costs,
     )
-    adaptive = mc.convergence
-    return AgreementStamp(
-        platform=platform.name,
-        label=label,
-        analytic=solution.expected_time,
-        simulated=mc.mean,
-        relative_gap=mc.relative_gap,
-        reps=mc.runs,
-        relative_half_width=adaptive.relative_half_width,
-        target_ci=target_ci,
-        agrees=mc.agrees_with_analytic,
-        converged=adaptive.converged,
+    return AgreementStamp.from_adaptive(
+        mc.convergence, platform=platform.name, label=label
     )
 
 

@@ -9,7 +9,21 @@ thousands).  :func:`run_adaptive` turns the batched engine into a
 relative Student-t confidence-interval half-width on the mean makespan
 reaches a target (subject to hard ``min_runs`` / ``max_runs`` caps).
 
-No full sample is ever retained.  Each chunk of each round is reduced to
+One round driver runs every adaptive campaign.  It owns the campaign
+``SeedSequence``, the round schedule, the running state, the stopping
+rule, the ``mc.*`` spans, metrics and events, and the
+:class:`AdaptiveResult`.  What differs per model is a **round sampler**
+that draws ``n`` replications from the campaign sequence and returns them
+reduced to O(1) records:
+
+* the chain sampler (:func:`run_adaptive`) runs the lockstep kernel one
+  chunk per record, sharded over a lazily started process pool;
+* the p-worker sampler (:func:`run_adaptive_parallel`) runs one
+  :func:`~repro.simulation.parallel.simulate_parallel` campaign a round;
+* the join certifier of :mod:`repro.dag.search` samples
+  :func:`repro.dag.join.simulate_join` makespans.
+
+No full sample is ever retained.  A record carries
 
 * :class:`StreamingMoments` — count/mean/M2/min/max, merged with the
   parallel (Chan et al.) variance-merge formula across chunks, rounds and
@@ -33,7 +47,7 @@ CLI and the figure drivers surface as the "Monte-Carlo agreement stamp".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from time import perf_counter
 
 import numpy as np
@@ -43,7 +57,6 @@ from ..exceptions import InvalidParameterError
 from ..obs import (
     estimate_eta,
     events as _events,
-    fan_out,
     get_logger,
     metrics as _metrics,
     process_pool,
@@ -55,8 +68,9 @@ from ..core.schedule import Schedule
 from .backend import Backend, get_backend
 from .batch import (
     DEFAULT_CHUNK_SIZE,
-    _chunk_sizes,
     _require_shardable,
+    _run_chunks,
+    _seed_sequence,
     run_compiled,
 )
 from .breakdown import TIME_CATEGORIES
@@ -210,10 +224,9 @@ def _validate_adaptive_params(
     min_runs: int,
     max_runs: int,
     growth: float,
-    chunk_size: int,
     confidence: float,
 ) -> None:
-    """Shared parameter validation for the adaptive drivers."""
+    """Reject a round rule the driver cannot run (checked before any work)."""
     if not 0.0 < target_relative_ci:
         raise InvalidParameterError(
             f"target_relative_ci must be > 0, got {target_relative_ci!r}"
@@ -226,23 +239,45 @@ def _validate_adaptive_params(
         )
     if growth <= 1.0:
         raise InvalidParameterError(f"growth must be > 1, got {growth!r}")
-    if chunk_size < 1:
-        raise InvalidParameterError(f"chunk_size must be >= 1, got {chunk_size}")
     t_critical(2, confidence)  # validates the confidence level
+
+
+#: Event counters summed over a campaign's replications.
+_COUNTERS = (
+    "fail_stop_errors",
+    "silent_errors",
+    "silent_detected",
+    "silent_missed",
+    "attempts",
+)
 
 
 @dataclass(frozen=True)
 class _ChunkStats:
-    """One chunk reduced to O(1) state (what worker processes ship back)."""
+    """A block of replications reduced to O(1) state: what a round
+    sampler returns and what worker processes ship back."""
 
-    moments: StreamingMoments
-    category_totals: np.ndarray  # (len(TIME_CATEGORIES),)
-    fail_stop_errors: int
-    silent_errors: int
-    silent_detected: int
-    silent_missed: int
-    attempts: int
-    steps: int
+    moments: StreamingMoments = StreamingMoments()
+    category_totals: np.ndarray = field(
+        default_factory=lambda: np.zeros(len(TIME_CATEGORIES))
+    )
+    fail_stop_errors: int = 0
+    silent_errors: int = 0
+    silent_detected: int = 0
+    silent_missed: int = 0
+    attempts: int = 0
+    steps: int = 0
+
+    @classmethod
+    def of(cls, batch, **fields) -> "_ChunkStats":
+        """Reduce a chain or p-worker batch result (``fields`` override,
+        e.g. ``category_totals``, which are zero otherwise)."""
+        return cls(
+            moments=StreamingMoments.from_samples(batch.makespans),
+            steps=batch.steps,
+            **{key: int(getattr(batch, key).sum()) for key in _COUNTERS},
+            **fields,
+        )
 
 
 def _chunk_stats(
@@ -256,16 +291,12 @@ def _chunk_stats(
     batch = run_compiled(
         compiled, n, np.random.default_rng(child), max_attempts, backend
     )
-    return _ChunkStats(
-        moments=StreamingMoments.from_samples(batch.makespans),
-        category_totals=batch.time_categories.sum(axis=1),
-        fail_stop_errors=int(batch.fail_stop_errors.sum()),
-        silent_errors=int(batch.silent_errors.sum()),
-        silent_detected=int(batch.silent_detected.sum()),
-        silent_missed=int(batch.silent_missed.sum()),
-        attempts=int(batch.attempts.sum()),
-        steps=batch.steps,
-    )
+    return _ChunkStats.of(batch, category_totals=batch.time_categories.sum(axis=1))
+
+
+def _finite(x, default):
+    """``x``, or ``default`` in place of a non-finite float."""
+    return x if math.isfinite(x) else default
 
 
 def _record_round(
@@ -278,37 +309,14 @@ def _record_round(
     for the trace and nulled for the event payload so both stay strictly
     JSON-serializable.
     """
-    sp.set(
-        index=r.index,
-        reps=r.reps,
-        total_reps=r.total_reps,
-        mean=r.mean,
-        half_width=(
-            r.half_width if math.isfinite(r.half_width) else "inf"
-        ),
-        relative_half_width=(
-            r.relative_half_width
-            if math.isfinite(r.relative_half_width)
-            else "inf"
-        ),
-    )
+    stats = asdict(r)
+    sp.set(**{k: _finite(v, "inf") for k, v in stats.items()})
     reg.counter("mc.rounds").inc()
     reg.counter("mc.replications").inc(r.reps)
     if bus.enabled:
         bus.emit(
             "mc.round",
-            index=r.index,
-            reps=r.reps,
-            total_reps=r.total_reps,
-            mean=r.mean,
-            half_width=(
-                r.half_width if math.isfinite(r.half_width) else None
-            ),
-            relative_half_width=(
-                r.relative_half_width
-                if math.isfinite(r.relative_half_width)
-                else None
-            ),
+            **{k: _finite(v, None) for k, v in stats.items()},
             target=target,
             **estimate_eta(
                 r.total_reps, r.relative_half_width, target, elapsed_s
@@ -420,6 +428,115 @@ class AdaptiveResult:
         return "\n".join(lines)
 
 
+def _run_rounds(
+    sample,
+    name: str,
+    *,
+    target_relative_ci: float,
+    confidence: float,
+    min_runs: int,
+    max_runs: int,
+    growth: float,
+    seed: int | np.random.SeedSequence | None,
+    analytic: float,
+    **span_args,
+) -> AdaptiveResult:
+    """The round loop every adaptive campaign runs.
+
+    ``sample(seed_seq, n)`` draws ``n`` replications from the campaign
+    ``SeedSequence`` and returns their :class:`_ChunkStats` in the order
+    they are folded into the running state (moment merges are not
+    associative, so the order is part of the result).  The rounds grow
+    the total to ``min_runs``, then to ``growth`` times the total, capped
+    at ``max_runs``; the campaign stops once ``min_runs`` are in and the
+    relative CI half-width is at most ``target_relative_ci``.  The rule's
+    parameters are validated by the caller, before any work.
+    """
+    seed_seq = _seed_sequence(seed)
+    moments = StreamingMoments()
+    category_totals = np.zeros(len(TIME_CATEGORIES), dtype=np.float64)
+    counters = dict.fromkeys(_COUNTERS, 0)
+    steps = 0
+    rounds: list[AdaptiveRound] = []
+    reg = _metrics()
+    bus = _events()
+    t0 = perf_counter()
+    with _span(
+        "mc.adaptive",
+        target_relative_ci=target_relative_ci,
+        confidence=confidence,
+        **span_args,
+    ):
+        total = 0
+        next_total = min(min_runs, max_runs)
+        while True:
+            round_n = next_total - total
+            with _span("mc.round") as sp:
+                for s in sample(seed_seq, round_n):
+                    moments = moments.merge(s.moments)
+                    category_totals += s.category_totals
+                    for key in _COUNTERS:
+                        counters[key] += getattr(s, key)
+                    steps = max(steps, s.steps)
+                total += round_n
+                rel = moments.relative_half_width(confidence)
+                rounds.append(
+                    AdaptiveRound(
+                        index=len(rounds),
+                        reps=round_n,
+                        total_reps=total,
+                        mean=moments.mean,
+                        half_width=moments.half_width(confidence),
+                        relative_half_width=rel,
+                    )
+                )
+                _record_round(
+                    sp,
+                    reg,
+                    bus,
+                    rounds[-1],
+                    target=target_relative_ci,
+                    elapsed_s=perf_counter() - t0,
+                )
+            converged = total >= min_runs and rel <= target_relative_ci
+            if converged or total >= max_runs:
+                break
+            next_total = min(max_runs, max(total + 1, math.ceil(total * growth)))
+    if converged:
+        reg.counter("mc.converged").inc()
+    if bus.enabled:
+        bus.emit(
+            "mc.converged" if converged else "mc.capped",
+            total_reps=total,
+            rounds=len(rounds),
+            mean=moments.mean,
+            relative_half_width=_finite(rel, None),
+            target=target_relative_ci,
+            wall_s=perf_counter() - t0,
+        )
+    logger.debug(
+        "%s: converged=%s rounds=%d reps=%d rel_hw=%.4g",
+        name,
+        converged,
+        len(rounds),
+        total,
+        rel,
+    )
+    return AdaptiveResult(
+        target_relative_ci=target_relative_ci,
+        confidence=confidence,
+        converged=converged,
+        moments=moments,
+        rounds=tuple(rounds),
+        category_totals=category_totals,
+        analytic=analytic,
+        min_runs=min_runs,
+        max_runs=max_runs,
+        steps=steps,
+        **counters,
+    )
+
+
 def run_adaptive(
     chain: TaskChain,
     platform: Platform,
@@ -451,145 +568,50 @@ def run_adaptive(
     certified interval is checked against.
     """
     _validate_adaptive_params(
-        target_relative_ci, min_runs, max_runs, growth, chunk_size, confidence
+        target_relative_ci, min_runs, max_runs, growth, confidence
     )
     be = get_backend(backend)  # resolve (and fail) before any work
-
     compiled = compile_schedule(chain, platform, schedule, costs)
-    seed_seq = (
-        seed
-        if isinstance(seed, np.random.SeedSequence)
-        else np.random.SeedSequence(seed)
-    )
-
-    moments = StreamingMoments()
-    category_totals = np.zeros(len(TIME_CATEGORIES), dtype=np.float64)
-    counters = dict.fromkeys(
-        ("fail_stop_errors", "silent_errors", "silent_detected", "silent_missed"),
-        0,
-    )
-    attempts = 0
-    steps = 0
-    rounds: list[AdaptiveRound] = []
-
+    shard = n_jobs is not None and n_jobs > 1
+    if shard:
+        _require_shardable(be)
     # The worker pool is created lazily on the first multi-chunk round:
     # campaigns converging within one chunk (the common case on Table I
     # platforms) never pay the process spawns.
     pool = None
-    shard = n_jobs is not None and n_jobs > 1
-    if shard:
-        _require_shardable(be)
-    reg = _metrics()
-    bus = _events()
-    t0 = perf_counter()
+
+    def sample(seed_seq: np.random.SeedSequence, n: int) -> list[_ChunkStats]:
+        # one record per chunk; chunks are numbered across rounds
+        nonlocal pool
+        if shard and pool is None and n > chunk_size:
+            pool = process_pool(n_jobs)
+        return _run_chunks(
+            _chunk_stats,
+            compiled,
+            seed_seq,
+            n,
+            chunk_size,
+            max_attempts,
+            be,
+            n_jobs,
+            pool,
+        )
+
     try:
-        with _span(
-            "mc.adaptive",
+        return _run_rounds(
+            sample,
+            "run_adaptive",
             target_relative_ci=target_relative_ci,
             confidence=confidence,
-        ):
-            total = 0
-            next_total = min(min_runs, max_runs)
-            converged = False
-            while True:
-                round_n = next_total - total
-                with _span("mc.round") as sp:
-                    sizes = _chunk_sizes(round_n, chunk_size)
-                    children = seed_seq.spawn(len(sizes))
-                    if shard and len(sizes) > 1:
-                        if pool is None:
-                            pool = process_pool(n_jobs)
-                        stats = fan_out(
-                            _chunk_stats,
-                            [
-                                # workers re-resolve the backend by name
-                                (compiled, child, n, max_attempts, be.name)
-                                for child, n in zip(children, sizes)
-                            ],
-                            n_jobs=n_jobs,
-                            pool=pool,
-                        )
-                    else:
-                        stats = [
-                            _chunk_stats(compiled, child, n, max_attempts, be)
-                            for child, n in zip(children, sizes)
-                        ]
-                    for s in stats:
-                        moments = moments.merge(s.moments)
-                        category_totals += s.category_totals
-                        counters["fail_stop_errors"] += s.fail_stop_errors
-                        counters["silent_errors"] += s.silent_errors
-                        counters["silent_detected"] += s.silent_detected
-                        counters["silent_missed"] += s.silent_missed
-                        attempts += s.attempts
-                        steps = max(steps, s.steps)
-                    total += round_n
-                    rel = moments.relative_half_width(confidence)
-                    rounds.append(
-                        AdaptiveRound(
-                            index=len(rounds),
-                            reps=round_n,
-                            total_reps=total,
-                            mean=moments.mean,
-                            half_width=moments.half_width(confidence),
-                            relative_half_width=rel,
-                        )
-                    )
-                    _record_round(
-                        sp,
-                        reg,
-                        bus,
-                        rounds[-1],
-                        target=target_relative_ci,
-                        elapsed_s=perf_counter() - t0,
-                    )
-                converged = total >= min_runs and rel <= target_relative_ci
-                if converged or total >= max_runs:
-                    break
-                next_total = min(
-                    max_runs, max(total + 1, math.ceil(total * growth))
-                )
+            min_runs=min_runs,
+            max_runs=max_runs,
+            growth=growth,
+            seed=seed,
+            analytic=analytic,
+        )
     finally:
         if pool is not None:
             pool.shutdown()
-    if converged:
-        reg.counter("mc.converged").inc()
-    if bus.enabled:
-        bus.emit(
-            "mc.converged" if converged else "mc.capped",
-            total_reps=total,
-            rounds=len(rounds),
-            mean=moments.mean,
-            relative_half_width=(
-                rounds[-1].relative_half_width
-                if math.isfinite(rounds[-1].relative_half_width)
-                else None
-            ),
-            target=target_relative_ci,
-            wall_s=perf_counter() - t0,
-        )
-    logger.debug(
-        "run_adaptive: converged=%s rounds=%d reps=%d rel_hw=%.4g",
-        converged,
-        len(rounds),
-        total,
-        rounds[-1].relative_half_width,
-    )
-
-    return AdaptiveResult(
-        target_relative_ci=target_relative_ci,
-        confidence=confidence,
-        converged=converged,
-        moments=moments,
-        rounds=tuple(rounds),
-        category_totals=category_totals,
-        analytic=analytic,
-        min_runs=min_runs,
-        max_runs=max_runs,
-        attempts=attempts,
-        steps=steps,
-        **counters,
-    )
 
 
 def run_adaptive_parallel(
@@ -628,122 +650,40 @@ def run_adaptive_parallel(
     from .parallel import simulate_parallel  # local: avoids import cycle
 
     _validate_adaptive_params(
-        target_relative_ci, min_runs, max_runs, growth, chunk_size, confidence
+        target_relative_ci, min_runs, max_runs, growth, confidence
     )
     get_backend(backend)  # resolve (and fail) before any work
-    seed_seq = (
-        seed
-        if isinstance(seed, np.random.SeedSequence)
-        else np.random.SeedSequence(seed)
-    )
 
-    moments = StreamingMoments()
-    category_totals = np.zeros(len(TIME_CATEGORIES), dtype=np.float64)
-    counters = dict.fromkeys(
-        ("fail_stop_errors", "silent_errors", "silent_detected", "silent_missed"),
-        0,
-    )
-    attempts = 0
-    steps = 0
-    rounds: list[AdaptiveRound] = []
-    reg = _metrics()
-    bus = _events()
-    t0 = perf_counter()
-
-    with _span(
-        "mc.adaptive",
-        target_relative_ci=target_relative_ci,
-        confidence=confidence,
-        parallel=True,
-    ):
-        total = 0
-        next_total = min(min_runs, max_runs)
-        converged = False
-        while True:
-            round_n = next_total - total
-            with _span("mc.round") as sp:
-                batch = simulate_parallel(
-                    plan,
-                    platform,
-                    round_n,
-                    seed=seed_seq,
-                    chunk_size=chunk_size,
-                    n_jobs=n_jobs,
-                    max_attempts=max_attempts,
-                    backend=backend,
-                )
-                moments = moments.merge(
-                    StreamingMoments.from_samples(batch.makespans)
-                )
-                for res in batch.worker_results:
-                    if res is None:
-                        continue
-                    category_totals += res.time_categories.sum(axis=1)
-                counters["fail_stop_errors"] += int(batch.fail_stop_errors.sum())
-                counters["silent_errors"] += int(batch.silent_errors.sum())
-                counters["silent_detected"] += int(batch.silent_detected.sum())
-                counters["silent_missed"] += int(batch.silent_missed.sum())
-                attempts += int(batch.attempts.sum())
-                steps = max(steps, batch.steps)
-                total += round_n
-                rel = moments.relative_half_width(confidence)
-                rounds.append(
-                    AdaptiveRound(
-                        index=len(rounds),
-                        reps=round_n,
-                        total_reps=total,
-                        mean=moments.mean,
-                        half_width=moments.half_width(confidence),
-                        relative_half_width=rel,
-                    )
-                )
-                _record_round(
-                    sp,
-                    reg,
-                    bus,
-                    rounds[-1],
-                    target=target_relative_ci,
-                    elapsed_s=perf_counter() - t0,
-                )
-            converged = total >= min_runs and rel <= target_relative_ci
-            if converged or total >= max_runs:
-                break
-            next_total = min(max_runs, max(total + 1, math.ceil(total * growth)))
-    if converged:
-        reg.counter("mc.converged").inc()
-    if bus.enabled:
-        bus.emit(
-            "mc.converged" if converged else "mc.capped",
-            total_reps=total,
-            rounds=len(rounds),
-            mean=moments.mean,
-            relative_half_width=(
-                rounds[-1].relative_half_width
-                if math.isfinite(rounds[-1].relative_half_width)
-                else None
-            ),
-            target=target_relative_ci,
-            wall_s=perf_counter() - t0,
+    def sample(seed_seq: np.random.SeedSequence, n: int) -> list[_ChunkStats]:
+        # One simulate_parallel campaign a round.  Its makespans reduce in
+        # one block, and each busy worker's category totals come back as
+        # a record of their own, in worker order: summing the workers
+        # first would change the bits of the running total.
+        batch = simulate_parallel(
+            plan,
+            platform,
+            n,
+            seed=seed_seq,
+            chunk_size=chunk_size,
+            n_jobs=n_jobs,
+            max_attempts=max_attempts,
+            backend=backend,
         )
-    logger.debug(
-        "run_adaptive_parallel: converged=%s rounds=%d reps=%d rel_hw=%.4g",
-        converged,
-        len(rounds),
-        total,
-        rounds[-1].relative_half_width,
-    )
+        return [_ChunkStats.of(batch)] + [
+            _ChunkStats(category_totals=res.time_categories.sum(axis=1))
+            for res in batch.worker_results
+            if res is not None
+        ]
 
-    return AdaptiveResult(
+    return _run_rounds(
+        sample,
+        "run_adaptive_parallel",
         target_relative_ci=target_relative_ci,
         confidence=confidence,
-        converged=converged,
-        moments=moments,
-        rounds=tuple(rounds),
-        category_totals=category_totals,
-        analytic=analytic,
         min_runs=min_runs,
         max_runs=max_runs,
-        attempts=attempts,
-        steps=steps,
-        **counters,
+        growth=growth,
+        seed=seed,
+        analytic=analytic,
+        parallel=True,
     )

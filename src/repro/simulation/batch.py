@@ -415,7 +415,18 @@ def run_compiled(
     )
 
 
+def _seed_sequence(
+    seed: int | np.random.SeedSequence | None,
+) -> np.random.SeedSequence:
+    """The campaign ``SeedSequence`` of ``seed`` (a sequence passes through)."""
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    return np.random.SeedSequence(seed)
+
+
 def _chunk_sizes(n_runs: int, chunk_size: int) -> list[int]:
+    if chunk_size < 1:
+        raise InvalidParameterError(f"chunk_size must be >= 1, got {chunk_size}")
     sizes = [chunk_size] * (n_runs // chunk_size)
     if n_runs % chunk_size:
         sizes.append(n_runs % chunk_size)
@@ -447,6 +458,45 @@ def _require_shardable(be: Backend) -> None:
             f"registry's default (device={resolved.device!r}); register a "
             "loader reproducing the handle or run with n_jobs=None"
         )
+
+
+def _run_chunks(
+    fn,
+    payload,
+    seed: int | np.random.SeedSequence | None,
+    n_runs: int,
+    chunk_size: int,
+    max_attempts: int,
+    be: Backend,
+    n_jobs: int | None,
+    pool=None,
+) -> list:
+    """``fn(payload, child, n, max_attempts, backend)`` for each chunk of
+    an ``n_runs`` campaign, in chunk order.
+
+    Chunk ``c`` draws from the ``c``-th child spawned from ``seed``'s
+    sequence now, so successive calls on one ``SeedSequence`` continue
+    its stream.  With
+    ``n_jobs > 1`` and several chunks, the chunks fan out to worker
+    processes (on ``pool`` when given), which re-resolve the backend by
+    name; the results are the same whatever ``n_jobs`` is.
+    """
+    sizes = _chunk_sizes(n_runs, chunk_size)
+    children = _seed_sequence(seed).spawn(len(sizes))
+    if n_jobs is not None and n_jobs > 1 and len(sizes) > 1:
+        _require_shardable(be)
+        return fan_out(
+            fn,
+            [
+                (payload, child, n, max_attempts, be.name)
+                for child, n in zip(children, sizes)
+            ],
+            n_jobs=n_jobs,
+            pool=pool,
+        )
+    return [
+        fn(payload, child, n, max_attempts, be) for child, n in zip(children, sizes)
+    ]
 
 
 def _run_chunk(
@@ -502,41 +552,22 @@ def simulate_batch(
     """
     if n_runs < 1:
         raise InvalidParameterError(f"n_runs must be >= 1, got {n_runs}")
-    if chunk_size < 1:
-        raise InvalidParameterError(f"chunk_size must be >= 1, got {chunk_size}")
     be = get_backend(backend)  # resolve (and fail) before any work
     compiled = compile_schedule(chain, platform, schedule, costs)
-    seed_seq = (
-        seed
-        if isinstance(seed, np.random.SeedSequence)
-        else np.random.SeedSequence(seed)
-    )
-    sizes = _chunk_sizes(n_runs, chunk_size)
-    children = seed_seq.spawn(len(sizes))
-
     with _span(
-        "sim.batch",
-        n_runs=n_runs,
-        chunks=len(sizes),
-        n_jobs=n_jobs or 1,
-        backend=be.name,
-    ):
-        if n_jobs is not None and n_jobs > 1 and len(sizes) > 1:
-            _require_shardable(be)
-            parts = fan_out(
-                _run_chunk,
-                [
-                    # workers re-resolve the backend by name
-                    (compiled, child, n, max_attempts, be.name)
-                    for child, n in zip(children, sizes)
-                ],
-                n_jobs=n_jobs,
-            )
-        else:
-            parts = [
-                _run_chunk(compiled, child, n, max_attempts, be)
-                for child, n in zip(children, sizes)
-            ]
+        "sim.batch", n_runs=n_runs, n_jobs=n_jobs or 1, backend=be.name
+    ) as sp:
+        parts = _run_chunks(
+            _run_chunk,
+            compiled,
+            seed,
+            n_runs,
+            chunk_size,
+            max_attempts,
+            be,
+            n_jobs,
+        )
+        sp.set(chunks=len(parts))
     if len(parts) == 1:
         return parts[0]
     return BatchResult.concatenate(parts)
@@ -558,19 +589,27 @@ def replication_uniform_rows(
     :func:`simulate_batch`) and slices out one replication's column —
     O(chunk population) per attempt, strictly a test/verification tool.
     """
+    return _replay_rows(seed, n_runs, rep_index, chunk_size)
+
+
+def _replay_rows(
+    seed: int | np.random.SeedSequence | None,
+    n_runs: int,
+    rep_index: int,
+    chunk_size: int,
+    stream=None,
+) -> Iterator[np.ndarray]:
+    """Replication ``rep_index``'s column of its chunk's uniform blocks;
+    ``stream`` maps the chunk's child sequence to the one actually drawn
+    from (a p-worker campaign's per-worker grandchild)."""
     if not 0 <= rep_index < n_runs:
         raise InvalidParameterError(
             f"rep_index must be in [0, {n_runs}), got {rep_index}"
         )
-    seed_seq = (
-        seed
-        if isinstance(seed, np.random.SeedSequence)
-        else np.random.SeedSequence(seed)
-    )
     sizes = _chunk_sizes(n_runs, chunk_size)
-    chunk = rep_index // chunk_size
-    offset = rep_index % chunk_size
-    rng = np.random.default_rng(seed_seq.spawn(len(sizes))[chunk])
+    chunk, offset = divmod(rep_index, chunk_size)
+    child = _seed_sequence(seed).spawn(len(sizes))[chunk]
+    rng = np.random.default_rng(child if stream is None else stream(child))
     chunk_n = sizes[chunk]
 
     def _rows() -> Iterator[np.ndarray]:

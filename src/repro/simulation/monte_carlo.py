@@ -39,7 +39,7 @@ from ..platforms import Platform
 from ..core.schedule import Schedule
 from .adaptive import DEFAULT_MIN_RUNS, AdaptiveResult, run_adaptive
 from .backend import Backend, canonical_name, get_backend
-from .batch import DEFAULT_CHUNK_SIZE, simulate_batch
+from .batch import DEFAULT_CHUNK_SIZE, _seed_sequence, simulate_batch
 from .breakdown import aggregate_trace, render_breakdown
 from .engine import RunResult, simulate_run
 from .errors import PoissonErrorSource
@@ -209,11 +209,6 @@ def run_monte_carlo(
     else:
         backend = get_backend(backend)
         backend_name = backend.name
-    seed_seq = (
-        seed
-        if isinstance(seed, np.random.SeedSequence)
-        else np.random.SeedSequence(seed)
-    )
 
     if target_ci is not None:
         if engine != "batch":
@@ -229,7 +224,7 @@ def run_monte_carlo(
             confidence=confidence,
             min_runs=min(DEFAULT_MIN_RUNS, runs),
             max_runs=runs,
-            seed=seed_seq,
+            seed=seed,
             costs=costs,
             chunk_size=chunk_size,
             n_jobs=n_jobs,
@@ -257,7 +252,7 @@ def run_monte_carlo(
             platform,
             schedule,
             runs,
-            seed=seed_seq,
+            seed=seed,
             costs=costs,
             chunk_size=chunk_size,
             n_jobs=n_jobs,
@@ -269,7 +264,7 @@ def run_monte_carlo(
         silents = int(batch.silent_errors.sum())
         breakdown = batch.breakdown.means()
     else:
-        children = seed_seq.spawn(runs)
+        children = _seed_sequence(seed).spawn(runs)
         samples = np.empty(runs, dtype=np.float64)
         fail_stops = 0
         silents = 0

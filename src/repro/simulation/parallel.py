@@ -51,7 +51,7 @@ import numpy as np
 
 from ..exceptions import InvalidParameterError, InvalidScheduleError, SimulationError
 from ..chains import TaskChain
-from ..obs import fan_out, metrics as _metrics, span as _span
+from ..obs import metrics as _metrics, span as _span
 from ..platforms import Platform
 from ..core.costs import CostProfile
 from ..core.schedule import Action, Schedule
@@ -59,8 +59,8 @@ from .backend import Backend, get_backend
 from .batch import (
     DEFAULT_CHUNK_SIZE,
     BatchResult,
-    _chunk_sizes,
-    _require_shardable,
+    _replay_rows,
+    _run_chunks,
     run_compiled,
 )
 from .compile import CompiledSchedule, compile_schedule
@@ -615,42 +615,23 @@ def simulate_parallel(
     """
     if n_runs < 1:
         raise InvalidParameterError(f"n_runs must be >= 1, got {n_runs}")
-    if chunk_size < 1:
-        raise InvalidParameterError(f"chunk_size must be >= 1, got {chunk_size}")
     be = get_backend(backend)  # resolve (and fail) before any work
     cplan = _compile_plan(plan, platform)
-    seed_seq = (
-        seed
-        if isinstance(seed, np.random.SeedSequence)
-        else np.random.SeedSequence(seed)
-    )
-    sizes = _chunk_sizes(n_runs, chunk_size)
-    children = seed_seq.spawn(len(sizes))
-
     n_busy = sum(1 for cw in cplan.workers if cw is not None)
     with _span(
-        "sim.parallel",
-        n_runs=n_runs,
-        workers=n_busy,
-        chunks=len(sizes),
-        n_jobs=n_jobs or 1,
-    ):
-        if n_jobs is not None and n_jobs > 1 and len(sizes) > 1:
-            _require_shardable(be)
-            parts = fan_out(
-                _run_parallel_chunk,
-                [
-                    # workers re-resolve the backend by name
-                    (cplan, child, n, max_attempts, be.name)
-                    for child, n in zip(children, sizes)
-                ],
-                n_jobs=n_jobs,
-            )
-        else:
-            parts = [
-                _run_parallel_chunk(cplan, child, n, max_attempts, be)
-                for child, n in zip(children, sizes)
-            ]
+        "sim.parallel", n_runs=n_runs, workers=n_busy, n_jobs=n_jobs or 1
+    ) as sp:
+        parts = _run_chunks(
+            _run_parallel_chunk,
+            cplan,
+            seed,
+            n_runs,
+            chunk_size,
+            max_attempts,
+            be,
+            n_jobs,
+        )
+        sp.set(chunks=len(parts))
     result = parts[0] if len(parts) == 1 else ParallelBatchResult.concatenate(parts)
     reg = _metrics()
     if reg.enabled:
@@ -693,28 +674,14 @@ def worker_uniform_rows(
     to :class:`~repro.simulation.batch.InverseTransformErrorSource` makes
     the scalar engine replay that worker's busy trajectory bitwise.
     """
-    if not 0 <= rep_index < n_runs:
-        raise InvalidParameterError(
-            f"rep_index must be in [0, {n_runs}), got {rep_index}"
-        )
     if not 0 <= worker < n_workers:
         raise InvalidParameterError(
             f"worker must be in [0, {n_workers}), got {worker}"
         )
-    seed_seq = (
-        seed
-        if isinstance(seed, np.random.SeedSequence)
-        else np.random.SeedSequence(seed)
+    return _replay_rows(
+        seed,
+        n_runs,
+        rep_index,
+        chunk_size,
+        lambda child: child.spawn(n_workers)[worker],
     )
-    sizes = _chunk_sizes(n_runs, chunk_size)
-    chunk = rep_index // chunk_size
-    offset = rep_index % chunk_size
-    chunk_child = seed_seq.spawn(len(sizes))[chunk]
-    rng = np.random.default_rng(chunk_child.spawn(n_workers)[worker])
-    chunk_n = sizes[chunk]
-
-    def _rows():
-        while True:
-            yield rng.random((3, chunk_n))[:, offset]
-
-    return _rows()

@@ -17,6 +17,7 @@ Three pillars:
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -26,8 +27,11 @@ from repro.core import evaluate_schedule, optimize
 from repro.exceptions import InvalidParameterError
 from repro.platforms import ATLAS, COASTAL, HERA, Platform
 from repro.simulation import (
+    ParallelPlan,
     StreamingMoments,
+    WorkerPlan,
     run_adaptive,
+    run_adaptive_parallel,
     run_monte_carlo,
     simulate_batch,
     summarize,
@@ -106,6 +110,32 @@ class TestStreamingMoments:
 # ----------------------------------------------------------------------
 # 2. the adaptive orchestrator
 # ----------------------------------------------------------------------
+def chain_campaign(platform, weights):
+    """``run_adaptive`` over the ADMV schedule of a chain of ``weights``."""
+    chain = TaskChain(weights)
+    sol = optimize(chain, platform, algorithm="admv")
+    return partial(run_adaptive, chain, platform, sol.schedule)
+
+
+def parallel_campaign(platform, weights):
+    """``run_adaptive_parallel`` over two independent workers sharing
+    ``weights`` (ADMV schedule each)."""
+    half = (len(weights) + 1) // 2
+    workers = []
+    for part in (weights[:half], weights[half:]):
+        chain = TaskChain(part)
+        sol = optimize(chain, platform, algorithm="admv")
+        workers.append(WorkerPlan(chain=chain, schedule=sol.schedule))
+    plan = ParallelPlan(workers=tuple(workers), deps=(((),), ((),)))
+    return partial(run_adaptive_parallel, plan, platform)
+
+
+#: Both adaptive entry points, as ``campaign(platform, weights)(**kwargs)``.
+CAMPAIGNS = pytest.mark.parametrize(
+    "campaign", [chain_campaign, parallel_campaign], ids=["chain", "parallel"]
+)
+
+
 class TestAdaptiveConvergence:
     @pytest.mark.parametrize(
         "platform,n",
@@ -166,11 +196,9 @@ class TestAdaptiveConvergence:
         assert widths[-1] == min(widths)
         assert adaptive.reps_used == totals[-1]
 
-    def test_max_runs_cap_reports_non_convergence(self, hot_platform):
-        chain = TaskChain([60.0] * 4)
-        sol = optimize(chain, hot_platform, algorithm="admv")
-        adaptive = run_adaptive(
-            chain, hot_platform, sol.schedule,
+    @CAMPAIGNS
+    def test_max_runs_cap_reports_non_convergence(self, hot_platform, campaign):
+        adaptive = campaign(hot_platform, [60.0] * 4)(
             target_relative_ci=1e-6, min_runs=50, max_runs=400, seed=0,
         )
         assert not adaptive.converged
@@ -192,26 +220,24 @@ class TestAdaptiveConvergence:
         assert adaptive.relative_half_width == 0.0
         assert adaptive.moments.std == 0.0
 
-    def test_reproducible_and_n_jobs_invariant(self, hot_platform):
-        chain = TaskChain([60.0] * 5)
-        sol = optimize(chain, hot_platform, algorithm="admv")
+    @CAMPAIGNS
+    def test_reproducible_and_n_jobs_invariant(self, hot_platform, campaign):
+        run = campaign(hot_platform, [60.0] * 5)
         kwargs = dict(
             target_relative_ci=0.02, seed=5, min_runs=200, chunk_size=64
         )
-        a = run_adaptive(chain, hot_platform, sol.schedule, **kwargs)
-        b = run_adaptive(chain, hot_platform, sol.schedule, **kwargs)
-        sharded = run_adaptive(
-            chain, hot_platform, sol.schedule, n_jobs=2, **kwargs
-        )
+        a = run(**kwargs)
+        b = run(**kwargs)
+        sharded = run(n_jobs=2, **kwargs)
         assert a.moments == b.moments == sharded.moments
         assert a.reps_used == sharded.reps_used
         np.testing.assert_array_equal(
             a.category_totals, sharded.category_totals
         )
 
-    def test_rejects_bad_parameters(self, hot_platform):
-        chain = TaskChain([10.0, 20.0])
-        sol = optimize(chain, hot_platform, algorithm="admv")
+    @CAMPAIGNS
+    def test_rejects_bad_parameters(self, hot_platform, campaign):
+        run = campaign(hot_platform, [10.0, 20.0])
         for kwargs in (
             dict(target_relative_ci=0.0),
             dict(min_runs=0),
@@ -221,7 +247,7 @@ class TestAdaptiveConvergence:
             dict(confidence=1.0),
         ):
             with pytest.raises(InvalidParameterError):
-                run_adaptive(chain, hot_platform, sol.schedule, **kwargs)
+                run(**kwargs)
 
 
 class TestRunMonteCarloAdaptiveMode:

@@ -557,6 +557,31 @@ class TestJoinSearch:
         assert stamp.agrees, stamp.line()
         assert "join order" in stamp.label
 
+    def test_certified_join_search_emits_round_events(self, join_dag, platform):
+        # the join stamp runs the shared adaptive round loop: the same
+        # floor, round growth and mc.* events as the chain certification
+        from repro.obs import EventBus, MetricsRegistry, instrument
+
+        bus = EventBus()
+        with instrument(MetricsRegistry(), events=bus):
+            result = search_order(
+                join_dag,
+                platform,
+                seed=0,
+                certify=True,
+                target_ci=0.05,
+                certify_runs=20_000,
+            )
+        events = [
+            e for e in bus.snapshot().events if e.kind.startswith("mc.")
+        ]
+        rounds = [e for e in events if e.kind == "mc.round"]
+        assert rounds and rounds[0].data["total_reps"] == 400
+        terminal = events[-1]
+        assert terminal.kind in ("mc.converged", "mc.capped")
+        assert terminal.data["total_reps"] == result.certificate.reps
+        assert terminal.data["rounds"] == len(rounds)
+
     def test_degenerate_join_shapes_stay_on_chain_semantics(self, platform):
         # a single task and a 2-node chain are join-*shaped* but the join
         # model (fail-stop only) would return values incomparable with
