@@ -130,12 +130,6 @@ def parallel_campaign(platform, weights):
     return partial(run_adaptive_parallel, plan, platform)
 
 
-#: Both adaptive entry points, as ``campaign(platform, weights)(**kwargs)``.
-CAMPAIGNS = pytest.mark.parametrize(
-    "campaign", [chain_campaign, parallel_campaign], ids=["chain", "parallel"]
-)
-
-
 class TestAdaptiveConvergence:
     @pytest.mark.parametrize(
         "platform,n",
@@ -196,15 +190,21 @@ class TestAdaptiveConvergence:
         assert widths[-1] == min(widths)
         assert adaptive.reps_used == totals[-1]
 
-    @CAMPAIGNS
-    def test_max_runs_cap_reports_non_convergence(self, hot_platform, campaign):
-        adaptive = campaign(hot_platform, [60.0] * 4)(
+    @staticmethod
+    def check_max_runs_cap(run):
+        adaptive = run(
             target_relative_ci=1e-6, min_runs=50, max_runs=400, seed=0,
         )
         assert not adaptive.converged
         assert adaptive.reps_used == 400
         assert adaptive.relative_half_width > 1e-6
         assert "NOT CONVERGED" in adaptive.convergence_report()
+
+    def test_max_runs_cap_reports_non_convergence(self, hot_platform):
+        self.check_max_runs_cap(chain_campaign(hot_platform, [60.0] * 4))
+
+    def test_max_runs_cap_reports_non_convergence_parallel(self, hot_platform):
+        self.check_max_runs_cap(parallel_campaign(hot_platform, [60.0] * 4))
 
     def test_error_free_converges_at_the_floor(self, error_free_platform):
         # Zero variance: certified exactly, but never before min_runs.
@@ -220,9 +220,8 @@ class TestAdaptiveConvergence:
         assert adaptive.relative_half_width == 0.0
         assert adaptive.moments.std == 0.0
 
-    @CAMPAIGNS
-    def test_reproducible_and_n_jobs_invariant(self, hot_platform, campaign):
-        run = campaign(hot_platform, [60.0] * 5)
+    @staticmethod
+    def check_reproducible_and_n_jobs_invariant(run):
         kwargs = dict(
             target_relative_ci=0.02, seed=5, min_runs=200, chunk_size=64
         )
@@ -235,9 +234,18 @@ class TestAdaptiveConvergence:
             a.category_totals, sharded.category_totals
         )
 
-    @CAMPAIGNS
-    def test_rejects_bad_parameters(self, hot_platform, campaign):
-        run = campaign(hot_platform, [10.0, 20.0])
+    def test_reproducible_and_n_jobs_invariant(self, hot_platform):
+        self.check_reproducible_and_n_jobs_invariant(
+            chain_campaign(hot_platform, [60.0] * 5)
+        )
+
+    def test_reproducible_and_n_jobs_invariant_parallel(self, hot_platform):
+        self.check_reproducible_and_n_jobs_invariant(
+            parallel_campaign(hot_platform, [60.0] * 5)
+        )
+
+    @staticmethod
+    def check_rejects_bad_parameters(run):
         for kwargs in (
             dict(target_relative_ci=0.0),
             dict(min_runs=0),
@@ -248,6 +256,16 @@ class TestAdaptiveConvergence:
         ):
             with pytest.raises(InvalidParameterError):
                 run(**kwargs)
+
+    def test_rejects_bad_parameters(self, hot_platform):
+        self.check_rejects_bad_parameters(
+            chain_campaign(hot_platform, [10.0, 20.0])
+        )
+
+    def test_rejects_bad_parameters_parallel(self, hot_platform):
+        self.check_rejects_bad_parameters(
+            parallel_campaign(hot_platform, [10.0, 20.0])
+        )
 
 
 class TestRunMonteCarloAdaptiveMode:
