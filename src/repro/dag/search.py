@@ -607,6 +607,13 @@ class JoinDagSolution(DagSolution):
         object.__setattr__(self, "instance", instance)
 
 
+#: Replication floor of the join certification.  Not the chain floor:
+#: the join model has no silent errors, and on Table I platforms a few
+#: hundred runs often see no fail-stop error at all — a zero-variance
+#: sample whose zero-width interval certifies nothing.
+_JOIN_MIN_RUNS = 2000
+
+
 def _certify_join(
     instance: JoinInstance,
     schedule: JoinSchedule,
@@ -616,22 +623,27 @@ def _certify_join(
     analytic: float,
     target_ci: float,
     max_runs: int,
-    seed: int,
+    seed: np.random.SeedSequence,
 ):
     """Monte-Carlo agreement stamp for a join schedule.
 
     The adaptive round driver over :func:`repro.dag.join.simulate_join`
     makespans — the join-model analogue of the chain certification, with
-    the same floor, round growth, agreement rule and events.  Each round
-    draws from the next child of the campaign seed.
+    the same round growth, agreement rule and events.  Each round draws
+    from the next child of the campaign seed.
     """
     from ..experiments.common import AgreementStamp
     from ..simulation.adaptive import (
-        DEFAULT_MIN_RUNS,
         StreamingMoments,
         _ChunkStats,
         _run_rounds,
+        _validate_adaptive_params,
     )
+
+    if max_runs < 1:
+        raise InvalidParameterError(f"certify_runs must be >= 1, got {max_runs}")
+    min_runs = min(_JOIN_MIN_RUNS, max_runs)
+    _validate_adaptive_params(target_ci, min_runs, max_runs, 2.0, 0.99)
 
     def sample(seed_seq: np.random.SeedSequence, n: int) -> list[_ChunkStats]:
         rng = np.random.default_rng(seed_seq.spawn(1)[0])
@@ -643,7 +655,7 @@ def _certify_join(
         "certify_join",
         target_relative_ci=target_ci,
         confidence=0.99,
-        min_runs=min(DEFAULT_MIN_RUNS, max_runs),
+        min_runs=min_runs,
         max_runs=max_runs,
         growth=2.0,
         seed=seed,
@@ -745,7 +757,9 @@ def _search_join_order(
     n = instance.n_sources
     objective = JoinObjective(instance)
 
-    ss_starts, ss_climbs, ss_anneal = np.random.SeedSequence(seed).spawn(3)
+    ss_starts, ss_climbs, ss_anneal, ss_certify = np.random.SeedSequence(
+        seed
+    ).spawn(4)
     _, thr = threshold_join(instance)
     starts: list[tuple[str, JoinSchedule]] = [("threshold", thr)]
     for label, sign in (("heavy-first", -1.0), ("light-first", 1.0)):
@@ -824,7 +838,7 @@ def _search_join_order(
             analytic=best_value,
             target_ci=target_ci,
             max_runs=certify_runs,
-            seed=seed,
+            seed=ss_certify,
         )
 
     merged = search.publish()

@@ -225,8 +225,10 @@ def _validate_adaptive_params(
     max_runs: int,
     growth: float,
     confidence: float,
+    chunk_size: int = 1,
 ) -> None:
-    """Reject a round rule the driver cannot run (checked before any work)."""
+    """Reject a round rule the driver cannot run (checked before any work);
+    ``chunk_size`` is the chunked samplers' grain."""
     if not 0.0 < target_relative_ci:
         raise InvalidParameterError(
             f"target_relative_ci must be > 0, got {target_relative_ci!r}"
@@ -239,6 +241,8 @@ def _validate_adaptive_params(
         )
     if growth <= 1.0:
         raise InvalidParameterError(f"growth must be > 1, got {growth!r}")
+    if chunk_size < 1:
+        raise InvalidParameterError(f"chunk_size must be >= 1, got {chunk_size}")
     t_critical(2, confidence)  # validates the confidence level
 
 
@@ -568,7 +572,7 @@ def run_adaptive(
     certified interval is checked against.
     """
     _validate_adaptive_params(
-        target_relative_ci, min_runs, max_runs, growth, confidence
+        target_relative_ci, min_runs, max_runs, growth, confidence, chunk_size
     )
     be = get_backend(backend)  # resolve (and fail) before any work
     compiled = compile_schedule(chain, platform, schedule, costs)
@@ -650,7 +654,7 @@ def run_adaptive_parallel(
     from .parallel import simulate_parallel  # local: avoids import cycle
 
     _validate_adaptive_params(
-        target_relative_ci, min_runs, max_runs, growth, confidence
+        target_relative_ci, min_runs, max_runs, growth, confidence, chunk_size
     )
     get_backend(backend)  # resolve (and fail) before any work
 

@@ -552,6 +552,8 @@ def simulate_batch(
     """
     if n_runs < 1:
         raise InvalidParameterError(f"n_runs must be >= 1, got {n_runs}")
+    if chunk_size < 1:
+        raise InvalidParameterError(f"chunk_size must be >= 1, got {chunk_size}")
     be = get_backend(backend)  # resolve (and fail) before any work
     compiled = compile_schedule(chain, platform, schedule, costs)
     with _span(

@@ -615,6 +615,8 @@ def simulate_parallel(
     """
     if n_runs < 1:
         raise InvalidParameterError(f"n_runs must be >= 1, got {n_runs}")
+    if chunk_size < 1:
+        raise InvalidParameterError(f"chunk_size must be >= 1, got {chunk_size}")
     be = get_backend(backend)  # resolve (and fail) before any work
     cplan = _compile_plan(plan, platform)
     n_busy = sum(1 for cw in cplan.workers if cw is not None)

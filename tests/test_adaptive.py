@@ -268,6 +268,22 @@ class TestAdaptiveConvergence:
         )
 
 
+    @pytest.mark.parametrize("campaign", [chain_campaign, parallel_campaign])
+    def test_bad_chunk_size_fails_before_any_work(
+        self, hot_platform, campaign, monkeypatch
+    ):
+        import repro.simulation.adaptive as adaptive_mod
+        import repro.simulation.parallel as parallel_mod
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before validation")
+
+        run = campaign(hot_platform, [10.0, 20.0])
+        monkeypatch.setattr(adaptive_mod, "compile_schedule", no_work)
+        monkeypatch.setattr(parallel_mod, "simulate_parallel", no_work)
+        with pytest.raises(InvalidParameterError):
+            run(chunk_size=0, n_jobs=2)
+
 class TestRunMonteCarloAdaptiveMode:
     @pytest.fixture
     def instance(self, hot_platform):

@@ -559,7 +559,9 @@ class TestJoinSearch:
 
     def test_certified_join_search_emits_round_events(self, join_dag, platform):
         # the join stamp runs the shared adaptive round loop: the same
-        # floor, round growth and mc.* events as the chain certification
+        # round growth and mc.* events as the chain certification, from
+        # the join model's own floor
+        from repro.dag.search import _JOIN_MIN_RUNS
         from repro.obs import EventBus, MetricsRegistry, instrument
 
         bus = EventBus()
@@ -576,11 +578,67 @@ class TestJoinSearch:
             e for e in bus.snapshot().events if e.kind.startswith("mc.")
         ]
         rounds = [e for e in events if e.kind == "mc.round"]
-        assert rounds and rounds[0].data["total_reps"] == 400
+        assert rounds and rounds[0].data["total_reps"] == _JOIN_MIN_RUNS
         terminal = events[-1]
         assert terminal.kind in ("mc.converged", "mc.capped")
         assert terminal.data["total_reps"] == result.certificate.reps
         assert terminal.data["rounds"] == len(rounds)
+
+    @pytest.mark.parametrize("name", ["hera", "atlas"])
+    def test_certified_join_agrees_on_table_i_platform(self, name):
+        # 6-source join on a Table I platform: the expected number of
+        # fail-stop errors per run is far below one, so a short campaign
+        # can see none and certify a zero-width interval that excludes the
+        # analytic value (on Atlas, 400 runs of this instance do); the
+        # join floor keeps enough runs to see them
+        from repro.dag.search import _JOIN_MIN_RUNS
+        from repro.platforms import get_platform
+
+        dag = generate("join", seed=8, sources=6, weights="lognormal")
+        stamp = search_order(
+            dag, get_platform(name), seed=0, certify=True
+        ).certificate
+        assert stamp.reps >= _JOIN_MIN_RUNS
+        assert stamp.relative_half_width > 0.0
+        assert stamp.agrees, stamp.line()
+
+    def test_join_certification_draws_its_own_stream(
+        self, join_dag, platform, monkeypatch
+    ):
+        # the random start orders draw from the first child of the search
+        # seed; the certification must not replay those bits
+        import copy
+
+        import repro.dag.search as search_mod
+
+        first_draws = []
+        real = search_mod.simulate_join
+
+        def spy(instance, schedule, *, runs, rng):
+            first_draws.append(copy.deepcopy(rng).random(8))
+            return real(instance, schedule, runs=runs, rng=rng)
+
+        monkeypatch.setattr(search_mod, "simulate_join", spy)
+        search_order(join_dag, platform, seed=0, certify=True, target_ci=0.05)
+        starts = np.random.SeedSequence(0).spawn(1)[0]
+        assert first_draws
+        assert not np.array_equal(
+            first_draws[0], np.random.default_rng(starts).random(8)
+        )
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(certify_runs=0),
+            dict(certify_runs=-5),
+            dict(target_ci=0.0),
+        ],
+    )
+    def test_join_certification_rejects_bad_parameters(
+        self, join_dag, platform, kwargs
+    ):
+        with pytest.raises(InvalidParameterError):
+            search_order(join_dag, platform, seed=0, certify=True, **kwargs)
 
     def test_degenerate_join_shapes_stay_on_chain_semantics(self, platform):
         # a single task and a 2-node chain are join-*shaped* but the join
