@@ -31,22 +31,28 @@ import argparse
 import cProfile
 import io
 import json
-import math
 import pstats
 import sys
+from dataclasses import fields
 
 from . import __version__
 from .analysis import format_table, line_chart, placement_diagram
-from .api import SCHEMA_VERSION, as_document
 from .analysis.sweep import sweep_task_counts
-from .chains import PAPER_TOTAL_WEIGHT, PATTERNS, load_chain, make_chain
-from .core import Schedule, evaluate_schedule, optimize
-from .core.solver import canonical_algorithm
+from .api import SCHEMA_VERSION
+from .api.requests import (
+    REQUESTS,
+    DagOptimizeRequest,
+    Request,
+    backend_name,
+    parse_request,
+)
+from .chains import load_chain
+from .core import Schedule, evaluate_schedule
 from .exceptions import InvalidParameterError, ReproError
 from .experiments import ALGORITHM_LABELS, fig5, fig6, fig78, table1
 from .obs import configure_logging, get_logger
-from .platforms import PLATFORMS, TABLE1_ROWS, get_platform
-from .simulation import run_monte_carlo
+from .platforms import TABLE1_ROWS
+from .service.engine import run
 
 __all__ = ["main", "build_parser"]
 
@@ -92,27 +98,30 @@ def _add_obs_args(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_request_args(p: argparse.ArgumentParser, endpoint: str, *names) -> None:
+    """One flag per named field of the endpoint's request model, whose
+    type, choices, default and help it takes; every default is None, so
+    that a flag left out is a field left out."""
+    for f in fields(REQUESTS[endpoint]):
+        if f.name not in names:
+            continue
+        meta, kwargs = f.metadata, {"dest": f.name, "default": None}
+        flags = (meta["flag"] or "--" + f.name.replace("_", "-")).split("/")
+        if isinstance(f.default, bool):  # a switch away from the default
+            kwargs["action"] = "store_false" if f.default else "store_true"
+            kwargs["help"] = meta["help"]
+        else:
+            kwargs["type"] = meta["coerce"] if meta["coerce"] in (int, float) else str
+            kwargs["choices"] = meta["choices"]
+            default = meta["spelled_default"]
+            kwargs["help"] = meta["help"] + (
+                "" if default is None else f" (default: {default})"
+            )
+        p.add_argument(*flags, **kwargs)
+
+
 def _add_instance_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "-p",
-        "--platform",
-        default="hera",
-        help=f"platform name ({', '.join(sorted(PLATFORMS))})",
-    )
-    p.add_argument(
-        "--pattern",
-        default="uniform",
-        choices=sorted(PATTERNS),
-        help="task weight pattern",
-    )
-    p.add_argument("-n", "--tasks", type=int, default=20, help="number of tasks")
-    p.add_argument(
-        "-w",
-        "--total-weight",
-        type=float,
-        default=PAPER_TOTAL_WEIGHT,
-        help="total computational weight in seconds",
-    )
+    _add_request_args(p, "solve", "platform", "pattern", "tasks", "total_weight")
     p.add_argument(
         "--chain-file",
         default=None,
@@ -120,23 +129,28 @@ def _add_instance_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _make_chain(args: argparse.Namespace):
-    if args.chain_file:
-        return load_chain(args.chain_file)
-    return make_chain(args.pattern, args.tasks, args.total_weight)
-
-
-def _finite_or_none(value: float) -> float | None:
-    """JSON-safe float: RFC 8259 has no Infinity/NaN tokens, so degenerate
-    CI bounds (single-replication campaigns) serialize as null."""
-    return value if math.isfinite(value) else None
-
-
-def _resolved_backend(spec) -> str:
-    """The backend name a campaign actually ran on (for --json echo)."""
-    from .simulation import get_backend
-
-    return get_backend(spec).name
+def _request(args: argparse.Namespace, endpoint: str) -> Request:
+    """The request the flags spell, parsed as ``repro serve`` parses it:
+    a flag left out is a field left out."""
+    cls = REQUESTS[endpoint]
+    doc = {
+        name: getattr(args, name)
+        for name in cls.field_names()
+        if getattr(args, name, None) is not None
+    }
+    if getattr(args, "chain_file", None):
+        chain = load_chain(args.chain_file)
+        doc.update(weights=chain.as_list(), chain=chain.name)
+    if cls is DagOptimizeRequest:
+        if args.dag_file:
+            doc["dag"] = _read_workflow(args.dag_file)
+        else:
+            doc["generator"] = {
+                knob: getattr(args, knob)
+                for knob in ("kind", "seed", *_dag_shape_knobs())
+                if getattr(args, knob) is not None
+            }
+    return parse_request(endpoint, doc)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -156,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="compute an optimal schedule")
     _add_instance_args(p)
-    p.add_argument("-a", "--algorithm", default="admv", help="adv*, admv*, admv")
+    _add_request_args(p, "solve", "algorithm", "seed")
     p.add_argument(
         "--breakdown",
         action="store_true",
@@ -177,49 +191,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte-Carlo a schedule vs analytic")
     _add_instance_args(p)
-    p.add_argument("-a", "--algorithm", default="admv")
-    p.add_argument("--schedule", default=None, help="override: fixed schedule string")
-    p.add_argument(
-        "--runs",
-        type=int,
-        default=None,
-        help=(
-            "replications: exact count for fixed-N campaigns (default "
-            "1000), hard cap when --target-ci is set (default: the "
-            "orchestrator's 1M cap, matching `repro sweep --target-ci`)"
-        ),
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--target-ci",
-        type=float,
-        default=None,
-        metavar="FRACTION",
-        help=(
-            "adaptive precision: run rounds until the relative CI "
-            "half-width on the mean reaches this target (e.g. 0.01 = ±1%%)"
-        ),
+    _add_request_args(
+        p, "simulate", "algorithm", "schedule", "runs", "seed", "target_ci",
+        "engine", "backend",
     )
     p.add_argument(
         "--no-breakdown",
         action="store_true",
         help="omit the per-category time breakdown table",
-    )
-    p.add_argument(
-        "--engine",
-        default="batch",
-        choices=("batch", "scalar"),
-        help="batched vectorized engine (default) or the scalar oracle loop",
-    )
-    p.add_argument(
-        "--backend",
-        default=None,
-        metavar="NAME",
-        help=(
-            "array-API backend for the batched kernel (numpy, "
-            "array-api-strict, cupy, torch, or any registered name; "
-            "default: $REPRO_BACKEND, else numpy)"
-        ),
     )
     p.add_argument(
         "--jobs",
@@ -293,44 +272,21 @@ def build_parser() -> argparse.ArgumentParser:
 
         q.add_argument(
             "--kind",
-            default="layered",
             choices=sorted(GENERATORS),
-            help="workflow family to generate",
-        )
-        q.add_argument("--seed", type=int, default=0, help="generator seed")
-        q.add_argument(
-            "--weights",
-            default=None,
-            choices=WEIGHT_DISTRIBUTIONS,
-            help="task-weight distribution (default: uniform)",
-        )
-        q.add_argument("--mean", type=float, default=None, help="mean task weight (s)")
-        q.add_argument("--spread", type=float, default=None, help="weight dispersion")
-        q.add_argument(
-            "--cost-spread",
-            type=float,
-            default=None,
-            help=(
-                "per-task resilience-cost heterogeneity (0 = the paper's "
-                "uniform costs; ~1 spans a decade of checkpoint costs)"
-            ),
+            help="workflow family to generate (default: layered)",
         )
         q.add_argument(
-            "--cost-weights",
-            default=None,
-            choices=WEIGHT_DISTRIBUTIONS,
-            help="cost-multiplier distribution (default: lognormal)",
+            "--seed", type=int, help="seed of the generator and of the search"
         )
-        # family-specific shape knobs (only the ones given are passed on)
-        q.add_argument("--tasks", type=int, default=None)
-        q.add_argument("--layers", type=int, default=None)
-        q.add_argument("--density", type=float, default=None)
-        q.add_argument("--branches", type=int, default=None)
-        q.add_argument("--branch-length", type=int, default=None)
-        q.add_argument("--arity", type=int, default=None)
-        q.add_argument("--rows", type=int, default=None)
-        q.add_argument("--cols", type=int, default=None)
-        q.add_argument("--sources", type=int, default=None)
+        # the families' shape knobs, typed by their defaults (only the
+        # ones given are passed on)
+        for knob, default in _dag_shape_knobs().items():
+            q.add_argument(
+                "--" + knob.replace("_", "-"),
+                type=type(default),
+                choices=WEIGHT_DISTRIBUTIONS if knob.endswith("weights") else None,
+                help=_KNOB_HELP.get(knob),
+            )
         q.add_argument(
             "--dag-file",
             default=None,
@@ -347,32 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
         "optimize", help="best serialisation + chain schedule for a DAG"
     )
     _add_dag_instance_args(q)
-    q.add_argument("-p", "--platform", default="hera")
-    q.add_argument("-a", "--algorithm", default="admv", help="adv*, admv*, admv")
-    q.add_argument(
-        "--strategy",
-        default="auto",
-        help="auto, all, search, or a single heuristic order",
-    )
-    q.add_argument(
-        "--processors",
-        type=int,
-        default=None,
-        metavar="P",
-        help=(
-            "schedule onto P workers instead of serialising: "
-            "(assignment, order) search with per-worker checkpoint "
-            "placement (--method/--restarts/--iterations/--jobs apply)"
-        ),
-    )
-    q.add_argument(
-        "--method",
-        default="hill_climb",
-        help="search method: hill_climb, anneal, hybrid",
-    )
-    q.add_argument("--restarts", type=int, default=2, help="random restarts (search)")
-    q.add_argument(
-        "--iterations", type=int, default=400, help="annealing iterations (search)"
+    _add_request_args(
+        q, "dag/optimize", "platform", "algorithm", "strategy", "processors",
+        "method", "restarts", "iterations", "recombine", "certify",
+        "target_ci", "backend", "estimate",
     )
     q.add_argument(
         "--jobs",
@@ -381,39 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "worker processes sharding the start climbs (search; the "
             "winning order is invariant in --jobs)"
-        ),
-    )
-    q.add_argument(
-        "--recombine",
-        type=int,
-        default=2,
-        help="elite-order crossover children to climb (search; 0 disables)",
-    )
-    q.add_argument(
-        "--certify",
-        action="store_true",
-        help="Monte-Carlo certify the winning order (adaptive, batched engine)",
-    )
-    q.add_argument(
-        "--target-ci",
-        type=float,
-        default=0.01,
-        metavar="FRACTION",
-        help="certification precision (relative CI half-width)",
-    )
-    q.add_argument(
-        "--backend",
-        default=None,
-        metavar="NAME",
-        help="array-API backend for the certification campaign",
-    )
-    q.add_argument(
-        "--no-estimate",
-        action="store_true",
-        help=(
-            "skip the adaptive Monte-Carlo makespan estimate of the "
-            "winning parallel plan (--processors only; --target-ci and "
-            "--backend configure the estimate)"
         ),
     )
     q.add_argument("--json", action="store_true")
@@ -506,23 +407,23 @@ def _cmd_platforms(args) -> str:
 
 
 def _cmd_solve(args) -> str:
-    chain = _make_chain(args)
-    platform = get_platform(args.platform)
-    solution = optimize(chain, platform, algorithm=args.algorithm)
+    request = _request(args, "solve")
+    outcome = run(request)
     if args.json:
-        # the unified document is a strict superset of the historical
-        # solve keys (algorithm/platform/chain/... keep their shapes)
-        return json.dumps(as_document(solution), indent=2)
+        return json.dumps(outcome.document(), indent=2)
+    solution = outcome.result
     out = solution.summary() + "\n" + placement_diagram(solution.schedule)
     if args.breakdown:
-        evaluation = evaluate_schedule(chain, platform, solution.schedule)
-        out += "\n" + evaluation.render_breakdown(chain)
+        evaluation = evaluate_schedule(
+            request.task_chain, request.platform, solution.schedule
+        )
+        out += "\n" + evaluation.render_breakdown(request.task_chain)
     return out
 
 
 def _cmd_evaluate(args) -> str:
-    chain = _make_chain(args)
-    platform = get_platform(args.platform)
+    request = _request(args, "solve")
+    chain, platform = request.task_chain, request.platform
     schedule = Schedule.from_string(args.schedule)
     evaluation = evaluate_schedule(chain, platform, schedule)
     if args.json:
@@ -548,77 +449,36 @@ def _cmd_evaluate(args) -> str:
 
 
 def _cmd_simulate(args) -> str:
-    chain = _make_chain(args)
-    platform = get_platform(args.platform)
-    if args.schedule:
-        schedule = Schedule.from_string(args.schedule)
-        analytic = evaluate_schedule(chain, platform, schedule).expected_time
-        label = f"schedule {schedule.to_string()}"
-    else:
-        solution = optimize(chain, platform, algorithm=args.algorithm)
-        schedule = solution.schedule
-        analytic = solution.expected_time
-        label = f"optimal {canonical_algorithm(args.algorithm)} schedule"
-    mc_kwargs = {}
-    if args.chunk_size is not None:
-        mc_kwargs["chunk_size"] = args.chunk_size
-    if args.runs is not None:
-        runs = args.runs
-    elif args.target_ci is not None:
-        # same default cap as `repro sweep --target-ci`: let the
-        # orchestrator converge, don't silently stop at the fixed-N 1000
-        from .simulation import DEFAULT_MAX_RUNS
-
-        runs = DEFAULT_MAX_RUNS
-    else:
-        runs = 1000
-    mc = run_monte_carlo(
-        chain,
-        platform,
-        schedule,
-        runs=runs,
-        seed=args.seed,
-        analytic=analytic,
-        engine=args.engine,
-        n_jobs=args.jobs,
-        target_ci=args.target_ci,
-        backend=args.backend,
-        **mc_kwargs,
-    )
+    request = _request(args, "simulate")
+    outcome = run(request, n_jobs=args.jobs, chunk_size=args.chunk_size)
     if args.json:
-        # unified monte_carlo_result document plus the CLI's historical
-        # context keys (platform name, schedule string, seed, engine)
-        doc = as_document(mc)
-        doc.update(
-            platform=platform.name,
-            schedule=schedule.to_string(),
-            seed=args.seed,
-            engine=args.engine,
-            analytic=analytic,
-        )
-        return json.dumps(doc, indent=2)
+        return json.dumps(outcome.document(), indent=2)
+    mc = outcome.result
+    if request.schedule:
+        label = f"schedule {outcome.schedule.to_string()}"
+    else:
+        label = f"optimal {request.algorithm} schedule"
     mode = (
-        f"{args.engine} engine"
-        if args.target_ci is None
-        else f"adaptive, target ±{args.target_ci:.2%}"
+        f"{request.engine} engine"
+        if request.target_ci is None
+        else f"adaptive, target ±{request.target_ci:.2%}"
     )
     if mc.backend != "numpy":
         mode += f", {mc.backend} backend"
     return (
-        f"simulating {label} on {platform.name} ({mode})\n"
+        f"simulating {label} on {request.platform.name} ({mode})\n"
         + mc.report(show_breakdown=not args.no_breakdown)
     )
 
 
 def _cmd_sweep(args) -> str:
-    platform = get_platform(args.platform)
+    instance = _request(args, "solve")
+    platform, pattern = instance.platform, instance.pattern
     algorithms = tuple(a.strip() for a in args.algorithms.split(",") if a.strip())
     grid = sorted(set([1] + list(range(args.step, args.max_n + 1, args.step))))
     validated = bool(args.validate_runs) or args.target_ci is not None
     if args.backend is not None:
-        from .simulation import get_backend
-
-        get_backend(args.backend)  # diagnose typos/missing installs up front
+        backend_name(args.backend)  # diagnose typos/missing installs up front
         if not validated:
             raise InvalidParameterError(
                 "--backend selects where the Monte-Carlo validation "
@@ -631,10 +491,10 @@ def _cmd_sweep(args) -> str:
         profiler.enable()
     sweep = sweep_task_counts(
         platform,
-        pattern=args.pattern,
+        pattern=pattern,
         task_counts=grid,
         algorithms=algorithms,
-        total_weight=args.total_weight,
+        total_weight=instance.total_weight,
         validate_runs=args.validate_runs,
         validate_target_ci=args.target_ci,
         validate_seed=args.seed,
@@ -648,7 +508,7 @@ def _cmd_sweep(args) -> str:
             "schema_version": SCHEMA_VERSION,
             "kind": "sweep",
             "platform": platform.name,
-            "pattern": args.pattern,
+            "pattern": pattern,
             "seed": args.seed,
             # None when no validation campaign ran (nothing consumed a
             # backend); the resolved name otherwise — same echo contract
@@ -658,9 +518,7 @@ def _cmd_sweep(args) -> str:
             "header": sweep.header(),
         }
         if validated:
-            from .simulation import get_backend
-
-            doc["backend"] = get_backend(args.backend).name
+            doc["backend"] = backend_name(args.backend)
             doc["validated_cells"] = sweep.validated_cells
             doc["all_cells_agree"] = sweep.all_cells_agree
         return json.dumps(doc, indent=2)
@@ -668,7 +526,7 @@ def _cmd_sweep(args) -> str:
         format_table(
             ["n"] + [ALGORITHM_LABELS.get(a, a) for a in sweep.algorithms],
             sweep.rows(),
-            title=f"normalized makespan — {platform.name}, {args.pattern}",
+            title=f"normalized makespan — {platform.name}, {pattern}",
         )
     ]
     if validated:
@@ -686,62 +544,50 @@ def _cmd_sweep(args) -> str:
     return "\n\n".join(out)
 
 
-_DAG_SHAPE_KNOBS = (
-    "weights",
-    "mean",
-    "spread",
-    "cost_spread",
-    "cost_weights",
-    "tasks",
-    "layers",
-    "density",
-    "branches",
-    "branch_length",
-    "arity",
-    "rows",
-    "cols",
-    "sources",
-)
+_KNOB_HELP = {
+    "weights": "task-weight distribution",
+    "mean": "mean task weight (s)",
+    "spread": "weight dispersion",
+    "cost_spread": (
+        "per-task resilience-cost heterogeneity (0 = the paper's uniform "
+        "costs; ~1 spans a decade of checkpoint costs)"
+    ),
+    "cost_weights": "cost-multiplier distribution",
+}
 
 
-def _make_dag(args):
+def _dag_shape_knobs() -> dict:
+    """Every workflow family's shape knob, with its first default."""
     import inspect
 
-    from .dag import WorkflowDAG, generate
     from .dag.generate import GENERATORS
 
-    if args.dag_file:
-        from pathlib import Path
+    knobs: dict = {}
+    for generator in GENERATORS.values():
+        for name, param in inspect.signature(generator).parameters.items():
+            if name not in ("seed", "name"):
+                knobs.setdefault(name, param.default)
+    return knobs
 
-        try:
-            document = json.loads(Path(args.dag_file).read_text())
-        except OSError as exc:
-            raise InvalidParameterError(
-                f"cannot read workflow file {args.dag_file!r}: {exc}"
-            ) from exc
-        except json.JSONDecodeError as exc:
-            raise InvalidParameterError(
-                f"workflow file {args.dag_file!r} is not valid JSON: {exc}"
-            ) from exc
-        return WorkflowDAG.from_dict(document)
-    kwargs = {
-        knob: getattr(args, knob)
-        for knob in _DAG_SHAPE_KNOBS
-        if getattr(args, knob) is not None
-    }
-    accepted = inspect.signature(GENERATORS[args.kind]).parameters
-    unknown = sorted(set(kwargs) - set(accepted))
-    if unknown:
+
+def _read_workflow(path: str) -> dict:
+    from pathlib import Path
+
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
         raise InvalidParameterError(
-            f"workflow family {args.kind!r} does not accept "
-            f"{', '.join('--' + k.replace('_', '-') for k in unknown)} "
-            f"(it takes {', '.join(sorted(set(accepted) - {'seed', 'name'}))})"
-        )
-    return generate(args.kind, seed=args.seed, **kwargs)
+            f"cannot read workflow file {path!r}: {exc}"
+        ) from exc
+    except json.JSONDecodeError as exc:
+        raise InvalidParameterError(
+            f"workflow file {path!r} is not valid JSON: {exc}"
+        ) from exc
 
 
 def _cmd_dag_generate(args) -> str:
-    dag = _make_dag(args)
+    request = _request(args, "dag/optimize")
+    dag = request.workflow
     doc = dag.as_dict()
     # provenance: meaningless for file-loaded DAGs (the flags didn't
     # produce the workflow), so both fields are nulled together.  NB:
@@ -750,8 +596,8 @@ def _cmd_dag_generate(args) -> str:
     # and WorkflowDAG.from_dict, so the historical shape wins.
     doc.update(
         schema_version=SCHEMA_VERSION,
-        kind=None if args.dag_file else args.kind,
-        seed=None if args.dag_file else args.seed,
+        kind=None if args.dag_file else request.generator["kind"],
+        seed=None if args.dag_file else request.generator["seed"],
     )
     if args.output:
         from pathlib import Path
@@ -779,296 +625,40 @@ def _cmd_dag_generate(args) -> str:
 
 
 def _cmd_dag_optimize(args) -> str:
-    from .dag import optimize_dag
-
-    dag = _make_dag(args)
-    platform = get_platform(args.platform)
-    if not args.certify and args.processors is None:
-        # With --processors these flags configure the adaptive makespan
-        # estimate instead (see _dag_optimize_parallel).
-        ignored = [
-            flag
-            for flag, is_set in (
-                ("--backend", args.backend is not None),
-                ("--target-ci", args.target_ci != 0.01),
-            )
-            if is_set
-        ]
-        if ignored:
-            raise InvalidParameterError(
-                f"{', '.join(ignored)} configure the Monte-Carlo "
-                f"certification campaign; enable it with --certify"
-            )
-    if args.processors is None and args.no_estimate:
-        raise InvalidParameterError(
-            "--no-estimate skips the parallel plan's adaptive makespan "
-            "estimate; it requires --processors"
-        )
-    if args.processors is not None:
-        ignored = [
-            flag
-            for flag, is_set in (
-                ("--strategy", args.strategy != "auto"),
-                ("--recombine", args.recombine != 2),
-            )
-            if is_set
-        ]
-        if ignored:
-            raise InvalidParameterError(
-                f"{', '.join(ignored)} only affect the single-processor "
-                f"serialisation; --processors {args.processors} always "
-                f"runs the parallel (assignment, order) search"
-            )
-        if args.certify:
-            raise InvalidParameterError(
-                "--certify stamps serialized chain schedules; estimate a "
-                "parallel plan's makespan with "
-                "repro.simulation.simulate_parallel on solution.plan() "
-                "(see repro.experiments.parallel_speedup)"
-            )
-        return _dag_optimize_parallel(dag, platform, args)
-    if args.strategy != "search":
-        ignored = [
-            flag
-            for flag, is_set in (
-                ("--method", args.method != "hill_climb"),
-                ("--restarts", args.restarts != 2),
-                ("--iterations", args.iterations != 400),
-                ("--jobs", args.jobs is not None),
-                ("--recombine", args.recombine != 2),
-            )
-            if is_set
-        ]
-        if ignored:
-            raise InvalidParameterError(
-                f"{', '.join(ignored)} only affect the metaheuristic "
-                f"search; add --strategy search (got --strategy "
-                f"{args.strategy})"
-            )
-    search_result = None
-    certificate = None
-    if args.strategy == "search":
-        from .dag import search_order
-        from .dag.search import uses_join_objective
-
-        if uses_join_objective(dag):
-            ignored = [
-                flag
-                for flag, is_set in (
-                    ("--jobs", args.jobs is not None),
-                    ("--recombine", args.recombine != 2),
-                )
-                if is_set
-            ]
-            if ignored:
-                raise InvalidParameterError(
-                    f"{', '.join(ignored)} do not apply to the join "
-                    f"objective ({dag.name!r} is join-shaped: states are "
-                    f"evaluated exactly in-process, with no recombination)"
-                )
-
-        search_result = search_order(
-            dag,
-            platform,
-            algorithm=args.algorithm,
-            method=args.method,
-            seed=args.seed,
-            restarts=args.restarts,
-            iterations=args.iterations,
-            certify=args.certify,
-            backend=args.backend,
-            target_ci=args.target_ci,
-            n_jobs=args.jobs,
-            recombine=args.recombine,
-        )
-        solution = search_result.solution
-        certificate = search_result.certificate
-    else:
-        solution = optimize_dag(
-            dag,
-            platform,
-            algorithm=args.algorithm,
-            strategy=args.strategy,
-            seed=args.seed,
-        )
-        if args.certify:  # stamp fixed-strategy winners too
-            from .experiments.common import certify_solution
-
-            _, chain = dag.serialise(solution.order)
-            certificate = certify_solution(
-                chain,
-                platform,
-                solution,
-                label=f"{dag.name} {args.strategy} order",
-                seed=args.seed,
-                backend=args.backend,
-                target_ci=args.target_ci,
-                costs=dag.cost_profile(solution.order, platform),
-            )
+    request = _request(args, "dag/optimize")
+    outcome = run(request, n_jobs=args.jobs)
     if args.json:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "dag_optimize",
-            "platform": platform.name,
-            "dag": dag.name,
-            "n": dag.n,
-            "seed": args.seed,
-            "backend": _resolved_backend(args.backend)
-            if args.certify
-            else None,
-            "strategy": args.strategy,
-            "algorithm": solution.algorithm,
-            "order": [str(v) for v in solution.order],
-            "expected_time": solution.expected_time,
-            "normalized_makespan": solution.normalized_makespan,
-            "schedule": solution.schedule.as_dict(),
-        }
-        if search_result is not None:
-            doc["search"] = {
-                "method": search_result.method,
-                "starts": search_result.starts,
-                "orders_scored": search_result.orders_scored,
-                "exact_evaluations": search_result.exact_evaluations,
-                "bound_evaluations": search_result.bound_evaluations,
-                "cache_hits": search_result.exact_cache_hits
-                + search_result.bound_cache_hits,
-                "n_jobs": search_result.n_jobs,
-                "recombined": search_result.recombined,
-                "objective": search_result.algorithm,
-            }
-        decisions = getattr(solution, "decisions", None)
-        if decisions is not None:  # join-shaped DAG: forever-vulnerable model
-            from .dag import canonical_node_key
-
-            doc["join"] = {
-                "checkpointed_sources": sorted(
-                    (str(v) for v, d in decisions.items() if d),
-                    key=canonical_node_key,
-                ),
-                "rate": solution.instance.rate,
-                "C": solution.instance.C,
-                "R": solution.instance.R,
-            }
-        if certificate is not None:
-            # unified agreement_stamp document (superset of the
-            # historical simulated/relative_gap/... keys)
-            doc["certificate"] = as_document(certificate)
-        return json.dumps(doc, indent=2)
+        return json.dumps(outcome.document(), indent=2)
+    dag, result = request.workflow, outcome.result
+    if request.processors is not None:
+        out = [
+            f"workflow {dag.name} on {request.platform.name} "
+            f"(processors {request.processors}, seed {request.seed})",
+            result.solution.describe(),
+            result.summary(),
+        ]
+        estimate = outcome.estimate
+        if estimate is not None:
+            status = "converged" if estimate.converged else "cap reached"
+            out.append(
+                f"  estimated E[makespan] = {estimate.mean:.2f}s "
+                f"(±{estimate.relative_half_width:.2%}, "
+                f"{estimate.reps_used} reps, {status}; "
+                f"surrogate gap {estimate.relative_gap:+.2%})"
+            )
+        return "\n".join(out)
+    search = request.strategy == "search"
+    solution = result.solution if search else result
     out = [
-        f"workflow {dag.name} on {platform.name} (strategy {args.strategy}, "
-        f"seed {args.seed})",
+        f"workflow {dag.name} on {request.platform.name} (strategy "
+        f"{request.strategy}, seed {request.seed})",
         solution.summary(),
         "  order: " + " -> ".join(str(v) for v in solution.order),
     ]
-    if search_result is not None:
-        out.append(search_result.summary())
-    elif certificate is not None:
-        out.append(certificate.line())
-    return "\n".join(out)
-
-
-def _dag_optimize_parallel(dag, platform, args) -> str:
-    from .dag import canonical_node_key, search_parallel
-
-    if args.no_estimate:
-        ignored = [
-            flag
-            for flag, is_set in (
-                ("--backend", args.backend is not None),
-                ("--target-ci", args.target_ci != 0.01),
-            )
-            if is_set
-        ]
-        if ignored:
-            raise InvalidParameterError(
-                f"{', '.join(ignored)} configure the adaptive makespan "
-                f"estimate; drop --no-estimate to use them"
-            )
-    result = search_parallel(
-        dag,
-        platform,
-        args.processors,
-        algorithm=args.algorithm,
-        method=args.method,
-        seed=args.seed,
-        restarts=args.restarts,
-        iterations=args.iterations,
-        n_jobs=args.jobs,
-    )
-    solution = result.solution
-    estimate = None
-    if not args.no_estimate:
-        # Default-on adaptive Monte-Carlo estimate of the winning plan's
-        # wall-clock makespan (the analytic value is a surrogate: the
-        # epoch fold swaps E and max, so simulation is the ground truth).
-        from .simulation import run_adaptive_parallel
-
-        estimate = run_adaptive_parallel(
-            solution.plan(),
-            platform,
-            target_relative_ci=args.target_ci,
-            seed=args.seed,
-            backend=args.backend,
-            analytic=solution.expected_time,
-        )
-    if args.json:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "dag_optimize_parallel",
-            "platform": platform.name,
-            "dag": dag.name,
-            "n": dag.n,
-            "seed": args.seed,
-            "backend": _resolved_backend(args.backend)
-            if estimate is not None
-            else None,
-            "processors": args.processors,
-            "algorithm": solution.algorithm,
-            "order": [str(v) for v in solution.order],
-            "assignment": {
-                str(v): solution.assignment[v]
-                for v in sorted(solution.assignment, key=canonical_node_key)
-            },
-            "expected_time": solution.expected_time,
-            "worker_busy": list(solution.worker_busy),
-            "search": {
-                "method": result.method,
-                "starts": result.starts,
-                "rounds": result.rounds,
-                "states_priced": result.states_priced,
-                "state_cache_hits": result.state_cache_hits,
-                "interval_solves": result.interval_solves,
-                "interval_cache_hits": result.interval_cache_hits,
-                "n_jobs": result.n_jobs,
-            },
-        }
-        if estimate is not None:
-            doc["estimate"] = {
-                "mean": estimate.mean,
-                "relative_half_width": _finite_or_none(
-                    estimate.relative_half_width
-                ),
-                "target_ci": estimate.target_relative_ci,
-                "reps": estimate.reps_used,
-                "rounds": len(estimate.rounds),
-                "converged": estimate.converged,
-                "surrogate_gap": _finite_or_none(estimate.relative_gap),
-            }
-        return json.dumps(doc, indent=2)
-    out = [
-        f"workflow {dag.name} on {platform.name} "
-        f"(processors {args.processors}, seed {args.seed})",
-        solution.describe(),
-        result.summary(),
-    ]
-    if estimate is not None:
-        status = "converged" if estimate.converged else "cap reached"
-        out.append(
-            f"  estimated E[makespan] = {estimate.mean:.2f}s "
-            f"(±{estimate.relative_half_width:.2%}, "
-            f"{estimate.reps_used} reps, {status}; "
-            f"surrogate gap {estimate.relative_gap:+.2%})"
-        )
+    if search:
+        out.append(result.summary())
+    elif outcome.certificate is not None:
+        out.append(outcome.certificate.line())
     return "\n".join(out)
 
 
@@ -1091,9 +681,7 @@ def _cmd_dag_sweep(args) -> str:
             "schema_version": SCHEMA_VERSION,
             "kind": "dag_sweep",
             "seed": args.seed,
-            "backend": _resolved_backend(args.backend)
-            if not args.no_certify
-            else None,
+            "backend": None if args.no_certify else backend_name(args.backend),
         }
         doc.update(result.as_dict())
         return json.dumps(doc, indent=2)

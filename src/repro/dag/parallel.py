@@ -898,7 +898,7 @@ def search_parallel(
     method: str = "hill_climb",
     seed: int = 0,
     restarts: int = 2,
-    iterations: int = 300,
+    iterations: int = 400,
     max_rounds: int = 60,
     objective: ParallelObjective | None = None,
     n_jobs: int | None = None,

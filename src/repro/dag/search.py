@@ -949,9 +949,11 @@ def search_order(
     if objective is None:
         objective = ChainObjective(dag, platform, algorithm=algorithm)
 
-    ss_starts, ss_climbs, ss_recombine, ss_anneal = np.random.SeedSequence(
-        seed
-    ).spawn(4)
+    # the certification draws from a fifth child, so that it never
+    # replays the streams the search itself consumed
+    ss_starts, ss_climbs, ss_recombine, ss_anneal, ss_certify = (
+        np.random.SeedSequence(seed).spawn(5)
+    )
     starts = start_orders(dag, restarts, np.random.default_rng(ss_starts))
     objective.metrics.counter("search.restarts").inc(max(0, restarts))
     search = multistart(
@@ -1028,7 +1030,7 @@ def search_order(
             best_solution,
             label=f"{dag.name} search order",
             target_ci=target_ci,
-            seed=seed,
+            seed=ss_certify,
             backend=backend,
             max_runs=certify_runs,
             costs=dag.cost_profile(list(best_order), platform),

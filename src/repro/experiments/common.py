@@ -26,6 +26,8 @@ from ..core.result import Solution
 from ..platforms import TABLE1_ROWS, Platform
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from ..simulation.adaptive import AdaptiveResult
 
 __all__ = [
@@ -117,7 +119,7 @@ def certify_solution(
     *,
     label: str,
     target_ci: float = STAMP_TARGET_CI,
-    seed: int = 0,
+    seed: int | np.random.SeedSequence = 0,
     backend: str | None = None,
     max_runs: int = 1_000_000,
     costs=None,

@@ -11,9 +11,10 @@ An :class:`Engine` is the long-lived object the CLI never had: it owns
   request/job session (each runs under its own thread-local
   :func:`repro.obs.instrument` scope, so concurrent requests never
   cross-contaminate);
-- the endpoint implementations themselves (``solve`` / ``simulate`` /
-  ``dag/optimize``), which mirror the CLI subcommands and emit the
-  unified ``repro.api`` documents.
+- nothing of the operations themselves: :func:`run` executes a
+  request parsed by :func:`repro.api.requests.parse_request` for the
+  engine and the CLI alike, and :meth:`Outcome.document` renders the
+  unified ``repro.api`` document both emit.
 
 Cache contract: a hit returns the **byte-identical** payload the cold
 request rendered — the hit/miss status travels out-of-band (HTTP
@@ -35,14 +36,18 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 from hashlib import blake2b
 from time import perf_counter
-from typing import Any, Callable
-
-import numpy as np
+from typing import Any
 
 from ..api import SCHEMA_VERSION, as_document, canonical_hash
-from ..chains import PAPER_TOTAL_WEIGHT, PATTERNS, TaskChain, make_chain
+from ..api.requests import (
+    REQUESTS,
+    DagOptimizeRequest,
+    Request,
+    SimulateRequest,
+    backend_name,
+    parse_request,
+)
 from ..core import Schedule, evaluate_schedule, optimize
-from ..core.solver import canonical_algorithm
 from ..exceptions import InvalidParameterError
 from ..obs import (
     DEFAULT_EVENT_CAPACITY,
@@ -57,16 +62,21 @@ from ..obs import (
     render_prometheus,
     span,
 )
-from ..platforms import TABLE1_ROWS, Platform, get_platform
-from ..simulation import run_monte_carlo
+from ..platforms import TABLE1_ROWS
+from ..simulation import (
+    DEFAULT_CHUNK_SIZE,
+    DEFAULT_MAX_RUNS,
+    run_adaptive_parallel,
+    run_monte_carlo,
+)
 from .cache import ContentCache
 
 logger = get_logger(__name__)
 
-__all__ = ["Engine", "EngineResponse", "ENDPOINTS"]
+__all__ = ["Engine", "EngineResponse", "ENDPOINTS", "Outcome", "run"]
 
 #: Endpoints the engine executes (the HTTP layer maps URLs onto these).
-ENDPOINTS = ("solve", "simulate", "dag/optimize")
+ENDPOINTS = tuple(REQUESTS)
 
 
 @dataclass(frozen=True)
@@ -100,112 +110,167 @@ def _load_body(body: bytes) -> dict:
     return doc
 
 
-def _reject_unknown(request: dict, allowed: tuple[str, ...], endpoint: str):
-    unknown = sorted(set(request) - set(allowed))
-    if unknown:
-        raise InvalidParameterError(
-            f"unknown field(s) {', '.join(unknown)} for /{endpoint}; "
-            f"accepted: {', '.join(allowed)}"
+@dataclass(frozen=True)
+class Outcome:
+    """One run of a request: its result object and what its document
+    echoes besides (the schedule a simulation ran, a fixed-strategy
+    certificate, a parallel plan's makespan estimate)."""
+
+    request: Request
+    result: Any
+    schedule: Schedule | None = None
+    certificate: Any = None
+    estimate: Any = None
+
+    def document(self) -> dict:
+        """The document both front ends emit for this run."""
+        request = self.request
+        doc = as_document(self.result)
+        if isinstance(request, SimulateRequest):
+            doc.update(
+                platform=request.platform.name,
+                schedule=self.schedule.to_string(),
+                seed=request.seed,
+                engine=request.engine,
+            )
+            return doc
+        if not isinstance(request, DagOptimizeRequest):
+            return doc
+        if self.certificate is not None:
+            doc["certificate"] = as_document(self.certificate)
+        if self.estimate is not None:
+            doc["estimate"] = as_document(self.estimate)
+        if request.processors is None:
+            doc.update(dag=request.workflow.name, strategy=request.strategy)
+        doc.update(
+            seed=request.seed,
+            backend=backend_name(request.backend) if request.simulates else None,
         )
+        return doc
 
 
-def _weights(value) -> np.ndarray:
-    # the conversion TaskChain applies, so that it raises here, not there
-    return np.asarray(list(value), dtype=np.float64)
+def run(
+    request: Request,
+    *,
+    n_jobs: int | None = None,
+    chunk_size: int | None = None,
+    exact_cache=None,
+) -> Outcome:
+    """Execute one parsed request; ``repro`` and :class:`Engine` both
+    run every operation here.
 
-
-_EXPECTED = {int: "an integer", float: "a number", _weights: "a list of numbers"}
-
-
-def _coerce(value: Any, kind: Callable, name: str) -> Any:
-    """``kind(value)``, or a typed 400 naming the request field.
-
-    ``int``/``float`` coercion of a client's JSON raises a bare
-    ``ValueError``/``TypeError`` on a non-numeric value, which would
-    surface as a 500.
+    ``n_jobs`` and ``chunk_size`` shard a simulation or a search without
+    changing its result; ``exact_cache`` holds the exact-DP memo of a
+    serial order search (the engine passes a view of its evictable
+    pool).
     """
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidParameterError(
-            f"field {name!r} must be {_EXPECTED[kind]}, got {value!r}"
-        ) from None
-
-
-def _field(request: dict, name: str, kind: Callable, default: Any = None) -> Any:
-    """``request[name]`` (``default`` when absent) coerced by ``kind``."""
-    return _coerce(request.get(name, default), kind, name)
-
-
-def _parse_platform(request: dict) -> Platform:
-    spec = request.get("platform", "hera")
-    if isinstance(spec, dict):
-        return Platform.from_dict(spec)
-    try:
-        return get_platform(str(spec))
-    except KeyError as exc:
-        raise InvalidParameterError(str(exc.args[0])) from None
-
-
-def _parse_chain(request: dict) -> TaskChain:
-    if request.get("weights") is not None:
-        return TaskChain(
-            _field(request, "weights", _weights),
-            name=str(request.get("chain", "custom")),
+    if isinstance(request, DagOptimizeRequest):
+        return _run_dag(request, n_jobs=n_jobs, exact_cache=exact_cache)
+    chain, platform = request.task_chain, request.platform
+    if not isinstance(request, SimulateRequest):
+        return Outcome(
+            request, optimize(chain, platform, algorithm=request.algorithm)
         )
-    pattern = str(request.get("pattern", "uniform"))
-    if pattern not in PATTERNS:
-        raise InvalidParameterError(
-            f"unknown pattern {pattern!r}; expected one of "
-            f"{', '.join(sorted(PATTERNS))}"
-        )
-    # the random pattern draws its weights from the request's seed, so
-    # that identical requests name identical chains
-    seeded = {"rng": _field(request, "seed", int, 0)} if pattern == "random" else {}
-    return make_chain(
-        pattern,
-        _field(request, "tasks", int, 20),
-        _field(request, "total_weight", float, PAPER_TOTAL_WEIGHT),
-        **seeded,
+    if request.schedule:
+        schedule = Schedule.from_string(request.schedule)
+        analytic = evaluate_schedule(chain, platform, schedule).expected_time
+    else:
+        solution = optimize(chain, platform, algorithm=request.algorithm)
+        schedule, analytic = solution.schedule, solution.expected_time
+    if request.runs is not None:
+        runs = request.runs
+    elif request.target_ci is not None:
+        # let the orchestrator converge, as `repro sweep --target-ci`
+        # does, rather than stop at the fixed-N default
+        runs = DEFAULT_MAX_RUNS
+    else:
+        runs = 1000
+    mc = run_monte_carlo(
+        chain,
+        platform,
+        schedule,
+        runs=runs,
+        seed=request.seed,
+        analytic=analytic,
+        engine=request.engine,
+        n_jobs=n_jobs,
+        chunk_size=DEFAULT_CHUNK_SIZE if chunk_size is None else chunk_size,
+        target_ci=request.target_ci,
+        backend=request.backend,
     )
+    return Outcome(request, mc, schedule=schedule)
 
 
-def _parse_dag(request: dict):
-    from ..dag import WorkflowDAG
-    from ..dag.generate import generate
+def _run_dag(request: DagOptimizeRequest, *, n_jobs, exact_cache) -> Outcome:
+    from ..dag import optimize_dag, search_order, search_parallel
+    from ..dag.search import ChainObjective, uses_join_objective
 
-    spec = request.get("dag")
-    if isinstance(spec, dict):
-        return WorkflowDAG.from_dict(spec)
-    if spec is not None:
-        raise InvalidParameterError(
-            "'dag' must be a workflow document (see `repro dag generate "
-            "--json`)"
+    if n_jobs is not None:
+        request.check(n_jobs=n_jobs)
+    dag, platform = request.workflow, request.platform
+    search = dict(
+        algorithm=request.algorithm,
+        method=request.method,
+        seed=request.seed,
+        restarts=request.restarts,
+        iterations=request.iterations,
+        n_jobs=n_jobs,
+    )
+    if request.processors is not None:
+        result = search_parallel(dag, platform, request.processors, **search)
+        estimate = None
+        if request.estimate:
+            # the analytic value is a surrogate (the epoch fold swaps E
+            # and max), so the plan's wall-clock makespan is simulated
+            estimate = run_adaptive_parallel(
+                result.solution.plan(),
+                platform,
+                target_relative_ci=request.target_ci,
+                seed=request.seed,
+                backend=request.backend,
+                analytic=result.solution.expected_time,
+            )
+        return Outcome(request, result, estimate=estimate)
+    if request.strategy == "search":
+        objective = None
+        if exact_cache is not None and not uses_join_objective(dag):
+            objective = ChainObjective(
+                dag, platform, algorithm=request.algorithm, exact_cache=exact_cache
+            )
+        result = search_order(
+            dag,
+            platform,
+            **search,
+            recombine=request.recombine,
+            certify=request.certify,
+            backend=request.backend,
+            target_ci=request.target_ci,
+            objective=objective,
         )
-    generator = request.get("generator") or {}
-    if not isinstance(generator, dict):
-        raise InvalidParameterError("'generator' must be an object")
-    generator = dict(generator)
-    kind = str(generator.pop("kind", "layered"))
-    seed = _coerce(generator.pop("seed", 0), int, "generator.seed")
-    try:
-        return generate(kind, seed=seed, **generator)
-    except TypeError as exc:  # an option the generator does not take
-        raise InvalidParameterError(f"bad 'generator': {exc}") from None
+        return Outcome(request, result)
+    solution = optimize_dag(
+        dag,
+        platform,
+        algorithm=request.algorithm,
+        strategy=request.strategy,
+        seed=request.seed,
+    )
+    certificate = None
+    if request.certify:
+        from ..experiments.common import certify_solution
 
-
-_SOLVE_FIELDS = (
-    "platform", "pattern", "tasks", "total_weight", "weights", "chain",
-    "algorithm", "seed",
-)
-_SIMULATE_FIELDS = _SOLVE_FIELDS + (
-    "schedule", "runs", "target_ci", "backend", "engine",
-)
-_DAG_FIELDS = (
-    "platform", "dag", "generator", "algorithm", "strategy", "method",
-    "seed", "restarts", "iterations", "recombine", "certify", "target_ci",
-    "backend", "processors",
-)
+        _, chain = dag.serialise(solution.order)
+        certificate = certify_solution(
+            chain,
+            platform,
+            solution,
+            label=f"{dag.name} {request.strategy} order",
+            seed=request.seed,
+            backend=request.backend,
+            target_ci=request.target_ci,
+            costs=dag.cost_profile(solution.order, platform),
+        )
+    return Outcome(request, solution, certificate=certificate)
 
 
 class Engine:
@@ -233,17 +298,12 @@ class Engine:
         self._service = MetricsRegistry()
         self._requests: dict[str, int] = {}
         self._cache_hits: dict[str, int] = {}
-        self._handlers: dict[str, Callable[[dict], dict]] = {
-            "solve": self._do_solve,
-            "simulate": self._do_simulate,
-            "dag/optimize": self._do_dag_optimize,
-        }
 
     # -- request execution ---------------------------------------------
     def handle(
         self,
         endpoint: str,
-        request: dict | bytes,
+        request: dict | bytes | Request,
         *,
         collect_trace: bool = False,
         events: "EventBus | TaggedBus | None" = None,
@@ -251,33 +311,29 @@ class Engine:
     ) -> EngineResponse | None:
         """Execute one endpoint request (cache-aware).
 
-        ``request`` is the request document or its raw JSON body.  A body
-        goes through the spelling memo, so a repeated one skips
-        ``json.loads`` and :meth:`request_key`.  With ``compute=False``
-        only a cached reply is returned, and ``None`` stands for any
-        request that would need work (the HTTP loop thread answers warm
-        requests only).
+        ``request`` is the request document, its raw JSON body, or the
+        request it parses to.  A body goes through the spelling memo, so
+        a repeated one skips ``json.loads`` and :meth:`request_key`.
+        With ``compute=False`` only a cached reply is returned, and
+        ``None`` stands for any request that would need work (the HTTP
+        loop thread answers warm requests only).
 
         Raises :class:`~repro.exceptions.InvalidParameterError` for
         malformed requests (the HTTP layer maps it to 400) and
         ``KeyError``-free 404s are the HTTP layer's business.
         """
-        handler = self._handlers.get(endpoint)
-        if handler is None:
-            raise InvalidParameterError(
-                f"unknown endpoint {endpoint!r}; expected one of "
-                f"{', '.join(ENDPOINTS)}"
-            )
         if isinstance(request, bytes):
             spelling = (endpoint, blake2b(request, digest_size=16).digest())
             key = self.spellings.get(spelling)
             if key is None:
                 if not compute:
                     return None
-                request = _load_body(request)
+                request = parse_request(endpoint, _load_body(request))
                 key = self.request_key(endpoint, request)
                 self.spellings.put(spelling, key)
         else:
+            if not isinstance(request, Request):
+                request = parse_request(endpoint, request)
             key = self.request_key(endpoint, request)
         if not compute and ("response", key) not in self.cache:
             return None
@@ -315,12 +371,14 @@ class Engine:
         if events is None:
             events = TaggedBus(self.events, endpoint=endpoint)
         try:
-            if isinstance(request, bytes):
-                request = _load_body(request)
+            if isinstance(request, bytes):  # a known spelling, evicted
+                request = parse_request(endpoint, _load_body(request))
             with instrument(registry, tracer, events=events), span(
                 f"service.{endpoint}", key=key[:12]
             ):
-                doc = handler(request)
+                doc = run(
+                    request, exact_cache=self._objective_pool(request)
+                ).document()
             wall = perf_counter() - t0
             body = _render(doc)
             self.cache.put(("response", key), body)
@@ -349,222 +407,34 @@ class Engine:
             trace=tracer.to_chrome_trace() if collect_trace else None,
         )
 
-    def request_key(self, endpoint: str, request: dict) -> str:
+    def request_key(self, endpoint: str, request: dict | Request) -> str:
         """Content address of a request: model objects, not spellings.
 
         Two requests naming the same platform, the same weights (via a
         pattern or an explicit list), and the same options collide on
         purpose; dict ordering and display names never matter.
         """
-        if not isinstance(request, dict):
-            raise InvalidParameterError(
-                f"request body must be a JSON object, got "
-                f"{type(request).__name__}"
+        if not isinstance(request, Request):
+            request = parse_request(endpoint, request)
+        return canonical_hash([endpoint, request.content()])
+
+    def _objective_pool(self, request: Request):
+        """A serial order search's exact-DP memo, as a view into the
+        shared evictable pool: a re-search of the same workflow, platform
+        and algorithm pays only for orders it has never priced."""
+        if not (
+            isinstance(request, DagOptimizeRequest)
+            and request.processors is None
+            and request.strategy == "search"
+        ):
+            return None
+        return self.cache.namespaced(
+            (
+                "objective",
+                canonical_hash([request.workflow, request.platform]),
+                request.algorithm,
             )
-        if endpoint == "solve":
-            _reject_unknown(request, _SOLVE_FIELDS, endpoint)
-            content: dict[str, Any] = {
-                "platform": _parse_platform(request),
-                "chain": _parse_chain(request),
-                # a random pattern's seed reaches the key through the
-                # chain it draws
-                "algorithm": canonical_algorithm(
-                    str(request.get("algorithm", "admv"))
-                ),
-            }
-        elif endpoint == "simulate":
-            _reject_unknown(request, _SIMULATE_FIELDS, endpoint)
-            content = {
-                "platform": _parse_platform(request),
-                "chain": _parse_chain(request),
-                "schedule": request.get("schedule"),
-                "algorithm": canonical_algorithm(
-                    str(request.get("algorithm", "admv"))
-                ),
-                "runs": request.get("runs"),
-                "seed": _field(request, "seed", int, 0),
-                "target_ci": request.get("target_ci"),
-                "backend": self._backend_name(request.get("backend")),
-                "engine": str(request.get("engine", "batch")),
-            }
-        else:
-            _reject_unknown(request, _DAG_FIELDS, endpoint)
-            content = {
-                "platform": _parse_platform(request),
-                "dag": _parse_dag(request),
-                "algorithm": canonical_algorithm(
-                    str(request.get("algorithm", "admv"))
-                ),
-                "strategy": str(request.get("strategy", "auto")),
-                "method": str(request.get("method", "hill_climb")),
-                "seed": _field(request, "seed", int, 0),
-                "restarts": _field(request, "restarts", int, 2),
-                "iterations": _field(request, "iterations", int, 400),
-                "recombine": _field(request, "recombine", int, 2),
-                "certify": bool(request.get("certify", False)),
-                "target_ci": _field(request, "target_ci", float, 0.01),
-                "backend": self._backend_name(request.get("backend"))
-                if request.get("certify") or request.get("processors")
-                else None,
-                "processors": request.get("processors"),
-            }
-        return canonical_hash([endpoint, content])
-
-    @staticmethod
-    def _backend_name(spec) -> str:
-        from ..simulation import get_backend
-
-        return get_backend(spec).name
-
-    # -- endpoint implementations --------------------------------------
-    def _do_solve(self, request: dict) -> dict:
-        chain = _parse_chain(request)
-        platform = _parse_platform(request)
-        solution = optimize(
-            chain, platform, algorithm=str(request.get("algorithm", "admv"))
         )
-        return as_document(solution)
-
-    def _do_simulate(self, request: dict) -> dict:
-        chain = _parse_chain(request)
-        platform = _parse_platform(request)
-        algorithm = str(request.get("algorithm", "admv"))
-        if request.get("schedule"):
-            schedule = Schedule.from_string(str(request["schedule"]))
-            analytic = evaluate_schedule(
-                chain, platform, schedule
-            ).expected_time
-        else:
-            solution = optimize(chain, platform, algorithm=algorithm)
-            schedule = solution.schedule
-            analytic = solution.expected_time
-        seed = _field(request, "seed", int, 0)
-        target_ci = request.get("target_ci")
-        if request.get("runs") is not None:
-            runs = _field(request, "runs", int)
-        elif target_ci is not None:
-            from ..simulation import DEFAULT_MAX_RUNS
-
-            runs = DEFAULT_MAX_RUNS
-        else:
-            runs = 1000
-        mc = run_monte_carlo(
-            chain,
-            platform,
-            schedule,
-            runs=runs,
-            seed=seed,
-            analytic=analytic,
-            engine=str(request.get("engine", "batch")),
-            target_ci=None
-            if target_ci is None
-            else _field(request, "target_ci", float),
-            backend=request.get("backend"),
-        )
-        doc = as_document(mc)
-        doc.update(
-            platform=platform.name,
-            schedule=schedule.to_string(),
-            seed=seed,
-            engine=str(request.get("engine", "batch")),
-        )
-        return doc
-
-    def _do_dag_optimize(self, request: dict) -> dict:
-        from ..dag import optimize_dag, search_order, search_parallel
-        from ..dag.search import ChainObjective, uses_join_objective
-
-        dag = _parse_dag(request)
-        platform = _parse_platform(request)
-        algorithm = str(request.get("algorithm", "admv"))
-        seed = _field(request, "seed", int, 0)
-        backend = request.get("backend")
-        target_ci = _field(request, "target_ci", float, 0.01)
-        processors = request.get("processors")
-
-        if processors is not None:
-            result = search_parallel(
-                dag,
-                platform,
-                _field(request, "processors", int),
-                algorithm=algorithm,
-                method=str(request.get("method", "hill_climb")),
-                seed=seed,
-                restarts=_field(request, "restarts", int, 2),
-                iterations=_field(request, "iterations", int, 400),
-            )
-            doc = as_document(result)
-            doc.update(seed=seed, backend=None)
-            return doc
-
-        strategy = str(request.get("strategy", "auto"))
-        if strategy == "search":
-            objective = None
-            if not uses_join_objective(dag):
-                # the multi-layer extraction: this objective's exact-DP
-                # memo lives in the engine's shared evictable pool, so a
-                # re-search of the same platform/algorithm pays only for
-                # orders it has never priced
-                objective = ChainObjective(
-                    dag,
-                    platform,
-                    algorithm=algorithm,
-                    exact_cache=self.cache.namespaced(
-                        (
-                            "objective",
-                            canonical_hash([dag, platform]),
-                            canonical_algorithm(algorithm),
-                        )
-                    ),
-                )
-            search_result = search_order(
-                dag,
-                platform,
-                algorithm=algorithm,
-                method=str(request.get("method", "hill_climb")),
-                seed=seed,
-                restarts=_field(request, "restarts", int, 2),
-                iterations=_field(request, "iterations", int, 400),
-                recombine=_field(request, "recombine", int, 2),
-                certify=bool(request.get("certify", False)),
-                backend=backend,
-                target_ci=target_ci,
-                objective=objective,
-            )
-            doc = as_document(search_result)
-        else:
-            solution = optimize_dag(
-                dag,
-                platform,
-                algorithm=algorithm,
-                strategy=strategy,
-                seed=seed,
-            )
-            doc = as_document(solution)
-            if request.get("certify"):
-                from ..experiments.common import certify_solution
-
-                _, chain = dag.serialise(solution.order)
-                stamp = certify_solution(
-                    chain,
-                    platform,
-                    solution,
-                    label=f"{dag.name} {strategy} order",
-                    seed=seed,
-                    backend=backend,
-                    target_ci=target_ci,
-                    costs=dag.cost_profile(solution.order, platform),
-                )
-                doc["certificate"] = as_document(stamp)
-        doc.update(
-            dag=dag.name,
-            strategy=strategy,
-            seed=seed,
-            backend=self._backend_name(backend)
-            if request.get("certify")
-            else None,
-        )
-        return doc
 
     # -- observability -------------------------------------------------
     def merge_snapshot(self, snapshot: MetricsSnapshot) -> None:

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 
 from ..api import SCHEMA_VERSION
+from ..api.requests import Request, parse_request
 from ..exceptions import ReproError
 from ..obs import Event, EventBus, get_logger
 from .engine import Engine, EngineResponse
@@ -60,7 +61,7 @@ class Job:
 
     id: str
     endpoint: str
-    request: dict
+    request: Request
     status: str = QUEUED
     cancel_requested: bool = False
     error: str | None = None
@@ -114,14 +115,15 @@ class JobQueue:
 
     # -- client surface ------------------------------------------------
     def submit(self, endpoint: str, request: dict) -> Job:
-        # validate + content-address before queueing so a malformed
+        # parse + content-address before queueing so a malformed
         # request fails the POST, not a worker thread later
-        key = self.engine.request_key(endpoint, request)
+        parsed = parse_request(endpoint, request)
+        key = self.engine.request_key(endpoint, parsed)
         with self._wakeup:
             if self._shutdown:
                 raise ReproError("job queue is shut down")
             self._serial += 1
-            job = Job(id=f"job-{self._serial}", endpoint=endpoint, request=request)
+            job = Job(id=f"job-{self._serial}", endpoint=endpoint, request=parsed)
             job.events = EventBus(on_emit=self._forward_hook(job))
             self._jobs[job.id] = job
             self._queue.append(job)

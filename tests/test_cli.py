@@ -458,9 +458,9 @@ class TestDagCommand:
         doc = json.loads(out)
         assert doc["seed"] == 5
         assert doc["strategy"] == "search"
-        assert len(doc["order"]) == 7
-        assert doc["search"]["orders_scored"] > 0
-        assert doc["expected_time"] > 0
+        assert len(doc["solution"]["order"]) == 7
+        assert doc["orders_scored"] > 0
+        assert doc["solution"]["expected_time"] > 0
 
     def test_optimize_search_certified_json(self, capsys):
         code, out, _ = run_cli(
@@ -494,10 +494,14 @@ class TestDagCommand:
         assert code == 0
         doc = json.loads(out)
         assert doc["processors"] == 2
-        assert len(doc["order"]) == len(doc["assignment"]) == 6
-        assert set(doc["assignment"].values()) <= {0, 1}
-        assert doc["search"]["states_priced"] > 0
-        assert len(doc["worker_busy"]) == 2
+        assert (
+            len(doc["solution"]["order"])
+            == len(doc["solution"]["assignment"])
+            == 6
+        )
+        assert set(doc["solution"]["assignment"].values()) <= {0, 1}
+        assert doc["states_priced"] > 0
+        assert len(doc["solution"]["worker_busy"]) == 2
 
     def test_optimize_processors_rejects_serial_flags(self, capsys):
         code, _, err = run_cli(
@@ -693,9 +697,9 @@ class TestSeedThreading:
         )
         assert code == 0
         doc = json.loads(out)
-        assert doc["search"]["objective"] == "join"
-        assert "checkpointed_sources" in doc["join"]
-        assert doc["join"]["C"] > 0
+        assert doc["objective"] == "join"
+        assert "checkpointed_sources" in doc["solution"]["join"]
+        assert doc["solution"]["join"]["C"] > 0
 
     def test_optimize_search_accepts_jobs_and_recombine(self, capsys):
         code, out, _ = run_cli(
@@ -705,7 +709,7 @@ class TestSeedThreading:
         )
         assert code == 0
         doc = json.loads(out)
-        assert doc["search"]["recombined"] == 1
+        assert doc["recombined"] == 1
 
     def test_jobs_requires_search_strategy(self, capsys):
         code, _, err = run_cli(

@@ -342,6 +342,36 @@ class TestCertification:
         assert stamp.label.endswith("search order")
         assert "search order" in result.summary()
 
+    def test_chain_certification_draws_its_own_stream(
+        self, platform, monkeypatch
+    ):
+        # the chain twin of the join test below: the first chunk of the
+        # certification must not replay the search's start-order stream
+        import copy
+
+        import repro.simulation as simulation
+        from repro.simulation.batch import _seed_sequence
+
+        seeds = []
+        real = simulation.run_monte_carlo
+
+        def spy(*args, seed, **kwargs):
+            seeds.append(copy.deepcopy(_seed_sequence(seed)))
+            return real(*args, seed=seed, **kwargs)
+
+        monkeypatch.setattr(simulation, "run_monte_carlo", spy)
+        dag = generate("fork_join", seed=1, branches=2, branch_length=2)
+        search_order(
+            dag, platform, algorithm=FAST_ALGO, seed=0, certify=True,
+            target_ci=0.05, certify_runs=20_000,
+        )
+        (certify,) = seeds
+        starts = np.random.SeedSequence(0).spawn(1)[0]
+        first_chunk = np.random.default_rng(certify.spawn(1)[0]).random(8)
+        assert not np.array_equal(
+            first_chunk, np.random.default_rng(starts).random(8)
+        )
+
 
 # ----------------------------------------------------------------------
 # heterogeneous per-task costs
