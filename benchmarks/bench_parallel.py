@@ -19,8 +19,10 @@ like with like:
 
 Also reports p=1 degeneracy (the parallel surrogate at one worker is the
 exact chain value — it must tie the serialized optimum to ~1e-12) and
-search-throughput accounting.  Writes ``results/BENCH_parallel.json``
-(the CI bench job copies it to the repo root on main pushes) plus a
+search-throughput accounting: states priced and per second, how many of
+them the layout memo answered, and how many worker placements the
+placement memo reused.  Writes ``results/BENCH_parallel.json`` (the CI
+bench job copies it to the repo root on main pushes) plus a
 human-readable ``results/parallel.txt``.
 """
 
@@ -90,6 +92,12 @@ def test_parallel_gates(benchmark, results_dir):
                     "speedup": serialized.expected_time / mean,
                     "win": win,
                     "states_priced": found.states_priced,
+                    # fresh states the layout memo answered, and worker
+                    # placements of new layouts the placement memo held
+                    "layout_hits": found.metrics.counter("pricing.layout.hits"),
+                    "placement_hits": found.metrics.counter(
+                        "pricing.placement.hits"
+                    ),
                     "states_per_s": found.states_priced / search_s,
                     "search_seconds": search_s,
                 }
@@ -103,7 +111,8 @@ def test_parallel_gates(benchmark, results_dir):
             f"  {r['instance']:18s} n={r['n']:2d}  serialized "
             f"{r['serialized']:10.2f}s  p=2 MC {r['parallel_mc_mean']:10.2f}s"
             f" (+-{r['parallel_mc_sem']:.2f})  speedup {r['speedup']:.3f}x  "
-            f"({r['states_priced']} states, {r['states_per_s']:5.0f}/s)"
+            f"({r['states_priced']} states, {r['layout_hits']} layout hits, "
+            f"{r['placement_hits']} placement hits, {r['states_per_s']:5.0f}/s)"
         )
     lines.insert(
         0,

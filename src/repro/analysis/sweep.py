@@ -193,6 +193,12 @@ def sweep_task_counts(
     ``validate_backend`` selects the array-API backend the validation
     campaigns run on (a registered name such as ``"array-api-strict"`` or
     ``"cupy"``; ``None`` = the ``REPRO_BACKEND`` / NumPy default).
+
+    The ``random`` pattern draws each size's weights from
+    ``validate_seed`` (unless ``pattern_kwargs`` name an ``rng``), as
+    :class:`~repro.api.requests.SolveRequest` draws them from its seed:
+    a sweep reproduces, and its ``n``-task cell prices the chain of a
+    seeded ``n``-task solve.
     """
     if task_counts is None:
         task_counts = default_task_grid()
@@ -216,6 +222,8 @@ def sweep_task_counts(
                 len(task_counts) * len(canon)
             )
         )
+    if pattern == "random":
+        pattern_kwargs.setdefault("rng", validate_seed)
     for n in task_counts:
         chain = make_chain(pattern, n, total_weight, **pattern_kwargs)
         for alg in canon:

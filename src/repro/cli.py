@@ -253,7 +253,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed",
         type=int,
         default=0,
-        help="seed for the validation campaigns (echoed in --json output)",
+        help=(
+            "seed of the random pattern's chains and of the validation "
+            "campaigns (echoed in --json output)"
+        ),
     )
     p.add_argument("--chart", action="store_true", help="also render an ASCII chart")
     p.add_argument(

@@ -31,11 +31,19 @@ is lifted per worker:
   :func:`~repro.simulation.parallel.simulate_parallel` certifies the
   winner's true value.  A hill-climbing round prices its whole
   neighbourhood in one :meth:`ParallelObjective.values` call, in four
-  steps: a layout pass per state over task numbers and edge lists built
-  once per objective; the state, worker and interval memo lookups; one
-  :func:`~repro.core.solver.optimize_batch` call for the intervals not
-  yet solved, whatever their lengths (``ADMV*`` and ``ADMV`` solve them
-  in one pass of their DP); and a fold per state over the global order.
+  steps.  (1) Each state not priced yet gets its *layout*, the task
+  sequence of every worker; the edges are fixed, so the layout fixes
+  the value, and a layout already priced answers the state from a
+  layout memo.  (2) Each worker of a new layout is placed — its
+  epoch-opening flags, commit boundaries and worker memo key depend on
+  its own sequence only — unless a placement memo holds that sequence:
+  a move changes one worker's sequence (an order move) or two (a
+  reassignment), and the workers it leaves unchanged were placed with
+  the state it started at.  New workers are looked up in the worker
+  and interval memos.  (3) One :func:`~repro.core.solver.
+  optimize_batch` call solves the intervals not yet solved, whatever
+  their lengths (``ADMV*`` and ``ADMV`` solve them in one pass of their
+  DP).  (4) A fold over the global order prices each new layout;
   ``max`` is exact, so the fold gives the bits of the epoch-graph
   recursion.
 * **Search** (:func:`search_parallel`): the chain search's kernel
@@ -53,7 +61,7 @@ from __future__ import annotations
 from collections.abc import Hashable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import partial
-from typing import NamedTuple
+from itertools import chain
 
 import numpy as np
 
@@ -201,117 +209,128 @@ class ParallelSchedule:
         """Commit boundaries + epoch dependencies (cached)."""
         if self._layout is None:
             index = _DagIndex(self.dag)
-            placed = _place(index, self.processors, self.key())
-            self._layout = _epochs(index, placed)
+            key = self.key()
+            numbers, seqs = _sequences(index, self.processors, key)
+            self._layout = _epochs(
+                index, numbers, key[1], seqs, [_cuts(index, seq) for seq in seqs]
+            )
         return self._layout
 
 
 class _DagIndex:
-    """The DAG with its tasks numbered (in graph order) for :func:`_place`."""
+    """The DAG with its tasks numbered (in graph order): its edges, and
+    each task's predecessors and successors."""
 
-    __slots__ = ("nodes", "number", "edges", "preds")
+    __slots__ = ("nodes", "number", "edges", "preds", "succs")
 
     def __init__(self, dag: WorkflowDAG) -> None:
-        self.nodes: tuple[Hashable, ...] = tuple(dag.graph)
-        self.number = {v: i for i, v in enumerate(self.nodes)}
-        self.edges = tuple(
-            (self.number[u], self.number[v]) for u, v in dag.graph.edges
-        )
+        graph = dag.graph
+        self.nodes: tuple[Hashable, ...] = tuple(graph)
+        number = self.number = {v: i for i, v in enumerate(self.nodes)}
+        self.edges = tuple((number[u], number[v]) for u, v in graph.edges)
         self.preds = tuple(
-            tuple(self.number[u] for u in dag.graph.predecessors(v))
-            for v in self.nodes
+            frozenset(number[u] for u in graph.predecessors(v)) for v in self.nodes
+        )
+        self.succs = tuple(
+            frozenset(number[u] for u in graph.successors(v)) for v in self.nodes
         )
 
 
-class _Pass(NamedTuple):
-    """One state's placement, in task numbers (see :func:`_place`)."""
-
-    numbers: list[int]  #: the global order
-    workers: tuple[int, ...]  #: the worker at each global position
-    seqs: list[list[int]]  #: each worker's task sequence
-    worker_of: list[int]
-    opens: list[bool]  #: whether the task opens an epoch on its worker
-    boundaries: tuple[tuple[int, ...], ...]  #: each worker's commit positions
-
-
-def _place(index: _DagIndex, processors: int, key: tuple) -> _Pass:
-    """Worker sequences and commit boundaries of the state ``key``.
-
-    One pass over the global order places every task on its worker and
-    one over the edges cuts each worker's chain after any task with a
-    remote successor and before any task with a remote predecessor.  A
-    task after a cut, or first on its worker, opens an epoch.
-    """
+def _sequences(
+    index: _DagIndex, processors: int, key: tuple
+) -> tuple[list[int], list[list[int]]]:
+    """The state ``key``'s global order in task numbers and each
+    worker's task sequence: its layout, which fixes its value."""
     order, workers = key
-    number = index.number
-    numbers = [number[v] for v in order]
+    numbers = list(map(index.number.__getitem__, order))
     seqs: list[list[int]] = [[] for _ in range(processors)]
-    worker_of = [0] * len(numbers)
-    local = [0] * len(numbers)  # 1-based position on its worker
     for i, w in zip(numbers, workers):
-        seq = seqs[w]
-        seq.append(i)
-        worker_of[i] = w
-        local[i] = len(seq)
-    opens = [False] * len(numbers)
-    for seq in seqs:
-        if seq:
-            opens[seq[0]] = True
-    for u, v in index.edges:
-        if worker_of[u] != worker_of[v]:
-            seq = seqs[worker_of[u]]
-            if local[u] < len(seq):
-                opens[seq[local[u]]] = True  # commit after the producer
-            opens[v] = True  # commit before the consumer
-    return _Pass(
-        numbers,
-        workers,
-        seqs,
-        worker_of,
-        opens,
-        tuple(
-            tuple([b for b in range(1, len(seq)) if opens[seq[b]]]) for seq in seqs
-        ),
-    )
+        seqs[w].append(i)
+    return numbers, seqs
+
+
+#: a worker sequence's epoch-opening flags and worker memo key
+_Placement = tuple[tuple[bool, ...], tuple]
+
+
+def _cuts(
+    index: _DagIndex, seq: Sequence[int]
+) -> tuple[tuple[bool, ...], tuple[int, ...]]:
+    """Epoch-opening flags of a worker's task sequence and its commit
+    boundaries (1-based interior positions).
+
+    The chain is cut after any task with a remote successor and before
+    any task with a remote predecessor; a task after a cut, or first on
+    its worker, opens an epoch.  Whether a neighbour is remote depends
+    only on the worker's own task set, so the sequence alone fixes both.
+    """
+    preds, succs = index.preds, index.succs
+    tasks = frozenset(seq)
+    flags = []
+    boundaries = []
+    cut = True
+    for b, i in enumerate(seq):
+        opens = cut or not preds[i] <= tasks  # commit before the consumer
+        flags.append(opens)
+        if opens and b:
+            boundaries.append(b)
+        cut = not succs[i] <= tasks  # commit after the producer
+    return tuple(flags), tuple(boundaries)
 
 
 def _fold(
-    index: _DagIndex, placed: _Pass, durations: Sequence[Sequence[float]]
+    index: _DagIndex,
+    numbers: Sequence[int],
+    workers: Sequence[int],
+    flags: Sequence[Sequence[bool]],
+    durations: Sequence[Sequence[float]],
 ) -> float:
     """Critical-path fold of expected epoch durations (see module doc).
 
-    One pass over the global order: an epoch starts once its worker's
-    previous epoch and the epochs of its first task's remote predecessors
-    (each ending at its predecessor) have completed; remote predecessors
-    attach only to epoch-opening tasks, by the boundary construction.
-    ``max`` is exact, so taking it in any order gives the bits of the
-    epoch-graph recursion.  A predecessor on the same worker finished no
-    later than that worker's previous epoch, so it never raises a start.
+    One pass over the global order (``numbers``, on ``workers``), with
+    each worker's epoch-opening ``flags``: an epoch starts once its
+    worker's previous epoch and the epochs of its first task's remote
+    predecessors (each ending at its predecessor) have completed; remote
+    predecessors attach only to epoch-opening tasks, by the boundary
+    construction.  ``max`` is exact, so taking it in any order gives the
+    bits of the epoch-graph recursion.  A predecessor on the same worker
+    finished no later than that worker's previous epoch, so it never
+    raises a start.
     """
-    numbers, workers, seqs, _, opens, _ = placed
     preds = index.preds
-    completion = [0.0] * len(seqs)  # of each worker's latest epoch
+    completion = [0.0] * len(flags)  # of each worker's latest epoch
     finish = [0.0] * len(numbers)  # completion of each task's epoch
+    opening = [iter(f) for f in flags]
     epochs = [iter(d) for d in durations]
     for i, w in zip(numbers, workers):
-        if opens[i]:
+        if next(opening[w]):
             start = completion[w]
             for u in preds[i]:
                 if finish[u] > start:
                     start = finish[u]
             completion[w] = start + next(epochs[w])
         finish[i] = completion[w]
-    return max(c for c, seq in zip(completion, seqs) if seq)
+    return max(c for c, f in zip(completion, flags) if f)
 
 
-def _epochs(index: _DagIndex, placed: _Pass) -> _Layout:
+def _epochs(
+    index: _DagIndex,
+    numbers: Sequence[int],
+    workers: Sequence[int],
+    seqs: Sequence[Sequence[int]],
+    cuts: Sequence[tuple[tuple[bool, ...], tuple[int, ...]]],
+) -> _Layout:
     """The :class:`_Layout` of a placement, with task names."""
-    numbers, workers, seqs, worker_of, opens, boundaries = placed
+    worker_of = [0] * len(numbers)
+    for w, seq in enumerate(seqs):
+        for i in seq:
+            worker_of[i] = w
+    opening = [iter(flags) for flags, _ in cuts]
     epoch = [0] * len(numbers)
     count = [-1] * len(seqs)
     sequence: list[tuple[int, int]] = []
     for i, w in zip(numbers, workers):
-        if opens[i]:
+        if next(opening[w]):
             count[w] += 1
             sequence.append((w, count[w]))
         epoch[i] = count[w]
@@ -324,7 +343,7 @@ def _epochs(index: _DagIndex, placed: _Pass) -> _Layout:
             deps[worker_of[v]][epoch[v]].add((worker_of[u], epoch[u]))
     return _Layout(
         worker_orders=tuple(tuple(index.nodes[i] for i in seq) for seq in seqs),
-        boundaries=boundaries,
+        boundaries=tuple(boundaries for _, boundaries in cuts),
         deps=tuple(tuple(tuple(sorted(d)) for d in dw) for dw in deps),
         epoch_sequence=tuple(sequence),
     )
@@ -411,15 +430,22 @@ class ParallelPricing:
 class ParallelObjective:
     """Surrogate expected-makespan objective with interval-DP memoization.
 
-    A state is priced in three memoized layers: each worker's
+    A state is priced in four memoized layers: each worker's
     inter-boundary *interval* is an independent chain-DP solve
     (:meth:`~repro.core.costs.CostProfile.with_boundary_recovery` prices
     intervals opening at a commit boundary), whole workers memoize their
     epoch-duration vectors, and the final fold is a critical-path
     recursion of expected durations over the epoch graph — a Jensen
     lower bound on the true expected makespan (``E[max] >= max of E``),
-    exact whenever one worker's chain dominates every replication.
-    Counters expose the solve/hit rates for diagnostics and benches.
+    exact whenever one worker's chain dominates every replication.  The
+    edges are fixed, so the value depends only on the state's *layout*,
+    its per-worker task sequences, and a worker's epochs only on its own
+    sequence: a layout memo answers a state that reorders tasks of
+    different workers with no placement, key lookup or fold, and a
+    placement memo gives each worker sequence placed before its cut
+    flags and worker memo key — every worker a move leaves unchanged,
+    because the state the move started at was placed.  Counters expose
+    the solve/hit rates for diagnostics and benches.
 
     :meth:`values` prices a list of states at once and :meth:`value` is
     its one-state call; both leave the memos and counters a loop of
@@ -458,14 +484,21 @@ class ParallelObjective:
         self._mult_bytes = (
             None if self._mults is None else [m.tobytes() for m in self._mults]
         )
-        self._rd = float(platform.RD)
-        self._rm = float(platform.RM)
+        # the (RD, RM) of an interval opening after each task
+        scales = [1.0] * len(nodes) if self._mults is None else self._mults.tolist()
+        self._recovery = [
+            (float(platform.RD) * scale, float(platform.RM) * scale)
+            for scale in scales
+        ]
         self._unit_costs = np.array(
             [getattr(platform, name) for name in COST_NAMES], dtype=np.float64
         )
         self._intervals: dict[tuple, tuple[float, tuple[int, ...]]] = {}
         self._workers: dict[tuple, tuple[tuple[float, ...], tuple[int, ...]]] = {}
         self._values: dict[tuple, float] = {}
+        self._layouts: dict[tuple, float] = {}
+        # worker sequence -> its epoch-opening flags and worker memo key
+        self._placements: dict[tuple[int, ...], _Placement] = {}
         # Same discipline as ChainObjective: a private live registry
         # whose counters back the legacy int-attribute views below, and
         # whose snapshot ships across n_jobs process shards.
@@ -476,6 +509,10 @@ class ParallelObjective:
         self._c_worker_hits = self.metrics.counter("parallel.worker.hits")
         self._c_state_priced = self.metrics.counter("parallel.state.priced")
         self._c_state_hits = self.metrics.counter("parallel.state.hits")
+        self._c_layout_priced = self.metrics.counter("pricing.layout.priced")
+        self._c_layout_hits = self.metrics.counter("pricing.layout.hits")
+        self._c_placement_priced = self.metrics.counter("pricing.placement.priced")
+        self._c_placement_hits = self.metrics.counter("pricing.placement.hits")
 
     # -- counter views (legacy int-attribute API) ----------------------
     @property
@@ -499,13 +536,53 @@ class ParallelObjective:
         return self._c_state_hits.value
 
     # -- pricing -------------------------------------------------------
-    def _worker_keys(
+    def _place(
         self,
-        placed: _Pass,
+        layout: tuple[tuple[int, ...], ...],
+        placed: dict[tuple[int, ...], _Placement],
         workers: dict[tuple, tuple[tuple, ...]],
         intervals: dict[tuple, tuple[tuple[int, ...], float, float]],
-    ) -> list[tuple | None]:
-        """Memo keys of ``placed``'s workers (``None`` for an idle one).
+    ) -> list[_Placement | None]:
+        """Each worker's placement in ``layout`` (``None`` for an idle one).
+
+        A sequence in the placement memo or in ``placed`` (those placed
+        earlier in the same batch) is reused; its worker key is a worker
+        memo hit, as it was when the sequence was placed.  A new one is
+        cut, keyed and added to ``placed``, and its worker looked up.
+        """
+        entries: list[_Placement | None] = []
+        hits = 0
+        for seq in layout:
+            if not seq:
+                entries.append(None)
+                continue
+            entry = self._placements.get(seq) or placed.get(seq)
+            if entry is None:
+                flags, boundaries = _cuts(self._index, seq)
+                key = (
+                    b"".join([self._weight_bytes[i] for i in seq]),
+                    None
+                    if self._mult_bytes is None
+                    else b"".join([self._mult_bytes[i] for i in seq]),
+                    boundaries,
+                )
+                entry = placed[seq] = (flags, key)
+                self._lookup(seq, key, workers, intervals)
+            else:
+                hits += 1
+            entries.append(entry)
+        self._c_placement_hits.inc(hits)
+        self._c_worker_hits.inc(hits)
+        return entries
+
+    def _lookup(
+        self,
+        seq: Sequence[int],
+        key: tuple,
+        workers: dict[tuple, tuple[tuple, ...]],
+        intervals: dict[tuple, tuple[tuple[int, ...], float, float]],
+    ) -> None:
+        """Look the worker ``key`` of ``seq`` up in the worker memo.
 
         A worker missing from the memo and from ``workers`` (those priced
         earlier in the same batch) is added to ``workers`` with its
@@ -513,56 +590,35 @@ class ParallelObjective:
         ``intervals`` to ``intervals`` with its tasks and boundary
         recovery costs.  Hits count as in a one-state-at-a-time loop.
         """
-        keys: list[tuple | None] = []
-        worker_hits = interval_hits = 0
-        for seq, boundaries in zip(placed.seqs, placed.boundaries):
-            if not seq:
-                keys.append(None)
-                continue
-            wbytes = b"".join([self._weight_bytes[i] for i in seq])
-            mbytes = (
-                None
-                if self._mult_bytes is None
-                else b"".join([self._mult_bytes[i] for i in seq])
+        if key in self._workers or key in workers:
+            self._c_worker_hits.inc()
+            return
+        wbytes, mbytes, boundaries = key
+        interval_keys = []
+        interval_hits = 0
+        lo, recovery = 0, (0.0, 0.0)
+        for hi in boundaries + (len(seq),):
+            ikey = (
+                wbytes[8 * lo : 8 * hi],
+                None if mbytes is None else mbytes[8 * lo : 8 * hi],
+                *recovery,
             )
-            key = (wbytes, mbytes, boundaries)
-            keys.append(key)
-            if key in self._workers or key in workers:
-                worker_hits += 1
-                continue
-            interval_keys = []
-            cuts = (0,) + boundaries + (len(seq),)
-            for lo, hi in zip(cuts, cuts[1:]):
-                if lo == 0:
-                    rd0 = rm0 = 0.0
-                else:
-                    scale = (
-                        1.0 if self._mults is None else float(self._mults[seq[lo - 1]])
-                    )
-                    rd0 = self._rd * scale
-                    rm0 = self._rm * scale
-                ikey = (
-                    wbytes[8 * lo : 8 * hi],
-                    None if mbytes is None else mbytes[8 * lo : 8 * hi],
-                    rd0,
-                    rm0,
-                )
-                interval_keys.append(ikey)
-                if ikey in self._intervals or ikey in intervals:
-                    interval_hits += 1
-                else:
-                    intervals[ikey] = (seq[lo:hi], rd0, rm0)
-            workers[key] = tuple(interval_keys)
-        self._c_worker_hits.inc(worker_hits)
+            interval_keys.append(ikey)
+            if ikey in self._intervals or ikey in intervals:
+                interval_hits += 1
+            else:
+                intervals[ikey] = (seq[lo:hi], *recovery)
+            lo, recovery = hi, self._recovery[seq[hi - 1]]
+        workers[key] = tuple(interval_keys)
         self._c_interval_hits.inc(interval_hits)
-        return keys
 
     def _price(
         self,
+        placed: dict[tuple[int, ...], _Placement],
         workers: dict[tuple, tuple[tuple, ...]],
         intervals: dict[tuple, tuple[tuple[int, ...], float, float]],
     ) -> None:
-        """Solve ``intervals`` and memoize them and ``workers``.
+        """Solve ``intervals`` and memoize them, ``workers`` and ``placed``.
 
         The intervals, of any lengths, are solved in one
         :func:`~repro.core.solver.optimize_batch` call.
@@ -600,58 +656,89 @@ class ParallelObjective:
                 self._intervals[ikey] = (float(solution.expected_time), levels)
         self._c_interval_solves.inc(len(intervals))
         for key, interval_keys in workers.items():
-            priced = [self._intervals[ikey] for ikey in interval_keys]
-            levels: tuple[int, ...] = ()
-            for _, interval_levels in priced:
-                levels = levels + interval_levels
-            self._workers[key] = (tuple(value for value, _ in priced), levels)
+            durations, levels = zip(*map(self._intervals.__getitem__, interval_keys))
+            self._workers[key] = (durations, tuple(chain.from_iterable(levels)))
         self._c_worker_priced.inc(len(workers))
+        self._placements.update(placed)
+        self._c_placement_priced.inc(len(placed))
+
+    def _fold_inputs(
+        self, entries: list[_Placement | None]
+    ) -> tuple[list[tuple[bool, ...]], list[tuple[float, ...]]]:
+        """Each worker's epoch-opening flags and expected epoch durations."""
+        return (
+            [() if e is None else e[0] for e in entries],
+            [() if e is None else self._workers[e[1]][0] for e in entries],
+        )
 
     def price(self, state: ParallelSchedule) -> ParallelPricing:
         """Schedules, epoch durations and surrogate value of ``state``."""
-        placed = _place(self._index, self.processors, state.key())
+        key = state.key()
+        numbers, seqs = _sequences(self._index, self.processors, key)
+        placed: dict[tuple[int, ...], _Placement] = {}
         workers: dict[tuple, tuple[tuple, ...]] = {}
         intervals: dict[tuple, tuple[tuple[int, ...], float, float]] = {}
-        keys = self._worker_keys(placed, workers, intervals)
-        self._price(workers, intervals)
-        priced = [None if key is None else self._workers[key] for key in keys]
-        durations = tuple(() if p is None else p[0] for p in priced)
+        entries = self._place(tuple(map(tuple, seqs)), placed, workers, intervals)
+        self._price(placed, workers, intervals)
+        flags, durations = self._fold_inputs(entries)
         return ParallelPricing(
-            value=_fold(self._index, placed, durations),
+            value=_fold(self._index, numbers, key[1], flags, durations),
             worker_schedules=tuple(
-                None if p is None else Schedule(p[1]) for p in priced
+                None if e is None else Schedule(self._workers[e[1]][1])
+                for e in entries
             ),
-            epoch_durations=durations,
+            epoch_durations=tuple(durations),
         )
 
     def values(self, states: Sequence[ParallelSchedule]) -> list[float]:
         """Surrogate expected makespans of ``states`` (memoized).
 
-        Prices a whole neighbourhood at once: one layout pass per state,
-        the memo lookups of a one-state-at-a-time loop (a state, worker or
+        Prices a whole neighbourhood at once.  Each state not in the state
+        memo gets its layout; a layout already priced (or new earlier in
+        the batch) answers it, and its workers count as worker memo hits,
+        as a full pass would find them.  The workers of a new layout are
+        placed (or found in the placement memo) and looked up (a worker or
         interval repeated inside the batch counts as a hit), one batched
-        DP call for every interval missing, and one fold per new state.
-        Values, memos and counters equal those of
+        DP call solves every interval missing, and one fold prices each
+        new layout.  Values, memos and counters equal those of
         ``[value(s) for s in states]``.
         """
         keys = [state.key() for state in states]
-        fresh: dict[tuple, tuple[_Pass, list[tuple | None]]] = {}
+        fresh: dict[tuple, tuple] = {}  # state key -> its layout
+        # the layouts new to the memo: global order, workers, placements
+        layouts: dict[tuple, tuple[list[int], tuple, list]] = {}
+        placed: dict[tuple[int, ...], _Placement] = {}
         workers: dict[tuple, tuple[tuple, ...]] = {}
         intervals: dict[tuple, tuple[tuple[int, ...], float, float]] = {}
-        for key in keys:
-            if key in self._values or key in fresh:
-                continue
-            placed = _place(self._index, self.processors, key)
-            fresh[key] = (placed, self._worker_keys(placed, workers, intervals))
-        self._price(workers, intervals)
-        for key, (placed, worker_keys) in fresh.items():
-            self._values[key] = _fold(
-                self._index,
-                placed,
-                [() if k is None else self._workers[k][0] for k in worker_keys],
-            )
+        layout_hits = worker_hits = 0
+        with _span("parallel.place", states=len(keys)):
+            for key in keys:
+                if key in self._values or key in fresh:
+                    continue
+                numbers, seqs = _sequences(self._index, self.processors, key)
+                layout = fresh[key] = tuple(map(tuple, seqs))
+                if layout in self._layouts or layout in layouts:
+                    layout_hits += 1
+                    worker_hits += len(seqs) - seqs.count([])
+                    continue
+                layouts[layout] = (
+                    numbers,
+                    key[1],
+                    self._place(layout, placed, workers, intervals),
+                )
+        self._c_worker_hits.inc(worker_hits)
+        self._price(placed, workers, intervals)
+        with _span("parallel.fold", layouts=len(layouts)):
+            for layout, (numbers, at, entries) in layouts.items():
+                self._layouts[layout] = _fold(
+                    self._index, numbers, at, *self._fold_inputs(entries)
+                )
+        for key, layout in fresh.items():
+            self._values[key] = self._layouts[layout]
         self._c_state_priced.inc(len(fresh))
         self._c_state_hits.inc(len(keys) - len(fresh))
+        self._c_layout_priced.inc(len(layouts))
+        self._c_layout_hits.inc(layout_hits)
         return [self._values[key] for key in keys]
 
     def value(self, state: ParallelSchedule) -> float:

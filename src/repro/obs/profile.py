@@ -31,6 +31,8 @@ CACHE_LAYERS: dict[str, tuple[str, str]] = {
     "parallel.interval": ("parallel.interval.solves", "parallel.interval.hits"),
     "parallel.worker": ("parallel.worker.priced", "parallel.worker.hits"),
     "parallel.state": ("parallel.state.priced", "parallel.state.hits"),
+    "pricing.layout": ("pricing.layout.priced", "pricing.layout.hits"),
+    "pricing.placement": ("pricing.placement.priced", "pricing.placement.hits"),
 }
 
 

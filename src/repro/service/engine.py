@@ -38,6 +38,8 @@ from hashlib import blake2b
 from time import perf_counter
 from typing import Any
 
+import numpy as np
+
 from ..api import SCHEMA_VERSION, as_document, canonical_hash
 from ..api.requests import (
     REQUESTS,
@@ -221,12 +223,14 @@ def _run_dag(request: DagOptimizeRequest, *, n_jobs, exact_cache) -> Outcome:
         estimate = None
         if request.estimate:
             # the analytic value is a surrogate (the epoch fold swaps E
-            # and max), so the plan's wall-clock makespan is simulated
+            # and max), so the plan's wall-clock makespan is simulated,
+            # from a fourth child of the seed: search_parallel draws its
+            # starts, climbs and walk from the first three
             estimate = run_adaptive_parallel(
                 result.solution.plan(),
                 platform,
                 target_relative_ci=request.target_ci,
-                seed=request.seed,
+                seed=np.random.SeedSequence(request.seed).spawn(4)[3],
                 backend=request.backend,
                 analytic=result.solution.expected_time,
             )

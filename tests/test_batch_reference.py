@@ -13,7 +13,10 @@ Two batch paths price a p=2 search neighbourhood in one call:
   :meth:`~repro.dag.parallel.ParallelObjective.value` call per state.
 
 The placement and fold behind ``values`` are checked against the
-networkx-walking layout and the epoch-graph recursion they replaced.
+networkx-walking layout and the epoch-graph recursion they replaced, and
+``values`` itself — a layout memo, and a memo of placed worker
+sequences — against the full pass it replaced: one placement, one set of
+worker keys and one fold for every state not yet priced.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from repro.dag.parallel import (
     ParallelObjective,
     ParallelSchedule,
     greedy_assignment,
+    list_schedule,
     parallel_neighborhood,
     random_parallel_neighbor,
 )
@@ -313,7 +317,13 @@ def neighbourhoods(draw):
 
 
 def _memos(objective: ParallelObjective):
-    return objective._values, objective._workers, objective._intervals
+    return (
+        objective._values,
+        objective._workers,
+        objective._intervals,
+        objective._layouts,
+        objective._placements,
+    )
 
 
 @settings(max_examples=40, deadline=None)
@@ -347,3 +357,242 @@ def test_layout_and_fold_equal_the_epoch_graph_reference(case):
         want = reference_fold(deps, sequence, pricing.epoch_durations)
         assert pricing.value.hex() == want.hex()
         assert objective.value(state).hex() == want.hex()
+
+
+# ----------------------------------------------------------------------
+# the oracle: the full pass that values() replaced
+# ----------------------------------------------------------------------
+def full_place(index, processors, key):
+    """Worker sequences, epoch-opening flags and commit boundaries from
+    one pass over the global order and one over the edges."""
+    order, workers = key
+    numbers = [index.number[v] for v in order]
+    seqs = [[] for _ in range(processors)]
+    worker_of = [0] * len(numbers)
+    local = [0] * len(numbers)  # 1-based position on its worker
+    for i, w in zip(numbers, workers):
+        seqs[w].append(i)
+        worker_of[i] = w
+        local[i] = len(seqs[w])
+    opens = [False] * len(numbers)
+    for seq in seqs:
+        if seq:
+            opens[seq[0]] = True
+    for u, v in index.edges:
+        if worker_of[u] != worker_of[v]:
+            seq = seqs[worker_of[u]]
+            if local[u] < len(seq):
+                opens[seq[local[u]]] = True  # commit after the producer
+            opens[v] = True  # commit before the consumer
+    boundaries = tuple(
+        tuple(b for b in range(1, len(seq)) if opens[seq[b]]) for seq in seqs
+    )
+    return numbers, workers, seqs, opens, boundaries
+
+
+def full_fold(index, placed, durations) -> float:
+    """The critical-path fold over the global order."""
+    numbers, workers, seqs, opens, _ = placed
+    completion = [0.0] * len(seqs)
+    finish = [0.0] * len(numbers)
+    epochs = [iter(d) for d in durations]
+    for i, w in zip(numbers, workers):
+        if opens[i]:
+            start = completion[w]
+            for u in index.preds[i]:
+                if finish[u] > start:
+                    start = finish[u]
+            completion[w] = start + next(epochs[w])
+        finish[i] = completion[w]
+    return max(c for c, seq in zip(completion, seqs) if seq)
+
+
+class FullPassObjective(ParallelObjective):
+    """:meth:`values` as a full pass per state not yet priced.
+
+    The memos and ``parallel.*`` counters are kept as the objective keeps
+    them; the layout and placement memos and the ``pricing.*`` counters
+    are kept by direct bookkeeping: a state whose worker sequences were
+    priced together before is a layout hit, and each worker sequence of a
+    new layout that an earlier new layout held is a placement hit.
+    """
+
+    def _full_keys(self, placed, workers, intervals):
+        keys = []
+        worker_hits = interval_hits = 0
+        for seq, boundaries in zip(placed[2], placed[4]):
+            if not seq:
+                keys.append(None)
+                continue
+            wbytes = b"".join([self._weight_bytes[i] for i in seq])
+            mbytes = (
+                None
+                if self._mult_bytes is None
+                else b"".join([self._mult_bytes[i] for i in seq])
+            )
+            key = (wbytes, mbytes, boundaries)
+            keys.append(key)
+            if key in self._workers or key in workers:
+                worker_hits += 1
+                continue
+            interval_keys = []
+            cuts = (0,) + boundaries + (len(seq),)
+            for lo, hi in zip(cuts, cuts[1:]):
+                if lo == 0:
+                    rd0 = rm0 = 0.0
+                else:
+                    scale = (
+                        1.0 if self._mults is None else float(self._mults[seq[lo - 1]])
+                    )
+                    rd0 = float(self.platform.RD) * scale
+                    rm0 = float(self.platform.RM) * scale
+                ikey = (
+                    wbytes[8 * lo : 8 * hi],
+                    None if mbytes is None else mbytes[8 * lo : 8 * hi],
+                    rd0,
+                    rm0,
+                )
+                interval_keys.append(ikey)
+                if ikey in self._intervals or ikey in intervals:
+                    interval_hits += 1
+                else:
+                    intervals[ikey] = (seq[lo:hi], rd0, rm0)
+            workers[key] = tuple(interval_keys)
+        self._c_worker_hits.inc(worker_hits)
+        self._c_interval_hits.inc(interval_hits)
+        return keys
+
+    def values(self, states):
+        keys = [state.key() for state in states]
+        fresh = {}
+        workers, intervals = {}, {}
+        for key in keys:
+            if key in self._values or key in fresh:
+                continue
+            placed = full_place(self._index, self.processors, key)
+            fresh[key] = (placed, self._full_keys(placed, workers, intervals))
+        self._price({}, workers, intervals)
+        c = self.metrics.counter
+        for key, (placed, worker_keys) in fresh.items():
+            value = full_fold(
+                self._index,
+                placed,
+                [() if k is None else self._workers[k][0] for k in worker_keys],
+            )
+            self._values[key] = value
+            seqs, opens = placed[2], placed[3]
+            layout = tuple(map(tuple, seqs))
+            if layout in self._layouts:
+                c("pricing.layout.hits").inc()
+                continue
+            self._layouts[layout] = value
+            c("pricing.layout.priced").inc()
+            for seq, worker_key in zip(layout, worker_keys):
+                if not seq:
+                    continue
+                if seq in self._placements:
+                    c("pricing.placement.hits").inc()
+                    continue
+                self._placements[seq] = (tuple(opens[i] for i in seq), worker_key)
+                c("pricing.placement.priced").inc()
+        self._c_state_priced.inc(len(fresh))
+        self._c_state_hits.inc(len(keys) - len(fresh))
+        return [self._values[key] for key in keys]
+
+
+def _assert_same_pricing(got: ParallelObjective, want: ParallelObjective) -> None:
+    assert _memos(got) == _memos(want)
+    assert got.metrics.snapshot().counters == want.metrics.snapshot().counters
+
+
+def _hex(values) -> list[str]:
+    return [v.hex() for v in values]
+
+
+@settings(max_examples=40, deadline=None)
+@given(neighbourhoods(), st.integers(0, 5))
+def test_values_equal_the_full_pass(case, split):
+    """Cold, then warm: the first ``split`` states are priced first."""
+    dag, platform, p, algorithm, states = case
+    for cut in (0, split):
+        got = ParallelObjective(dag, platform, p, algorithm=algorithm)
+        want = FullPassObjective(dag, platform, p, algorithm=algorithm)
+        assert _hex(got.values(states[:cut]) + got.values(states[cut:])) == _hex(
+            want.values(states[:cut]) + want.values(states[cut:])
+        )
+        _assert_same_pricing(got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(neighbourhoods(), st.integers(0, 2**32 - 1), st.integers(1, 30))
+def test_a_walk_priced_step_by_step_equals_the_full_pass(case, seed, steps):
+    """Each state of a random walk is priced alone, after the state its
+    move started at, so its unchanged workers come from the memos."""
+    dag, platform, p, algorithm, states = case
+    rng = np.random.default_rng(seed)
+    got = ParallelObjective(dag, platform, p, algorithm=algorithm)
+    want = FullPassObjective(dag, platform, p, algorithm=algorithm)
+    walker = states[0]
+    for _ in range(steps):
+        assert _hex(got.values([walker])) == _hex(want.values([walker]))
+        picked = random_parallel_neighbor(walker, rng)
+        if picked is None:
+            break
+        walker = picked[0]
+    _assert_same_pricing(got, want)
+
+
+def _swap_across_workers(state: ParallelSchedule) -> ParallelSchedule:
+    graph = state.dag.graph
+    for i, (u, v) in enumerate(zip(state.order, state.order[1:])):
+        if state.assignment[u] != state.assignment[v] and not graph.has_edge(u, v):
+            order = list(state.order)
+            order[i], order[i + 1] = v, u
+            return state.with_order(order)
+    raise AssertionError("no adjacent pair of tasks on different workers")
+
+
+def test_a_swap_across_workers_is_a_layout_hit():
+    dag = generate(
+        "layered", seed=3, tasks=12, layers=3, density=0.3, weights="lognormal"
+    )
+    order = random_order(dag, np.random.default_rng(0))
+    state = ParallelSchedule(dag, 2, order, greedy_assignment(dag, order, 2))
+    swapped = _swap_across_workers(state)
+    assert swapped.key() != state.key()
+    objective = ParallelObjective(dag, HERA, 2, algorithm="admv_star")
+    value, swapped_value = objective.values([state, swapped])
+    assert swapped_value.hex() == value.hex()
+    counters = objective.metrics.snapshot().counters
+    assert counters["parallel.state.priced"] == 2
+    assert counters["pricing.layout.priced"] == 1
+    assert counters["pricing.layout.hits"] == 1
+    assert counters["parallel.worker.hits"] == 2  # both workers, as a full pass
+    reference = FullPassObjective(dag, HERA, 2, algorithm="admv_star")
+    assert _hex(reference.values([state, swapped])) == _hex([value, swapped_value])
+    _assert_same_pricing(objective, reference)
+
+
+def test_order_moves_reuse_the_other_workers_placement():
+    """An order move changes one worker's sequence; the other worker's
+    comes from the placement memo, with its worker memo hit."""
+    dag = generate(
+        "layered", seed=4, tasks=14, layers=4, density=0.5, weights="lognormal",
+        cost_spread=1.0,
+    )
+    state = list_schedule(dag, 2)
+    assert all(state.worker_orders())
+    objective = ParallelObjective(dag, HERA, 2, algorithm="admv_star")
+    reference = FullPassObjective(dag, HERA, 2, algorithm="admv_star")
+    moves = [
+        cand
+        for cand, move in parallel_neighborhood(state)
+        if move[0] == "order"
+    ]
+    for batch in ([state], moves):
+        assert _hex(objective.values(batch)) == _hex(reference.values(batch))
+    counters = objective.metrics.snapshot().counters
+    new_layouts = counters["pricing.layout.priced"] - 1
+    assert new_layouts > 0
+    assert counters["pricing.placement.hits"] >= new_layouts
+    _assert_same_pricing(objective, reference)

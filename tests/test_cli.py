@@ -393,6 +393,30 @@ class TestSweepCommand:
         assert doc["validated_cells"] == 3
         assert doc["all_cells_agree"] is True
 
+    RANDOM_SWEEP = (
+        "sweep", "-p", "hera", "--pattern", "random", "--max-n", "6",
+        "--step", "6", "--seed", "5", "--json",
+    )
+
+    def test_random_sweep_reproduces(self, capsys):
+        first = run_cli(capsys, *self.RANDOM_SWEEP)
+        second = run_cli(capsys, *self.RANDOM_SWEEP)
+        assert first[0] == second[0] == 0
+        assert first[1] == second[1]
+
+    def test_random_sweep_cell_is_the_seeded_solve(self, capsys):
+        code, out, _ = run_cli(capsys, *self.RANDOM_SWEEP)
+        assert code == 0
+        doc = json.loads(out)
+        (row,) = [row for row in doc["rows"] if row[0] == 6]
+        for algorithm, value in zip(doc["header"][1:], row[1:]):
+            code, out, _ = run_cli(
+                capsys, "solve", "-p", "hera", "--pattern", "random", "-n", "6",
+                "--seed", "5", "-a", algorithm, "--json",
+            )
+            assert code == 0
+            assert json.loads(out)["normalized_makespan"] == value
+
 
 class TestDagCommand:
     def test_generate_text(self, capsys):

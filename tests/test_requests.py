@@ -3,11 +3,13 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import threading
 import urllib.error
 import urllib.request
 
+import numpy as np
 import pytest
 
 from repro.api.requests import (
@@ -118,6 +120,30 @@ def test_parallel_estimate_is_an_adaptive_result(capsys):
     assert doc["kind"] == "parallel_search_result"
     assert doc["estimate"]["kind"] == "adaptive_result"
     assert doc["backend"] == "numpy"
+
+
+def test_parallel_estimate_draws_its_own_stream(monkeypatch):
+    """The estimate's first chunk must not replay the search's random
+    start stream (``SeedSequence(seed).spawn(3)[0]``)."""
+    import repro.service.engine as engine
+    from repro.simulation.batch import _seed_sequence
+
+    seeds = []
+    real = engine.run_adaptive_parallel
+
+    def spy(*args, seed, **kwargs):
+        seeds.append(copy.deepcopy(_seed_sequence(seed)))
+        return real(*args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(engine, "run_adaptive_parallel", spy)
+    _, (endpoint, request) = SHAPES["dag-parallel-estimate"]
+    Engine().handle(endpoint, request)
+    (estimate,) = seeds
+    starts = np.random.SeedSequence(request["seed"]).spawn(3)[0]
+    first_chunk = np.random.default_rng(estimate.spawn(1)[0]).random(8)
+    assert not np.array_equal(
+        first_chunk, np.random.default_rng(starts).random(8)
+    )
 
 
 def test_random_solve_is_seeded(capsys):
