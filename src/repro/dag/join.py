@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,8 +187,8 @@ class JoinObjective:
         return self.evaluations + self.cache_hits
 
     # -- the local-search protocol (repro.dag.local_search) ------------
-    def score(self, schedule: JoinSchedule) -> tuple[float, None]:
-        return self.value(schedule), None
+    def score(self, schedules: Sequence[JoinSchedule]) -> list[tuple[float, None]]:
+        return [(self.value(schedule), None) for schedule in schedules]
 
     def neighbors(self, schedule: JoinSchedule, rng) -> list[JoinSchedule]:
         return list(join_neighborhood(schedule))
@@ -196,11 +196,11 @@ class JoinObjective:
     def random_neighbor(self, schedule: JoinSchedule, rng) -> JoinSchedule:
         return random_join_neighbor(schedule, rng)
 
-    def screen(self, schedules, incumbent: None) -> list[float]:
-        return [self.value(schedule) for schedule in schedules]
+    def screen(self, rounds) -> list[list[float]]:
+        return [[self.value(s) for s in schedules] for schedules, _ in rounds]
 
-    def confirm(self, schedule: JoinSchedule, screened: float) -> tuple[float, None]:
-        return screened, None
+    def confirm(self, schedules, screened: Sequence[float]) -> list[tuple[float, None]]:
+        return [(value, None) for value in screened]
 
 
 def _reposition(schedule: JoinSchedule, i: int, j: int) -> JoinSchedule:

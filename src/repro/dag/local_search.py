@@ -16,12 +16,28 @@ a move when ``delta <= 0`` or with Metropolis probability
 ``exp(-delta / T)``, from ``T`` = 2% of the start value cooled by 0.99
 per step.  Improvements are relative (:data:`RELATIVE_TOLERANCE`), so
 float noise never counts as progress.
+
+The protocol takes batches.  :func:`hill_climb_all` climbs several
+starts *in lockstep*: every climb takes exactly the steps it would take
+alone, with its own rng, but the kernel collects the next request of
+each climb and serves all requests of one kind together.  The start
+scores are one ``score`` call; the neighbourhoods of every climb that
+moved are one ``screen`` call; and once no climb waits on a screen,
+each *wave* of confirms (the next candidate of every climb still
+looking for a move) is one ``confirm`` call.  Screens go first so that
+a climb which accepted early joins the next wave instead of idling
+until the slowest climb decides.  So the chain objective solves a
+wave's orders in one batched DP call and the p=2 objective prices a
+round's neighbourhoods together.  No request is speculative, and the
+memos are value-transparent, so values, states, rounds and every
+counter equal those of climbing the starts one after another; only the
+``search.round`` events of different climbs interleave.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Hashable, Sequence
+from collections.abc import Callable, Generator, Hashable, Sequence
 from typing import Any, NamedTuple, Protocol
 
 import numpy as np
@@ -39,6 +55,7 @@ __all__ = [
     "RELATIVE_TOLERANCE",
     "SEARCH_METHODS",
     "hill_climb",
+    "hill_climb_all",
     "multistart",
     "neighbor_cap",
     "simulated_annealing",
@@ -68,13 +85,18 @@ def neighbor_cap(n: int) -> int:
 
 
 class Objective(Protocol):
-    """What the kernel asks of a search problem."""
+    """What the kernel asks of a search problem.
+
+    ``score``, ``screen`` and ``confirm`` take batches, one entry per
+    climb of a lockstep call (:func:`hill_climb_all`); the annealer calls
+    them with one-element lists.
+    """
 
     #: receives the ``search.moves.*`` counters
     metrics: MetricsRegistry
 
-    def score(self, state: Any) -> tuple[float, Any]:
-        """The exact value of ``state`` and the detail screening its
+    def score(self, states: Sequence) -> list[tuple[float, Any]]:
+        """The exact value of each state and the detail screening its
         neighbours needs (the chain objective's optimal solution, ``None``
         for join and p=2)."""
 
@@ -84,13 +106,17 @@ class Objective(Protocol):
     def random_neighbor(self, state: Any, rng: np.random.Generator) -> Any:
         """One random move for annealing (``None`` when there is none)."""
 
-    def screen(self, states: Sequence, incumbent: Any) -> list[float]:
-        """Screening values of ``states`` given the current state's detail:
-        frozen-schedule upper bounds for chains, exact for join and p=2."""
+    def screen(self, rounds: Sequence[tuple[Sequence, Any]]) -> list[list[float]]:
+        """Screening values of each ``(candidates, detail)`` round, the
+        detail being the current state's: frozen-schedule upper bounds
+        for chains, exact for join and p=2."""
 
-    def confirm(self, state: Any, screened: float) -> tuple[float, Any]:
-        """The exact value and detail of a screened state: a DP solve for
-        chains; join and p=2 return ``screened`` without pricing again."""
+    def confirm(
+        self, states: Sequence, screened: Sequence[float]
+    ) -> list[tuple[float, Any]]:
+        """The exact value and detail of each screened state: a DP solve
+        for chains; join and p=2 return the screened value without
+        pricing again."""
 
 
 class Climb(NamedTuple):
@@ -103,47 +129,43 @@ class Climb(NamedTuple):
     rounds: int
 
 
-def hill_climb(
+#: The kinds of request a climb makes, in the order the kernel serves
+#: them: the start scores, then the screens, then each confirm wave.
+_SCORE, _SCREEN, _CONFIRM = range(3)
+
+
+def _climb_steps(
     objective: Objective,
     start: Any,
     rng: np.random.Generator | None,
-    *,
-    max_rounds: int = 200,
-    polish_budget: int | None = None,
-) -> Climb:
-    """Steepest-feasible descent from ``start``.
-
-    Each round screens the whole neighbourhood in one ``screen`` batch,
-    confirms candidates in screening order while the screen promises an
-    improvement, and accepts the first confirmed improvement.  When none
-    is found the round *polishes*: it confirms the ``polish_budget`` best
-    screened neighbours anyway (``None`` = all of them), because a bound
-    can hide an improvement.  The climb stops at a state no confirmed
-    neighbour beats, or after ``max_rounds`` moves.
-    """
+    max_rounds: int,
+    polish_budget: int | None,
+) -> Generator[tuple[int, Any], Any, Climb]:
+    """One climb as a generator: it yields each ``(kind, request)`` it
+    needs priced, is sent the answer, and returns its :class:`Climb`."""
     state = start
-    value, detail = objective.score(state)
+    value, detail = yield _SCORE, start
     c_proposed = objective.metrics.counter("search.moves.proposed")
     c_accepted = objective.metrics.counter("search.moves.accepted")
     bus = _ambient_events()
     rounds = 0
     for _ in range(max_rounds):
         cands = objective.neighbors(state, rng)
-        screened = objective.screen(cands, detail)
+        screened = yield _SCREEN, (cands, detail)
         ranked = sorted(range(len(cands)), key=screened.__getitem__)
         c_proposed.inc(len(cands))
         move = None
         for k in ranked:
             if not improves(screened[k], value):
                 break
-            confirmed = objective.confirm(cands[k], screened[k])
+            confirmed = yield _CONFIRM, (cands[k], screened[k])
             if improves(confirmed[0], value):
                 move = k, confirmed
                 break
         if move is None:
             budget = len(ranked) if polish_budget is None else polish_budget
             for k in ranked[:budget]:
-                confirmed = objective.confirm(cands[k], screened[k])
+                confirmed = yield _CONFIRM, (cands[k], screened[k])
                 if improves(confirmed[0], value):
                     move = k, confirmed
                     break
@@ -156,6 +178,73 @@ def hill_climb(
         if bus.enabled:
             bus.emit("search.round", round=rounds, value=value, proposed=len(cands))
     return Climb(state, value, detail, rounds)
+
+
+def _serve(objective: Objective, kind: int, requests: list) -> list:
+    """The answers to a batch of requests of one kind."""
+    if kind == _SCORE:
+        return objective.score(requests)
+    if kind == _SCREEN:
+        return objective.screen(requests)
+    states, screened = zip(*requests)
+    return objective.confirm(states, screened)
+
+
+def hill_climb_all(
+    objective: Objective,
+    starts: Sequence,
+    rngs: Sequence[np.random.Generator | None],
+    *,
+    max_rounds: int = 200,
+    polish_budget: int | None = None,
+) -> list[Climb]:
+    """Steepest-feasible descent from every start, in lockstep.
+
+    Each round of a climb screens its whole neighbourhood, confirms
+    candidates in screening order while the screen promises an
+    improvement, and accepts the first confirmed improvement.  When none
+    is found the round *polishes*: it confirms the ``polish_budget`` best
+    screened neighbours anyway (``None`` = all of them), because a bound
+    can hide an improvement.  A climb stops at a state no confirmed
+    neighbour beats, or after ``max_rounds`` moves.
+
+    Climb ``i`` draws its moves from ``rngs[i]`` and takes the steps it
+    would take alone; the kernel only batches the requests of all climbs
+    (see the module docstring): the start scores, then every waiting
+    screen, and once no climb waits on a screen, each confirm wave.
+    """
+    steps = [
+        _climb_steps(objective, start, rng, max_rounds, polish_budget)
+        for start, rng in zip(starts, rngs)
+    ]
+    pending = {i: next(step) for i, step in enumerate(steps)}
+    climbs: list[Climb] = [None] * len(steps)  # type: ignore[list-item]
+    while pending:
+        kind = min(kind for kind, _ in pending.values())
+        wave = [i for i, (k, _) in pending.items() if k == kind]
+        answers = _serve(objective, kind, [pending[i][1] for i in wave])
+        for i, answer in zip(wave, answers):
+            try:
+                pending[i] = steps[i].send(answer)
+            except StopIteration as done:
+                del pending[i]
+                climbs[i] = done.value
+    return climbs
+
+
+def hill_climb(
+    objective: Objective,
+    start: Any,
+    rng: np.random.Generator | None,
+    *,
+    max_rounds: int = 200,
+    polish_budget: int | None = None,
+) -> Climb:
+    """:func:`hill_climb_all` from one start."""
+    (climb,) = hill_climb_all(
+        objective, [start], [rng], max_rounds=max_rounds, polish_budget=polish_budget
+    )
+    return climb
 
 
 def simulated_annealing(
@@ -173,7 +262,7 @@ def simulated_annealing(
     accepted moves.
     """
     state = start
-    value, detail = objective.score(state)
+    ((value, detail),) = objective.score([state])
     best = Climb(state, value, detail, 0)
     temperature = INITIAL_TEMPERATURE * value
     c_proposed = objective.metrics.counter("search.moves.proposed")
@@ -185,12 +274,12 @@ def simulated_annealing(
         if cand is None:  # a rigid state: nothing to explore
             break
         c_proposed.inc()
-        screened = objective.screen([cand], detail)[0]
+        ((screened,),) = objective.screen([([cand], detail)])
         delta = screened - value
         if delta <= 0.0 or rng.random() < math.exp(
             -delta / max(temperature, 1e-300)
         ):
-            value, detail = objective.confirm(cand, screened)
+            ((value, detail),) = objective.confirm([cand], [screened])
             state = cand
             accepted += 1
             c_accepted.inc()
@@ -204,22 +293,26 @@ def simulated_annealing(
     return best._replace(rounds=accepted)
 
 
-def _climb(
+def _climb_all(
     objective: Objective,
     method: str,
-    start: Any,
-    seed: np.random.SeedSequence,
+    starts: Sequence,
+    seeds: Sequence[np.random.SeedSequence],
     *,
     iterations: int,
     max_rounds: int,
     polish_budget: int | None,
-) -> Climb:
-    """One start's climb: a walk for ``anneal``, else hill climbing."""
-    rng = np.random.default_rng(seed)
+) -> list[Climb]:
+    """Every start's climb: a walk each for ``anneal``, else one lockstep
+    hill climb."""
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     if method == "anneal":
-        return simulated_annealing(objective, start, rng, iterations=iterations)
-    return hill_climb(
-        objective, start, rng, max_rounds=max_rounds, polish_budget=polish_budget
+        return [
+            simulated_annealing(objective, start, rng, iterations=iterations)
+            for start, rng in zip(starts, rngs)
+        ]
+    return hill_climb_all(
+        objective, starts, rngs, max_rounds=max_rounds, polish_budget=polish_budget
     )
 
 
@@ -230,7 +323,7 @@ def _climb_worker(
     are value-transparent, so only the work accounting differs), whose
     counters ride home in its snapshot."""
     objective = factory()
-    climb = _climb(objective, method, start, seed, **options)
+    (climb,) = _climb_all(objective, method, [start], [seed], **options)
     return climb, objective.metrics.snapshot()
 
 
@@ -238,7 +331,7 @@ class Multistart:
     """A multistart search in progress: every climb's value, the best.
 
     :func:`multistart` climbs the starts; callers may then climb more
-    states (:meth:`climb`) and anneal from the winner (:meth:`anneal`)
+    states (:meth:`climb_all`) and anneal from the winner (:meth:`anneal`)
     before :meth:`publish` folds the work accounting.
     """
 
@@ -259,11 +352,29 @@ class Multistart:
         if self.best is None or improves(climb.value, self.best.value):
             self.best = climb
 
-    def climb(self, label: str, start: Any, seed: np.random.SeedSequence) -> Climb:
-        """Climb ``start`` in-process (as the method's start climbs do)."""
-        result = _climb(self.objective, self.method, start, seed, **self.options)
-        self.offer(label, result)
-        return result
+    def _run(
+        self, starts: Sequence, seeds: Sequence[np.random.SeedSequence]
+    ) -> list[Climb]:
+        """Climb ``starts`` in-process, in one lockstep call, under one
+        ``search.climbs`` span."""
+        with _span("search.climbs", starts=len(starts)) as sp:
+            climbs = _climb_all(
+                self.objective, self.method, starts, seeds, **self.options
+            )
+            sp.set(rounds=sum(climb.rounds for climb in climbs))
+        return climbs
+
+    def climb_all(
+        self,
+        starts: Sequence[tuple[str, Any]],
+        seeds: Sequence[np.random.SeedSequence],
+    ) -> list[Climb]:
+        """Climb more ``(label, state)`` starts in-process (as the
+        method's start climbs do) and offer them in order."""
+        climbs = self._run([state for _, state in starts], seeds)
+        for (label, _), climb in zip(starts, climbs):
+            self.offer(label, climb)
+        return climbs
 
     def anneal(self, seed: np.random.SeedSequence) -> None:
         """The ``hybrid`` method's last step: one walk from the winner."""
@@ -303,7 +414,8 @@ def multistart(
     """Climb every ``(label, state)`` start with its own seed.
 
     ``anneal`` walks from each start; ``hill_climb`` and ``hybrid``
-    hill-climb them (the ``hybrid`` walk is :meth:`Multistart.anneal`).
+    hill-climb them, in-process in one lockstep :func:`hill_climb_all`
+    call (the ``hybrid`` walk is :meth:`Multistart.anneal`).
     With ``n_jobs > 1`` and a picklable ``factory`` building a fresh
     copy of ``objective``, the climbs run in worker processes through
     :func:`repro.obs.fan_out`; the result is the same, only the memo
@@ -332,11 +444,7 @@ def multistart(
             search.climbs.append(climb)
             search.shards.append(shard)
     else:
-        for (label, start), seed in zip(starts, seeds):
-            with _span("search.start", label=label) as sp:
-                climb = _climb(objective, method, start, seed, **search.options)
-                sp.set(rounds=climb.rounds, value=climb.value)
-            search.climbs.append(climb)
+        search.climbs = search._run([start for _, start in starts], seeds)
     bus = _ambient_events()
     for (label, _), climb in zip(starts, search.climbs):
         search.offer(label, climb)

@@ -29,23 +29,23 @@ is lifted per worker:
   expectation under the outer ``max`` makes this a Jensen *lower bound*
   on the true expected makespan — the search ranks states by it, and
   :func:`~repro.simulation.parallel.simulate_parallel` certifies the
-  winner's true value.  A hill-climbing round prices its whole
-  neighbourhood in one :meth:`ParallelObjective.values` call, in four
-  steps.  (1) Each state not priced yet gets its *layout*, the task
-  sequence of every worker; the edges are fixed, so the layout fixes
-  the value, and a layout already priced answers the state from a
-  layout memo.  (2) Each worker of a new layout is placed — its
-  epoch-opening flags, commit boundaries and worker memo key depend on
-  its own sequence only — unless a placement memo holds that sequence:
-  a move changes one worker's sequence (an order move) or two (a
-  reassignment), and the workers it leaves unchanged were placed with
-  the state it started at.  New workers are looked up in the worker
-  and interval memos.  (3) One :func:`~repro.core.solver.
-  optimize_batch` call solves the intervals not yet solved, whatever
-  their lengths (``ADMV*`` and ``ADMV`` solve them in one pass of their
-  DP).  (4) A fold over the global order prices each new layout;
-  ``max`` is exact, so the fold gives the bits of the epoch-graph
-  recursion.
+  winner's true value.  A round of lockstep hill climbing prices the
+  neighbourhoods of all its climbs in one :meth:`ParallelObjective.
+  values` call, in four steps.  (1) Each state not priced yet gets its
+  *layout*, the task sequence of every worker; the edges are fixed, so
+  the layout fixes the value, and a layout already priced answers the
+  state from a layout memo.  (2) Each worker of a new layout is placed —
+  its epoch-opening flags, commit boundaries and worker memo key depend
+  on its own sequence only — unless a placement memo holds that
+  sequence: a move changes one worker's sequence (an order move) or two
+  (a reassignment), and the workers it leaves unchanged were placed with
+  the state it started at.  New workers are looked up in the worker and
+  interval memos.  (3) Batched :func:`~repro.core.solver.
+  optimize_batch` calls solve the intervals not yet solved, sorted by
+  length in chunks of at most :data:`INTERVAL_CHUNK` rows (``ADMV*`` and
+  ``ADMV`` solve a chunk in one pass of their DP).  (4) A fold over the
+  global order prices each new layout; ``max`` is exact, so the fold
+  gives the bits of the epoch-graph recursion.
 * **Search** (:func:`search_parallel`): the chain search's kernel
   (:mod:`repro.dag.local_search`) with the move set generalised to
   (assignment, order) pairs — all of :mod:`repro.dag.search`'s
@@ -96,6 +96,11 @@ __all__ = [
 ]
 
 logger = get_logger(__name__)
+
+#: Most intervals one batched DP call solves: :meth:`ParallelObjective.
+#: values` prices a whole lockstep round, and a bigger batch costs
+#: memory for no speed.
+INTERVAL_CHUNK = 64
 
 
 # ----------------------------------------------------------------------
@@ -620,40 +625,17 @@ class ParallelObjective:
     ) -> None:
         """Solve ``intervals`` and memoize them, ``workers`` and ``placed``.
 
-        The intervals, of any lengths, are solved in one
-        :func:`~repro.core.solver.optimize_batch` call.
+        The intervals are solved sorted by length, in
+        :func:`~repro.core.solver.optimize_batch` calls of at most
+        :data:`INTERVAL_CHUNK` rows, so a short interval is not padded to
+        the longest of a large batch.
         """
         if intervals:
-            ikeys = list(intervals)
-            tasks = [list(intervals[ikey][0]) for ikey in ikeys]
-            n_max = max(len(row) for row in tasks)
-            # the rows of CostProfile.scaled(platform, multipliers) (or
-            # .uniform) with_boundary_recovery(rd0, rm0), stacked and
-            # zero past each interval's length
-            costs = np.zeros((len(ikeys), 6, n_max + 1))
-            for row, seq in zip(costs, tasks):
-                row[:, 1 : len(seq) + 1] = (
-                    self._unit_costs[:, None]
-                    if self._mults is None
-                    else self._unit_costs[:, None] * self._mults[seq]
-                )
-            costs[:, 2:4, 0] = [intervals[ikey][1:] for ikey in ikeys]
+            ikeys = sorted(intervals, key=lambda ikey: len(intervals[ikey][0]))
+            n_max = len(intervals[ikeys[-1]][0])
             with _span("parallel.price_intervals", k=len(ikeys), n_max=n_max):
-                solutions = optimize_batch(
-                    [self._weights[seq] for seq in tasks],
-                    self.platform,
-                    self.algorithm,
-                    costs=costs,
-                )
-            for ikey, solution in zip(ikeys, solutions):
-                levels = tuple(int(a) for a in solution.schedule.levels_array())
-                if levels[-1] != int(Action.DISK):
-                    # The chain DP always disk-checkpoints the end; the
-                    # commit protocol relies on it (the boundary checkpoint
-                    # *is* the interval's final disk checkpoint).  Enforce,
-                    # don't assume.
-                    levels = levels[:-1] + (int(Action.DISK),)
-                self._intervals[ikey] = (float(solution.expected_time), levels)
+                for lo in range(0, len(ikeys), INTERVAL_CHUNK):
+                    self._solve_intervals(ikeys[lo : lo + INTERVAL_CHUNK], intervals)
         self._c_interval_solves.inc(len(intervals))
         for key, interval_keys in workers.items():
             durations, levels = zip(*map(self._intervals.__getitem__, interval_keys))
@@ -661,6 +643,41 @@ class ParallelObjective:
         self._c_worker_priced.inc(len(workers))
         self._placements.update(placed)
         self._c_placement_priced.inc(len(placed))
+
+    def _solve_intervals(
+        self,
+        ikeys: list[tuple],
+        intervals: dict[tuple, tuple[tuple[int, ...], float, float]],
+    ) -> None:
+        """Solve the intervals ``ikeys`` in one batched DP call."""
+        tasks = [list(intervals[ikey][0]) for ikey in ikeys]
+        n_max = max(len(row) for row in tasks)
+        # the rows of CostProfile.scaled(platform, multipliers) (or
+        # .uniform) with_boundary_recovery(rd0, rm0), stacked and zero
+        # past each interval's length
+        costs = np.zeros((len(ikeys), 6, n_max + 1))
+        for row, seq in zip(costs, tasks):
+            row[:, 1 : len(seq) + 1] = (
+                self._unit_costs[:, None]
+                if self._mults is None
+                else self._unit_costs[:, None] * self._mults[seq]
+            )
+        costs[:, 2:4, 0] = [intervals[ikey][1:] for ikey in ikeys]
+        solutions = optimize_batch(
+            [self._weights[seq] for seq in tasks],
+            self.platform,
+            self.algorithm,
+            costs=costs,
+        )
+        for ikey, solution in zip(ikeys, solutions):
+            levels = tuple(int(a) for a in solution.schedule.levels_array())
+            if levels[-1] != int(Action.DISK):
+                # The chain DP always disk-checkpoints the end; the
+                # commit protocol relies on it (the boundary checkpoint
+                # *is* the interval's final disk checkpoint).  Enforce,
+                # don't assume.
+                levels = levels[:-1] + (int(Action.DISK),)
+            self._intervals[ikey] = (float(solution.expected_time), levels)
 
     def _fold_inputs(
         self, entries: list[_Placement | None]
@@ -751,8 +768,8 @@ class ParallelObjective:
         return self.states_priced + self.state_cache_hits
 
     # -- the local-search protocol (repro.dag.local_search) ------------
-    def score(self, state: ParallelSchedule) -> tuple[float, None]:
-        return self.value(state), None
+    def score(self, states: Sequence[ParallelSchedule]) -> list[tuple[float, None]]:
+        return [(value, None) for value in self.values(states)]
 
     def neighbors(self, state: ParallelSchedule, rng) -> list[ParallelSchedule]:
         cap = neighbor_cap(len(state.order))
@@ -765,11 +782,17 @@ class ParallelObjective:
         picked = random_parallel_neighbor(state, rng)
         return None if picked is None else picked[0]
 
-    def screen(self, states: Sequence[ParallelSchedule], incumbent) -> list[float]:
-        return self.values(states)
+    def screen(self, rounds) -> list[list[float]]:
+        """Every round's neighbourhood, priced in one :meth:`values` call."""
+        values = self.values([state for states, _ in rounds for state in states])
+        out, at = [], 0
+        for states, _ in rounds:
+            out.append(values[at : at + len(states)])
+            at += len(states)
+        return out
 
-    def confirm(self, state: ParallelSchedule, screened: float) -> tuple[float, None]:
-        return screened, None
+    def confirm(self, states, screened: Sequence[float]) -> list[tuple[float, None]]:
+        return [(value, None) for value in screened]
 
 
 # ----------------------------------------------------------------------

@@ -40,7 +40,13 @@ layers two reuse mechanisms on top of the exact solver:
   between consecutive verified positions, so bounds are memoized on that
   segment vector: a move that permutes tasks strictly inside one
   verification segment leaves every segment weight unchanged and costs a
-  cache hit — no evaluation at all.
+  cache hit — no evaluation at all;
+* **batched exact solves** — the kernel climbs a multistart's starts in
+  lockstep, so the exact solves of the start scores and of each wave of
+  confirms arrive together, and :meth:`ChainObjective.exact_all` solves
+  the memo misses among them in one
+  :func:`~repro.core.solver.optimize_batch` call, whose DP costs far
+  less per row than one solve per order.
 
 Heterogeneous per-task costs
 ----------------------------
@@ -84,7 +90,7 @@ the start climbs across worker processes.  Elite survivors are then
 recombined with a precedence-preserving one-point order crossover
 (MoRoTA-style: a prefix of one parent completed in the other parent's
 relative order is always a valid linear extension) and the children are
-climbed too.
+climbed too, in one lockstep call.
 
 The winning order can optionally be **certified** by replaying it through
 the batched adaptive Monte-Carlo engine (``certify=True``; the array-API
@@ -97,7 +103,7 @@ stamp to the result.  Join winners are certified against
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterator, MutableMapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -109,10 +115,9 @@ from ..core.evaluator import evaluate_schedule  # noqa: F401
 from ..core.evaluator import evaluate_schedules
 from ..core.result import Solution
 from ..core.schedule import Schedule
-from ..core.solver import optimize
+from ..core.solver import optimize, optimize_batch
 from ..exceptions import InvalidParameterError
 from ..obs import MetricsRegistry, MetricsSnapshot, get_logger
-from ..obs import span as _span
 from ..platforms import Platform
 from .join import (
     JoinInstance,
@@ -192,8 +197,18 @@ def reinsertion_window(
     just before the first successor; ``j == i`` reproduces the original
     order.
     """
+    return _window(dag, order, {v: p for p, v in enumerate(order)}, i)
+
+
+def _window(
+    dag: WorkflowDAG,
+    order: Sequence[Hashable],
+    position: dict[Hashable, int],
+    i: int,
+) -> tuple[int, int]:
+    """:func:`reinsertion_window` given ``order``'s task -> position map,
+    which a caller scanning many tasks builds once."""
     graph = dag.graph
-    position = {v: p for p, v in enumerate(order)}
     task = order[i]
     lo = max((position[u] for u in graph.predecessors(task)), default=-1) + 1
     hi = min(
@@ -231,8 +246,9 @@ def neighborhood(
     for i in adjacent_swaps(dag, order):
         yield apply_swap(order, i), ("swap", i)
     moves: list[tuple[int, int]] = []
+    position = {v: p for p, v in enumerate(order)}
     for i in range(len(order)):
-        lo, hi = reinsertion_window(dag, order, i)
+        lo, hi = _window(dag, order, position, i)
         for j in range(lo, hi + 1):
             if j == i or abs(j - i) == 1:  # no-op / duplicate of a swap
                 continue
@@ -266,9 +282,10 @@ def random_neighbor(
             return apply_swap(order, i), ("swap", i)
     # fall through to reinsertion (also the swap fallback)
     starts = list(rng.permutation(len(order)))
+    position = {v: p for p, v in enumerate(order)}
     for i in starts:
         i = int(i)
-        lo, hi = reinsertion_window(dag, order, i)
+        lo, hi = _window(dag, order, position, i)
         slots = [j for j in range(lo, hi + 1) if j != i]
         if slots:
             j = int(slots[int(rng.integers(len(slots)))])
@@ -339,11 +356,13 @@ class ChainObjective:
     """Expected-makespan objective with memoized incremental evaluation.
 
     ``exact(order)`` serialises the order and runs the chain optimizer,
-    memoized on the weight tuple.  ``bound(order, reference)`` re-prices
-    the reference solution's frozen schedule on the order's weights — an
-    upper bound on ``exact(order).expected_time``, memoized on the
-    verification-segment weight vector.  Counters expose the work done so
-    benchmarks and diagnostics can report evaluation rates and hit ratios.
+    memoized on the weight tuple; ``exact_all(orders)`` does the same
+    for a batch, its misses solved in one batched DP call.
+    ``bound(order, reference)`` re-prices the reference solution's
+    frozen schedule on the order's weights — an upper bound on
+    ``exact(order).expected_time``, memoized on the verification-segment
+    weight vector.  Counters expose the work done so benchmarks and
+    diagnostics can report evaluation rates and hit ratios.
 
     Heterogeneous DAGs (per-task cost multipliers) are priced through a
     :class:`~repro.core.costs.CostProfile` permuted with each order; the
@@ -386,6 +405,8 @@ class ChainObjective:
         self._exact: MutableMapping[bytes, Solution] = (
             exact_cache if exact_cache is not None else {}
         )
+        # exact_all's batch, until exact() takes each solution
+        self._solved: dict[bytes, Solution] = {}
         self._bounds: dict[tuple[bytes, bytes], float] = {}
         self._stops: dict[bytes, np.ndarray] = {}
         # Always a live registry (never the ambient null one): the
@@ -443,29 +464,68 @@ class ChainObjective:
         )
 
     # -- exact path ----------------------------------------------------
-    def exact(self, order: Sequence[Hashable]) -> Solution:
-        """Optimal chain solution for this serialisation (memoized)."""
-        weights = self.weights_of(order)
+    def _exact_key(self, order: Sequence[Hashable]) -> bytes:
+        weights = self.weights_of(order).tobytes()
         mult = self.multipliers_of(order)
-        key = (
-            weights.tobytes()
-            if mult is None
-            else weights.tobytes() + b"|" + mult.tobytes()
-        )
+        return weights if mult is None else weights + b"|" + mult.tobytes()
+
+    def exact(self, order: Sequence[Hashable]) -> Solution:
+        """Optimal chain solution for this serialisation (memoized).
+
+        A miss takes the solution :meth:`exact_all` solved for it in its
+        batch, else solves the order alone; either way it counts one
+        evaluation and enters the memo.
+        """
+        key = self._exact_key(order)
         cached = self._exact.get(key)
         if cached is not None:
             self._c_exact_hits.inc()
             return cached
-        _, chain = self.dag.serialise(list(order))
-        solution = optimize(
-            chain,
-            self.platform,
-            algorithm=self.algorithm,
-            costs=self.costs_of(order),
-        )
+        solution = self._solved.pop(key, None)
+        if solution is None:
+            _, chain = self.dag.serialise(list(order))
+            solution = optimize(
+                chain,
+                self.platform,
+                algorithm=self.algorithm,
+                costs=self.costs_of(order),
+            )
         self._exact[key] = solution
         self._c_exact_evals.inc()
         return solution
+
+    def exact_all(self, orders: Sequence[Sequence[Hashable]]) -> list[Solution]:
+        """:meth:`exact` of every order of ``orders``.
+
+        The distinct orders missing from the memo, when there are two or
+        more, are solved first in one
+        :func:`~repro.core.solver.optimize_batch` call into a private
+        buffer (not the memo, which a shared cache may evict from), from
+        which :meth:`exact` takes them.  The solutions, memo and counters
+        equal those of calling :meth:`exact` on each order in turn, and
+        an overridden :meth:`exact` still prices every order.
+        """
+        misses: dict[bytes, Sequence[Hashable]] = {}
+        for order in orders:
+            key = self._exact_key(order)
+            if key not in self._exact:
+                misses.setdefault(key, order)
+        if len(misses) > 1:
+            chains = [self.dag.serialise(list(o))[1] for o in misses.values()]
+            solutions = optimize_batch(
+                [chain.weights for chain in chains],
+                self.platform,
+                self.algorithm,
+                costs=[self.costs_of(o) for o in misses.values()],
+            )
+            self._solved.update(
+                (key, replace(solution, chain=chain))
+                for key, chain, solution in zip(misses, chains, solutions)
+            )
+        try:
+            return [self.exact(order) for order in orders]
+        finally:
+            self._solved.clear()
 
     # -- incremental bound path ----------------------------------------
     def _schedule_key(self, reference: Solution) -> bytes:
@@ -552,9 +612,8 @@ class ChainObjective:
         return [self._bounds[key] for key in keys]
 
     # -- the local-search protocol (repro.dag.local_search) ------------
-    def score(self, order: Sequence[Hashable]) -> tuple[float, Solution]:
-        solution = self.exact(order)
-        return solution.expected_time, solution
+    def score(self, orders: Sequence[Sequence[Hashable]]) -> list[tuple]:
+        return [(s.expected_time, s) for s in self.exact_all(orders)]
 
     def neighbors(self, order: Sequence[Hashable], rng) -> list[list[Hashable]]:
         moves = neighborhood(
@@ -566,13 +625,11 @@ class ChainObjective:
         picked = random_neighbor(self.dag, order, rng)
         return None if picked is None else picked[0]
 
-    def screen(self, orders: Sequence, incumbent: Solution) -> list[float]:
-        return self.bounds(orders, incumbent)
+    def screen(self, rounds: Sequence[tuple[Sequence, Solution]]) -> list[list]:
+        return [self.bounds(orders, incumbent) for orders, incumbent in rounds]
 
-    def confirm(self, order: Sequence[Hashable], screened: float) -> tuple:
-        return self.score(order)
-
-
+    def confirm(self, orders: Sequence, screened: Sequence[float]) -> list[tuple]:
+        return self.score(orders)
 
 
 # ----------------------------------------------------------------------
@@ -987,14 +1044,15 @@ def search_order(
         if len(elites) >= 2:
             seeds = ss_recombine.spawn(recombine + 1)
             select_rng = np.random.default_rng(seeds[0])
+            children = []
             for c in range(recombine):
                 a, b = select_rng.choice(len(elites), size=2, replace=False)
                 cut = int(select_rng.integers(1, dag.n))
                 child = crossover_orders(elites[int(a)], elites[int(b)], cut)
-                with _span("search.crossover", child=c) as sp:
-                    climb = search.climb(f"crossover-{c}", child, seeds[c + 1])
-                    sp.set(value=climb.value)
-                recombined += 1
+                children.append((f"crossover-{c}", child))
+            # climbed together, offered in child order (ties resolve so)
+            search.climb_all(children, seeds[1:])
+            recombined = len(children)
 
     if method == "hybrid":
         search.anneal(ss_anneal)

@@ -18,7 +18,7 @@ it asks this module for the *ambient* instrumentation::
     from ..obs import metrics, span
 
     metrics().counter("dp.solves.admv").inc()
-    with span("search.start", label=label):
+    with span("search.climbs", starts=len(starts)):
         ...
 
 By default the ambient registry is :data:`NULL_REGISTRY` and the tracer

@@ -117,6 +117,55 @@ class TestMoves:
         assert (lo, hi) == (0, 3)
         assert apply_reinsertion(order, 1, 3) == ["a", "c", "d", "b"]
 
+    @given(data=dag_and_order(), cap=st.sampled_from([None, 3, 16]))
+    @settings(max_examples=40, deadline=None)
+    def test_moves_equal_the_per_task_window(self, data, cap):
+        """The neighbourhood and a random move build one position map;
+        their moves equal those of a window rebuilt for every task."""
+        dag, order, rng = data
+        state = rng.bit_generator.state
+
+        def window(i):  # the per-task window they replaced
+            position = {v: p for p, v in enumerate(order)}
+            task = order[i]
+            lo = max(
+                (position[u] for u in dag.graph.predecessors(task)), default=-1
+            ) + 1
+            hi = min(
+                (position[w] for w in dag.graph.successors(task)),
+                default=len(order),
+            ) - 1
+            return lo, hi
+
+        moves = [
+            (i, j)
+            for i, (lo, hi) in enumerate(map(window, range(len(order))))
+            for j in range(lo, hi + 1)
+            if j != i and abs(j - i) != 1
+        ]
+        if cap is not None and len(moves) > cap:
+            picked = rng.choice(len(moves), size=cap, replace=False)
+            moves = [moves[int(k)] for k in sorted(picked)]
+        want = [("swap", i) for i in adjacent_swaps(dag, order)]
+        want += [("reinsert", i, j) for i, j in moves]
+        rng.bit_generator.state = state
+        got = neighborhood(dag, order, rng=rng, max_reinsertions=cap)
+        assert [move for _, move in got] == want
+
+        rng.bit_generator.state = state
+        picked = random_neighbor(dag, order, rng)
+        rng.bit_generator.state = state
+        if rng.random() >= 0.5 and adjacent_swaps(dag, order):
+            return  # a swap: no window involved
+        for i in map(int, rng.permutation(len(order))):
+            lo, hi = window(i)
+            slots = [j for j in range(lo, hi + 1) if j != i]
+            if slots:
+                j = slots[int(rng.integers(len(slots)))]
+                assert picked[1] == ("reinsert", i, j)
+                return
+        assert picked is None
+
     def test_neighborhood_subsampling_needs_rng(self):
         dag = generate("layered", seed=0, tasks=8, layers=2)
         order = random_order(dag, np.random.default_rng(0))
@@ -190,6 +239,60 @@ class TestChainObjective:
         assert batch.bounds([], solution) == []
         assert batch.bounds(cands[:5], solution) == singles[:5]
         assert batch.bound_cache_hits == one.bound_cache_hits + 5
+
+    @pytest.mark.parametrize("algorithm", ["admv_star", FAST_ALGO])
+    @pytest.mark.parametrize("cost_spread", [0.0, 1.0])
+    def test_exact_all_equals_one_exact_per_order(
+        self, platform, algorithm, cost_spread
+    ):
+        # solutions (chain name and diagnostics too), memo and counters as
+        # if exact() ran on each order in turn, on a cold and a warm memo
+        dag = generate(
+            "layered", seed=6, tasks=8, layers=3, cost_spread=cost_spread
+        )
+        order = random_order(dag, np.random.default_rng(6))
+        cands = [cand for cand, _ in neighborhood(dag, order)][:6]
+        cands += cands[:2] + [order]
+        one = ChainObjective(dag, platform, algorithm=algorithm)
+        batch = ChainObjective(dag, platform, algorithm=algorithm)
+        for orders in (cands[:4], cands):
+            want = [one.exact(cand) for cand in orders]
+            got = batch.exact_all(orders)
+            assert got == want
+            for a, b in zip(got, want):
+                assert a.chain.name == b.chain.name == f"{dag.name}-serialised"
+                assert a.expected_time.hex() == b.expected_time.hex()
+                assert a.diagnostics.keys() == b.diagnostics.keys()
+                for key in a.diagnostics:
+                    np.testing.assert_array_equal(
+                        a.diagnostics[key], b.diagnostics[key]
+                    )
+            assert batch.metrics.snapshot() == one.metrics.snapshot()
+        assert batch.exact_all([]) == []
+
+    def test_exact_all_survives_a_cache_that_forgets(self, platform):
+        # a shared evicting cache may drop a solution as soon as it is
+        # stored: the batch's solutions wait in a private buffer instead,
+        # and a repeat the cache dropped is solved again, as exact() does
+        class Forgetful(dict):
+            def __setitem__(self, key, value):
+                pass
+
+        dag = generate("layered", seed=6, tasks=8, layers=3)
+        cands = [
+            cand
+            for cand, _ in neighborhood(
+                dag, random_order(dag, np.random.default_rng(6))
+            )
+        ][:3]
+        objective = ChainObjective(
+            dag, platform, algorithm=FAST_ALGO, exact_cache=Forgetful()
+        )
+        solutions = objective.exact_all(cands + cands[:1])
+        assert solutions[0] == solutions[3]
+        assert objective.exact_evaluations == 4
+        assert objective.exact_cache_hits == 0
+        assert not objective._solved
 
     def test_bound_caches_are_content_keyed(self, pipeline, platform):
         # references the objective never saw (built by optimize() directly,

@@ -14,6 +14,11 @@ oracle on fresh objectives and require ``==`` on the value bits, the
 final state, ``rounds``, every objective counter and the multiset of
 progress events, for small random DAGs x {chain, join, p=2} x every
 search method.
+
+The lockstep kernel (:func:`repro.dag.local_search.hill_climb_all`) is
+checked against the one-climb-at-a-time loop it replaced, kept here as
+:func:`reference_hill_climb`: an in-process multistart must equal its
+starts climbed one after another on one fresh objective.
 """
 
 from __future__ import annotations
@@ -37,9 +42,11 @@ from repro.dag.join import (
     random_join_neighbor,
     threshold_join,
 )
-from repro.dag.local_search import hill_climb, simulated_annealing
+from repro.dag.local_search import hill_climb, multistart, simulated_annealing
 from repro.dag.parallel import (
     ParallelObjective,
+    ParallelSchedule,
+    greedy_assignment,
     list_schedule,
     parallel_neighborhood,
     random_parallel_neighbor,
@@ -49,6 +56,8 @@ from repro.dag.search import (
     neighborhood,
     random_neighbor,
     random_order,
+    search_order,
+    start_orders,
 )
 from repro.experiments.dag_search import stress_platform
 from repro.obs import EventBus, MetricsRegistry, events, instrument
@@ -459,3 +468,203 @@ def test_local_search_join_equals_the_loop(instance, optimize_order, max_rounds)
     )
     assert value.hex() == want_value.hex()
     assert schedule == want_schedule
+
+
+# ----------------------------------------------------------------------
+# lockstep climbs against the one-at-a-time loop
+# ----------------------------------------------------------------------
+def reference_hill_climb(objective, start, rng, *, max_rounds, polish_budget):
+    """The kernel's hill climber before lockstep: one climb, its requests
+    priced one at a time."""
+    state = start
+    ((value, detail),) = objective.score([state])
+    c_proposed = objective.metrics.counter("search.moves.proposed")
+    c_accepted = objective.metrics.counter("search.moves.accepted")
+    bus = events()
+    rounds = 0
+    for _ in range(max_rounds):
+        cands = objective.neighbors(state, rng)
+        (screened,) = objective.screen([(cands, detail)])
+        ranked = sorted(range(len(cands)), key=screened.__getitem__)
+        c_proposed.inc(len(cands))
+        move = None
+        for k in ranked:
+            if not _improves(screened[k], value):
+                break
+            (confirmed,) = objective.confirm([cands[k]], [screened[k]])
+            if _improves(confirmed[0], value):
+                move = k, confirmed
+                break
+        if move is None:
+            budget = len(ranked) if polish_budget is None else polish_budget
+            for k in ranked[:budget]:
+                (confirmed,) = objective.confirm([cands[k]], [screened[k]])
+                if _improves(confirmed[0], value):
+                    move = k, confirmed
+                    break
+        if move is None:
+            break
+        k, (value, detail) = move
+        state = cands[k]
+        c_accepted.inc()
+        rounds += 1
+        if bus.enabled:
+            bus.emit("search.round", round=rounds, value=value, proposed=len(cands))
+    return state, value, rounds
+
+
+def _lockstep_problem(variant, n, seed, algorithm, processors):
+    """(objective factory, labelled starts) of a small search problem."""
+    if variant == "join":
+        dag = generate("join", sources=max(2, n - 1), seed=seed, weights="lognormal")
+        instance = join_from_dag(dag, rate=PLATFORM.lf, C=PLATFORM.CD, R=PLATFORM.RD)
+        rng = np.random.default_rng(seed)
+        starts = [
+            (
+                f"random-{r}",
+                JoinSchedule(
+                    tuple(int(x) for x in rng.permutation(instance.n_sources)),
+                    tuple(bool(b) for b in rng.random(instance.n_sources) < 0.5),
+                ),
+            )
+            for r in range(4)
+        ]
+        return lambda: JoinObjective(instance), starts
+    dag = generate(
+        "layered",
+        tasks=n,
+        layers=min(3, n),
+        density=0.5,
+        seed=seed,
+        weights="lognormal",
+        cost_spread=1.0 if seed % 2 else 0.0,
+    )
+    starts = start_orders(dag, 2, np.random.default_rng(seed))
+    if variant == "chain":
+        return lambda: ChainObjective(dag, PLATFORM, algorithm=algorithm), starts
+    return (
+        lambda: ParallelObjective(dag, PLATFORM, processors, algorithm=algorithm),
+        [
+            (
+                label,
+                ParallelSchedule(
+                    dag, processors, order, greedy_assignment(dag, order, processors)
+                ),
+            )
+            for label, order in starts
+        ],
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    variant=st.sampled_from(["chain", "join", "parallel"]),
+    n=st.integers(3, 8),
+    seed=st.integers(0, 2**16),
+    algorithm=st.sampled_from(["admv_star", "admv"]),
+    processors=st.sampled_from([2, 3]),
+    polish_budget=st.sampled_from([0, 2, None]),
+    max_rounds=st.sampled_from([1, 3]),
+)
+def test_multistart_equals_one_climb_after_another(
+    variant, n, seed, algorithm, processors, polish_budget, max_rounds
+):
+    factory, starts = _lockstep_problem(variant, n, seed, algorithm, processors)
+    seeds = np.random.SeedSequence(seed).spawn(len(starts))
+
+    def lockstep():
+        objective = factory()
+        search = multistart(
+            objective,
+            starts,
+            seeds,
+            method="hill_climb",
+            iterations=0,
+            max_rounds=max_rounds,
+            polish_budget=polish_budget,
+        )
+        climbs = [
+            (_state_key(c.state), c.value.hex(), c.rounds) for c in search.climbs
+        ]
+        return climbs, objective.metrics.snapshot().counters
+
+    def one_after_another():
+        objective = factory()
+        objective.metrics.counter("search.starts").inc(len(starts))
+        climbs = []
+        for (label, start), seed_seq in zip(starts, seeds):
+            state, value, rounds = reference_hill_climb(
+                objective,
+                start,
+                np.random.default_rng(seed_seq),
+                max_rounds=max_rounds,
+                polish_budget=polish_budget,
+            )
+            climbs.append((_state_key(state), value.hex(), rounds))
+        bus = events()
+        for (label, _), (_, value, rounds) in zip(starts, climbs):
+            bus.emit(
+                "search.climb", label=label, value=float.fromhex(value), rounds=rounds
+            )
+        return climbs, objective.metrics.snapshot().counters
+
+    assert _observed(lockstep) == _observed(one_after_another)
+
+
+def test_lockstep_chain_search_batches_its_dp_solves():
+    """Non-vacuous: the start scores and confirm waves of a search with
+    several starts reach the DP as batches, so it solves more rows than
+    it makes DP calls."""
+    dag = generate(
+        "layered", tasks=8, layers=3, density=0.5, seed=1, weights="lognormal"
+    )
+    registry = MetricsRegistry()
+    with instrument(registry):
+        result = search_order(dag, PLATFORM, algorithm="admv_star", seed=1, restarts=2)
+    snapshot = registry.snapshot()
+    assert result.starts >= 3
+    rows = snapshot.counter("dp.solves.admv_star")
+    assert rows == result.exact_evaluations
+    assert snapshot.timers["dp.solve"].count < rows
+
+
+def test_a_large_mixed_length_interval_batch_equals_each_interval_alone():
+    """More than one chunk of intervals of every length, some opening at
+    a commit boundary: each gets the bits it gets solved by itself."""
+    from repro.dag import parallel
+
+    dag = generate(
+        "layered",
+        tasks=14,
+        layers=4,
+        density=0.5,
+        seed=3,
+        weights="lognormal",
+        cost_spread=1.0,
+    )
+    batched = ParallelObjective(dag, PLATFORM, 2, algorithm="admv_star")
+    rng = np.random.default_rng(0)
+    intervals = {}
+    while len(intervals) <= parallel.INTERVAL_CHUNK + 10:
+        length = int(rng.integers(1, dag.n + 1))
+        seq = tuple(int(i) for i in rng.choice(dag.n, size=length, replace=False))
+        recovery = (
+            (0.0, 0.0)
+            if rng.random() < 0.5
+            else batched._recovery[int(rng.integers(dag.n))]
+        )
+        ikey = (
+            b"".join(batched._weight_bytes[i] for i in seq),
+            b"".join(batched._mult_bytes[i] for i in seq),
+            *recovery,
+        )
+        intervals[ikey] = (seq, *recovery)
+    assert len({len(seq) for seq, _, _ in intervals.values()}) > 5
+    batched._price({}, {}, intervals)
+    assert batched.interval_solves == len(intervals)
+    for ikey, interval in intervals.items():
+        alone = ParallelObjective(dag, PLATFORM, 2, algorithm="admv_star")
+        alone._price({}, {}, {ikey: interval})
+        value, levels = alone._intervals[ikey]
+        assert batched._intervals[ikey] == (value, levels)
+        assert batched._intervals[ikey][0].hex() == value.hex()
