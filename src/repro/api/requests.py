@@ -344,10 +344,8 @@ class DagOptimizeRequest(Request):
             return self.certify
         return self.estimate
 
-    def check(self, *, n_jobs: int | None = None) -> None:
-        """The cross-field rules; a run's ``n_jobs`` counts as a
-        search-only field."""
-        given = self.given | ({"jobs"} if n_jobs is not None else set())
+    def check(self) -> None:
+        """The cross-field rules."""
         serial = self.processors is None
         search = serial and self.strategy == "search"
         rules = [  # (rule applies, fields it forbids, why)
@@ -365,14 +363,14 @@ class DagOptimizeRequest(Request):
             ),
             (
                 serial and not search,
-                {"method", "restarts", "iterations", "jobs", "recombine"},
+                {"method", "restarts", "iterations", "recombine"},
                 "only affect the metaheuristic search; add 'strategy': "
                 f"'search' (--strategy search), got {self.strategy!r}",
             ),
             (
                 search and uses_join_objective(self.workflow),
-                {"jobs", "recombine"},
-                f"do not apply to the join objective ({self.workflow.name!r} "
+                {"recombine"},
+                f"does not apply to the join objective ({self.workflow.name!r} "
                 "is join-shaped: states are evaluated exactly in-process, "
                 "with no recombination)",
             ),
@@ -398,9 +396,9 @@ class DagOptimizeRequest(Request):
             ),
         ]
         for applies, forbidden, why in rules:
-            if applies and given & forbidden:
+            if applies and self.given & forbidden:
                 raise InvalidParameterError(
-                    f"{self._names(given & forbidden)} {why}"
+                    f"{self._names(self.given & forbidden)} {why}"
                 )
 
     def content(self) -> dict[str, Any]:

@@ -10,7 +10,7 @@ inverts the supported kinds:
 .. code-block:: json
 
     {
-        "schema_version": 1,
+        "schema_version": 2,
         "kind": "solution",
         "platform": "Hera",
         ...
@@ -34,10 +34,10 @@ output and every ``repro serve`` endpoint):
 ``schedule``        :meth:`repro.core.Schedule.as_dict` position lists
 ==================  ====================================================
 
-Deprecated aliases (kept for one release, see ``docs/API.md``): ``runs``
-and ``reps_used`` for ``reps``, ``ci`` for the ``[ci_low, ci_high]``
-pair, ``target_relative_ci`` for ``target_ci``.  New consumers should
-read only canonical keys.
+Schema version 2 dropped the deprecated aliases of version 1 (``runs``,
+``reps_used``, ``ci``, ``target_relative_ci``, ``analytic``,
+``simulated``) and the search documents' ``n_jobs``; version 1 documents
+still load, their extra keys ignored (see ``docs/API.md``).
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ __all__ = [
 ]
 
 #: Version stamped into every document; bump on any breaking key change.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def finite_or_none(value: float) -> float | None:
@@ -200,9 +200,6 @@ def _stamp_doc(stamp: AgreementStamp) -> dict[str, Any]:
         "target_ci": stamp.target_ci,
         "agrees": stamp.agrees,
         "converged": stamp.converged,
-        # deprecated aliases
-        "analytic": stamp.analytic,
-        "simulated": stamp.simulated,
     }
 
 
@@ -247,9 +244,6 @@ def _adaptive_doc(result: AdaptiveResult) -> dict[str, Any]:
         "expected_time": finite_or_none(result.analytic),
         "min_runs": result.min_runs,
         "max_runs": result.max_runs,
-        # deprecated aliases
-        "target_relative_ci": result.target_relative_ci,
-        "reps_used": result.reps_used,
     }
 
 
@@ -269,13 +263,6 @@ def _mc_doc(result: MonteCarloResult) -> dict[str, Any]:
         "breakdown": result.breakdown,
         "useful_work": finite_or_none(result.useful_work),
         "backend": result.backend,
-        # deprecated aliases
-        "runs": result.runs,
-        "ci": [
-            finite_or_none(result.summary.ci_low),
-            finite_or_none(result.summary.ci_high),
-        ],
-        "analytic": finite_or_none(result.analytic),
     }
     # optional sub-documents are omitted, not null — the historical CLI
     # contract is "key absent" for fixed-N campaigns
@@ -298,7 +285,6 @@ def _search_doc(result: SearchResult) -> dict[str, Any]:
         "bound_evaluations": result.bound_evaluations,
         "bound_cache_hits": result.bound_cache_hits,
         "start_values": dict(result.start_values),
-        "n_jobs": result.n_jobs,
         "recombined": result.recombined,
         "solution": _solution_doc(result.solution),
     }
@@ -349,7 +335,6 @@ def _parallel_search_doc(result: ParallelSearchResult) -> dict[str, Any]:
         "interval_solves": result.interval_solves,
         "interval_cache_hits": result.interval_cache_hits,
         "start_values": dict(result.start_values),
-        "n_jobs": result.n_jobs,
         "solution": _parallel_solution_doc(result.solution),
     }
     if result.metrics is not None:
@@ -544,7 +529,6 @@ def _search_from(doc: dict[str, Any]) -> SearchResult:
             if doc.get("certificate") is None
             else _stamp_from(doc["certificate"])
         ),
-        n_jobs=doc["n_jobs"],
         recombined=int(doc["recombined"]),
         metrics=(
             None

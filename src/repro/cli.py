@@ -14,7 +14,7 @@ Usage (also available as ``python -m repro``)::
     repro dag generate --kind join --sources 12  # APDCM'15 join graph
     repro dag optimize --kind layered --strategy search   # order search
     repro dag optimize --kind layered --cost-spread 1.0 \
-        --strategy search --jobs 4               # heterogeneous costs
+        --strategy search                        # heterogeneous costs
     repro dag sweep --seed 3                     # heuristics vs search
     repro serve --port 8080                      # persistent HTTP service
     repro figure 5 --fast                        # regenerate a paper figure
@@ -310,15 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
         q, "dag/optimize", "platform", "algorithm", "strategy", "processors",
         "method", "restarts", "iterations", "recombine", "certify",
         "target_ci", "backend", "estimate",
-    )
-    q.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help=(
-            "worker processes sharding the start climbs (search; the "
-            "winning order is invariant in --jobs)"
-        ),
     )
     q.add_argument("--json", action="store_true")
     _add_obs_args(q)
@@ -629,7 +620,7 @@ def _cmd_dag_generate(args) -> str:
 
 def _cmd_dag_optimize(args) -> str:
     request = _request(args, "dag/optimize")
-    outcome = run(request, n_jobs=args.jobs)
+    outcome = run(request)
     if args.json:
         return json.dumps(outcome.document(), indent=2)
     dag, result = request.workflow, outcome.result

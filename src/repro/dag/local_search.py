@@ -1,8 +1,8 @@
 """One local-search kernel for the chain, join and p=2 order searches.
 
 The three searches differ only in what a state is and how it is priced,
-so one hill climber, one annealer, one multistart driver and one pool
-worker live here and work on a small problem protocol,
+so one hill climber, one annealer and one multistart driver live here
+and work on a small problem protocol,
 :class:`Objective`, that :class:`~repro.dag.search.ChainObjective`,
 :class:`~repro.dag.join.JoinObjective` and
 :class:`~repro.dag.parallel.ParallelObjective` implement as methods.
@@ -37,14 +37,13 @@ counter equal those of climbing the starts one after another; only the
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Generator, Hashable, Sequence
+from collections.abc import Generator, Hashable, Sequence
 from typing import Any, NamedTuple, Protocol
 
 import numpy as np
 
 from ..obs import MetricsRegistry, MetricsSnapshot
 from ..obs import events as _ambient_events
-from ..obs import fan_out
 from ..obs import metrics as _ambient_metrics
 from ..obs import span as _span
 
@@ -293,40 +292,6 @@ def simulated_annealing(
     return best._replace(rounds=accepted)
 
 
-def _climb_all(
-    objective: Objective,
-    method: str,
-    starts: Sequence,
-    seeds: Sequence[np.random.SeedSequence],
-    *,
-    iterations: int,
-    max_rounds: int,
-    polish_budget: int | None,
-) -> list[Climb]:
-    """Every start's climb: a walk each for ``anneal``, else one lockstep
-    hill climb."""
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    if method == "anneal":
-        return [
-            simulated_annealing(objective, start, rng, iterations=iterations)
-            for start, rng in zip(starts, rngs)
-        ]
-    return hill_climb_all(
-        objective, starts, rngs, max_rounds=max_rounds, polish_budget=polish_budget
-    )
-
-
-def _climb_worker(
-    factory: Callable[[], Objective], method: str, start: Any, seed, options: dict
-) -> tuple[Climb, MetricsSnapshot]:
-    """Pool entry point: one start climbed on a fresh objective (memos
-    are value-transparent, so only the work accounting differs), whose
-    counters ride home in its snapshot."""
-    objective = factory()
-    (climb,) = _climb_all(objective, method, [start], [seed], **options)
-    return climb, objective.metrics.snapshot()
-
-
 class Multistart:
     """A multistart search in progress: every climb's value, the best.
 
@@ -335,15 +300,24 @@ class Multistart:
     before :meth:`publish` folds the work accounting.
     """
 
-    def __init__(self, objective: Objective, method: str, options: dict) -> None:
+    def __init__(
+        self,
+        objective: Objective,
+        method: str,
+        *,
+        iterations: int,
+        max_rounds: int,
+        polish_budget: int | None,
+    ) -> None:
         self.objective = objective
         self.method = method
-        self.options = options  #: ``iterations``, ``max_rounds``, ``polish_budget``
+        self.iterations = iterations
+        self.max_rounds = max_rounds
+        self.polish_budget = polish_budget
         self.climbs: list[Climb] = []  #: the start climbs, in start order
         self.best: Climb | None = None
         self.start_values: dict[str, float] = {}
         self.rounds = 0
-        self.shards: list[MetricsSnapshot] = []
 
     def offer(self, label: str, climb: Climb) -> None:
         """Record a finished climb; it wins if it beats the best so far."""
@@ -355,12 +329,25 @@ class Multistart:
     def _run(
         self, starts: Sequence, seeds: Sequence[np.random.SeedSequence]
     ) -> list[Climb]:
-        """Climb ``starts`` in-process, in one lockstep call, under one
-        ``search.climbs`` span."""
+        """Climb ``starts`` under one ``search.climbs`` span: a walk each
+        for ``anneal``, else one lockstep hill climb."""
         with _span("search.climbs", starts=len(starts)) as sp:
-            climbs = _climb_all(
-                self.objective, self.method, starts, seeds, **self.options
-            )
+            rngs = [np.random.default_rng(seed) for seed in seeds]
+            if self.method == "anneal":
+                climbs = [
+                    simulated_annealing(
+                        self.objective, start, rng, iterations=self.iterations
+                    )
+                    for start, rng in zip(starts, rngs)
+                ]
+            else:
+                climbs = hill_climb_all(
+                    self.objective,
+                    starts,
+                    rngs,
+                    max_rounds=self.max_rounds,
+                    polish_budget=self.polish_budget,
+                )
             sp.set(rounds=sum(climb.rounds for climb in climbs))
         return climbs
 
@@ -369,8 +356,8 @@ class Multistart:
         starts: Sequence[tuple[str, Any]],
         seeds: Sequence[np.random.SeedSequence],
     ) -> list[Climb]:
-        """Climb more ``(label, state)`` starts in-process (as the
-        method's start climbs do) and offer them in order."""
+        """Climb more ``(label, state)`` starts as the method's start
+        climbs are climbed, and offer them in order."""
         climbs = self._run([state for _, state in starts], seeds)
         for (label, _), climb in zip(starts, climbs):
             self.offer(label, climb)
@@ -384,19 +371,17 @@ class Multistart:
                 self.objective,
                 self.best.state,
                 np.random.default_rng(seed),
-                iterations=self.options["iterations"],
+                iterations=self.iterations,
             )
             sp.set(value=result.value)
         self.offer("anneal", result)
 
     def publish(self) -> MetricsSnapshot:
-        """The objective's counters merged with every worker shard's,
-        also merged into the ambient registry."""
-        merged = MetricsSnapshot.merge_all(
-            [self.objective.metrics.snapshot(), *self.shards]
-        )
-        _ambient_metrics().merge_snapshot(merged)
-        return merged
+        """The objective's counters, also merged into the ambient
+        registry."""
+        snapshot = self.objective.metrics.snapshot()
+        _ambient_metrics().merge_snapshot(snapshot)
+        return snapshot
 
 
 def multistart(
@@ -408,43 +393,23 @@ def multistart(
     iterations: int,
     max_rounds: int,
     polish_budget: int | None = None,
-    n_jobs: int | None = None,
-    factory: Callable[[], Objective] | None = None,
 ) -> Multistart:
     """Climb every ``(label, state)`` start with its own seed.
 
     ``anneal`` walks from each start; ``hill_climb`` and ``hybrid``
     hill-climb them, in-process in one lockstep :func:`hill_climb_all`
-    call (the ``hybrid`` walk is :meth:`Multistart.anneal`).
-    With ``n_jobs > 1`` and a picklable ``factory`` building a fresh
-    copy of ``objective``, the climbs run in worker processes through
-    :func:`repro.obs.fan_out`; the result is the same, only the memo
-    accounting differs.  Each climb emits one ``search.climb`` event, in
-    start order.
+    call (the ``hybrid`` walk is :meth:`Multistart.anneal`).  Each climb
+    emits one ``search.climb`` event, in start order.
     """
     search = Multistart(
         objective,
         method,
-        dict(iterations=iterations, max_rounds=max_rounds, polish_budget=polish_budget),
+        iterations=iterations,
+        max_rounds=max_rounds,
+        polish_budget=polish_budget,
     )
     objective.metrics.counter("search.starts").inc(len(starts))
-    if factory is not None and n_jobs is not None and n_jobs > 1 and len(starts) > 1:
-        with _span(
-            "search.pool", n_jobs=min(n_jobs, len(starts)), starts=len(starts)
-        ):
-            shipped = fan_out(
-                _climb_worker,
-                [
-                    (factory, method, start, seed, search.options)
-                    for (_, start), seed in zip(starts, seeds)
-                ],
-                n_jobs=n_jobs,
-            )
-        for climb, shard in shipped:
-            search.climbs.append(climb)
-            search.shards.append(shard)
-    else:
-        search.climbs = search._run([start for _, start in starts], seeds)
+    search.climbs = search._run([start for _, start in starts], seeds)
     bus = _ambient_events()
     for (label, _), climb in zip(starts, search.climbs):
         search.offer(label, climb)

@@ -60,7 +60,6 @@ from __future__ import annotations
 
 from collections.abc import Hashable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import chain
 
 import numpy as np
@@ -505,8 +504,7 @@ class ParallelObjective:
         # worker sequence -> its epoch-opening flags and worker memo key
         self._placements: dict[tuple[int, ...], _Placement] = {}
         # Same discipline as ChainObjective: a private live registry
-        # whose counters back the legacy int-attribute views below, and
-        # whose snapshot ships across n_jobs process shards.
+        # whose counters back the legacy int-attribute views below.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._c_interval_solves = self.metrics.counter("parallel.interval.solves")
         self._c_interval_hits = self.metrics.counter("parallel.interval.hits")
@@ -950,9 +948,8 @@ class ParallelSearchResult:
     interval_solves: int  #: chain-DP interval solves
     interval_cache_hits: int
     start_values: dict[str, float] = field(default_factory=dict)
-    n_jobs: int | None = None  #: worker processes the start climbs used
-    #: Full merged metric snapshot (in-process objective + worker shards);
-    #: the int fields above are views into its counters.
+    #: The objective's metric snapshot; the int fields above are views
+    #: into its counters.
     metrics: MetricsSnapshot | None = None
 
     @property
@@ -1011,7 +1008,6 @@ def search_parallel(
     iterations: int = 400,
     max_rounds: int = 60,
     objective: ParallelObjective | None = None,
-    n_jobs: int | None = None,
 ) -> ParallelSearchResult:
     """Best (assignment, order) pair found by metaheuristic search.
 
@@ -1026,9 +1022,7 @@ def search_parallel(
 
     Seeding discipline matches PR-5's: every random choice descends from
     ``seed`` through spawned ``SeedSequence`` children, one per start, so
-    the result is invariant in ``n_jobs`` (which only shards the start
-    climbs across processes; workers use private objective memos, so
-    only the *accounting* differs).
+    the result is reproducible for a fixed ``seed``.
     """
     if method not in SEARCH_METHODS:
         raise InvalidParameterError(
@@ -1058,18 +1052,6 @@ def search_parallel(
         method=method,
         iterations=iterations,
         max_rounds=max_rounds,
-        n_jobs=n_jobs,
-        factory=(
-            partial(
-                ParallelObjective,
-                dag,
-                platform,
-                processors,
-                algorithm=objective.algorithm,
-            )
-            if type(objective) is ParallelObjective
-            else None
-        ),
     )
     if method == "hybrid":
         search.anneal(ss_anneal)
@@ -1106,7 +1088,6 @@ def search_parallel(
             search_method=method,
             search_seed=seed,
             search_starts=len(starts),
-            search_n_jobs=n_jobs,
         ),
     )
     return ParallelSearchResult(
@@ -1122,7 +1103,6 @@ def search_parallel(
         interval_solves=merged.counter("parallel.interval.solves"),
         interval_cache_hits=merged.counter("parallel.interval.hits"),
         start_values=search.start_values,
-        n_jobs=n_jobs,
         metrics=merged,
     )
 
@@ -1140,7 +1120,7 @@ def optimize_parallel(
 
     Thin wrapper over :func:`search_parallel` returning its
     :class:`ParallelSolution`; ``search_options`` are passed through
-    (``method``, ``restarts``, ``iterations``, ``n_jobs``, …).
+    (``method``, ``restarts``, ``iterations``, …).
     """
     return search_parallel(
         dag,

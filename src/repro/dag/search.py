@@ -84,9 +84,8 @@ of the neighbourhood; annealing accepts a move on ``delta <= 0`` or with
 Metropolis probability.  The climbs start from every fixed heuristic
 order (including the critical-path / bottom-level priority rules) plus
 random restarts; each start draws its moves from an independently
-spawned child seed, so the result is reproducible for a fixed
-``(seed, n_jobs)`` — in fact invariant in ``n_jobs``, which only shards
-the start climbs across worker processes.  Elite survivors are then
+spawned child seed, so the result is reproducible for a fixed ``seed``,
+and all starts climb in one lockstep call.  Elite survivors are then
 recombined with a precedence-preserving one-point order crossover
 (MoRoTA-style: a prefix of one parent completed in the other parent's
 relative order is always a valid linear extension) and the children are
@@ -104,7 +103,6 @@ from __future__ import annotations
 
 from collections.abc import Hashable, Iterator, MutableMapping, Sequence
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -376,7 +374,7 @@ class ChainObjective:
     (``self.metrics``); the legacy int attributes
     (``exact_evaluations`` …) are read-only views over those shared
     metric objects, so existing accounting code keeps working while
-    ``metrics.snapshot()`` ships the same numbers across process shards.
+    ``metrics.snapshot()`` carries the same numbers.
     """
 
     def __init__(
@@ -739,10 +737,9 @@ class SearchResult:
     bound_cache_hits: int
     start_values: dict[str, float] = field(default_factory=dict)
     certificate: object | None = None  #: AgreementStamp when certify=True
-    n_jobs: int | None = None  #: worker processes the start climbs used
     recombined: int = 0  #: crossover children climbed
-    #: Full merged metric snapshot (in-process objective + worker shards);
-    #: the int fields above are views into its counters.
+    #: The objective's metric snapshot; the int fields above are views
+    #: into its counters.
     metrics: MetricsSnapshot | None = None
 
     @property
@@ -933,7 +930,6 @@ def search_order(
     backend: str | None = None,
     target_ci: float = 0.01,
     certify_runs: int = 200_000,
-    n_jobs: int | None = None,
     recombine: int = 2,
 ) -> SearchResult:
     """Best serialisation of ``dag`` found by metaheuristic order search.
@@ -947,7 +943,7 @@ def search_order(
     join model has one scalar ``C``, so heterogeneous DAGs keep the
     chain objective, which does price the multipliers).  Passing an
     explicit ``objective`` also pins chain semantics.  The join path
-    evaluates states exactly in ``O(n)``, so ``n_jobs``/``recombine``
+    evaluates states exactly in ``O(n)``, so ``recombine``
     (and ``algorithm``/``polish_budget``/``backend``) do not apply and
     are ignored there.
 
@@ -963,13 +959,7 @@ def search_order(
     seed:
         Single seed pinning every random choice.  Each start climbs with
         an independently spawned child seed, so results are reproducible
-        for a fixed ``(seed, n_jobs)`` — and in fact invariant in
-        ``n_jobs``, which only shards the start climbs across processes.
-    n_jobs:
-        Worker processes for the start climbs (``None``/1 = in-process,
-        sharing one memoized objective).  Workers use private memos, so
-        the work *accounting* differs from the in-process run but the
-        winning order and value do not.
+        for a fixed ``seed``.
     recombine:
         Crossover children to breed from the elite start-climb results
         (precedence-preserving one-point OX, decisions N/A on chains);
@@ -1021,15 +1011,6 @@ def search_order(
         iterations=iterations,
         max_rounds=max_rounds,
         polish_budget=polish_budget,
-        n_jobs=n_jobs,
-        # pool workers rebuild a *stock* ChainObjective from the algorithm
-        # name, so a caller-supplied objective (possibly a subclass with
-        # its own pricing) keeps every climb in-process
-        factory=(
-            partial(ChainObjective, dag, platform, algorithm=objective.algorithm)
-            if type(objective) is ChainObjective
-            else None
-        ),
     )
 
     # -- elite recombination (precedence-preserving one-point OX) ------
@@ -1058,8 +1039,6 @@ def search_order(
         search.anneal(ss_anneal)
     best_order, best_solution = search.best.state, search.best.detail
 
-    # the in-process objective's snapshot plus every worker shard, merged
-    # in any order with the same totals
     merged = search.publish()
     exact_evaluations = merged.counter("search.exact.evaluations")
     exact_cache_hits = merged.counter("search.exact.hits")
@@ -1073,7 +1052,6 @@ def search_order(
         search_starts=len(starts),
         search_exact_evaluations=exact_evaluations,
         search_bound_evaluations=bound_evaluations,
-        search_n_jobs=n_jobs,
         search_recombined=recombined,
     )
 
@@ -1124,7 +1102,6 @@ def search_order(
         bound_cache_hits=bound_cache_hits,
         start_values=search.start_values,
         certificate=certificate,
-        n_jobs=n_jobs,
         recombined=recombined,
         metrics=merged,
     )

@@ -1,7 +1,7 @@
 """Repo-specific static analysis: the invariant inventory, executable.
 
 Every headline claim of this reproduction — bitwise scalar-oracle
-replay, ``n_jobs``-invariant search, byte-identical warm cache payloads,
+replay, seed-reproducible search, byte-identical warm cache payloads,
 array-API portability of the lockstep kernel — rests on coding
 invariants.  This package enforces them at lint time with an AST rule
 engine (:mod:`.engine`), a repo-specific ruleset (:mod:`.rules`,

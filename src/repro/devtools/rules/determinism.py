@@ -1,9 +1,9 @@
 """RPR001/RPR006: the reproducibility claims live or die on these.
 
 Every headline number this repository reproduces is certified by replay:
-the scalar oracle re-runs the batched kernel's campaigns bitwise
-(PR 1/6), search results are invariant in ``n_jobs`` (PR 5), and warm
-cache payloads are byte-identical to cold ones (PR 8).  One wall-clock
+the scalar oracle re-runs the batched kernel's campaigns bitwise,
+search results are reproducible from their seed, and warm cache
+payloads are byte-identical to cold ones.  One wall-clock
 read or one unseeded generator inside a seeded layer silently breaks all
 of it — long before any Monte-Carlo gate would notice a statistical
 drift.
@@ -139,7 +139,7 @@ class SpawnDisciplineRule(BaseRule):
         "Child streams must be derived via SeedSequence.spawn, never by "
         "arithmetic on the parent seed: seed+i schemes collide across "
         "campaigns (seed 7 worker 3 == seed 9 worker 1) and destroy the "
-        "n_jobs-invariance the search and batch layers are tested for."
+        "seed reproducibility the search and batch layers are tested for."
     )
 
     #: Call targets that consume entropy directly.

@@ -136,13 +136,6 @@ class EventsSnapshot:
             )
         )
 
-    @staticmethod
-    def merge_all(snapshots: "list[EventsSnapshot]") -> "EventsSnapshot":
-        out = EventsSnapshot()
-        for snap in snapshots:
-            out = out.merge(snap)
-        return out
-
     def as_dicts(self) -> list[dict[str, Any]]:
         return [e.as_dict() for e in self.events]
 

@@ -7,8 +7,7 @@ add.  What crosses process/chunk/round boundaries is never the live
 object but its *snapshot*: an immutable, picklable value with an
 associative and commutative ``merge``, the same discipline as the
 Welford/Chan moment merges in :mod:`repro.simulation.adaptive`.  Worker
-shards (``ProcessPoolExecutor`` climbs in ``search_order`` /
-``search_parallel``, chunk workers in ``simulate_batch``) build a private
+shards (the chunk workers of ``simulate_batch``) build a private
 registry, ship ``registry.snapshot()`` home, and the parent folds the
 shards in any order with the same result.
 
@@ -299,13 +298,6 @@ class MetricsSnapshot:
             timers=timers,
             histograms=histograms,
         )
-
-    @staticmethod
-    def merge_all(snapshots: "list[MetricsSnapshot]") -> "MetricsSnapshot":
-        out = MetricsSnapshot()
-        for snap in snapshots:
-            out = out.merge(snap)
-        return out
 
     def counter(self, name: str) -> int:
         """The merged value of counter ``name`` (0 when absent)."""

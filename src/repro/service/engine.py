@@ -161,13 +161,13 @@ def run(
     """Execute one parsed request; ``repro`` and :class:`Engine` both
     run every operation here.
 
-    ``n_jobs`` and ``chunk_size`` shard a simulation or a search without
-    changing its result; ``exact_cache`` holds the exact-DP memo of a
-    serial order search (the engine passes a view of its evictable
-    pool).
+    ``n_jobs`` and ``chunk_size`` shard a simulation without changing
+    its result; only ``simulate`` reads them (a search always climbs
+    in-process).  ``exact_cache`` holds the exact-DP memo of a serial
+    order search (the engine passes a view of its evictable pool).
     """
     if isinstance(request, DagOptimizeRequest):
-        return _run_dag(request, n_jobs=n_jobs, exact_cache=exact_cache)
+        return _run_dag(request, exact_cache=exact_cache)
     chain, platform = request.task_chain, request.platform
     if not isinstance(request, SimulateRequest):
         return Outcome(
@@ -203,12 +203,10 @@ def run(
     return Outcome(request, mc, schedule=schedule)
 
 
-def _run_dag(request: DagOptimizeRequest, *, n_jobs, exact_cache) -> Outcome:
+def _run_dag(request: DagOptimizeRequest, *, exact_cache) -> Outcome:
     from ..dag import optimize_dag, search_order, search_parallel
     from ..dag.search import ChainObjective, uses_join_objective
 
-    if n_jobs is not None:
-        request.check(n_jobs=n_jobs)
     dag, platform = request.workflow, request.platform
     search = dict(
         algorithm=request.algorithm,
@@ -216,7 +214,6 @@ def _run_dag(request: DagOptimizeRequest, *, n_jobs, exact_cache) -> Outcome:
         seed=request.seed,
         restarts=request.restarts,
         iterations=request.iterations,
-        n_jobs=n_jobs,
     )
     if request.processors is not None:
         result = search_parallel(dag, platform, request.processors, **search)

@@ -583,26 +583,6 @@ class TestCrossoverAndMultiStart:
         )
         assert off.recombined == 0
 
-    def test_n_jobs_sharding_is_result_invariant(self, platform):
-        # per-start spawned seeds: the winning order and value must not
-        # depend on how the starts are sharded across processes
-        dag = generate("layered", seed=9, tasks=8, layers=2)
-        serial = search_order(
-            dag, platform, algorithm=FAST_ALGO, seed=5, restarts=1
-        )
-        sharded = search_order(
-            dag, platform, algorithm=FAST_ALGO, seed=5, restarts=1, n_jobs=2
-        )
-        assert sharded.solution.order == serial.solution.order
-        assert sharded.expected_time == serial.expected_time
-        assert sharded.n_jobs == 2
-        # and repeatable for the fixed (seed, n_jobs) pair
-        again = search_order(
-            dag, platform, algorithm=FAST_ALGO, seed=5, restarts=1, n_jobs=2
-        )
-        assert again.solution.order == sharded.solution.order
-        assert again.expected_time == sharded.expected_time
-
     def test_priority_rule_orders_seed_the_climbs(self, platform):
         # the start set includes every deduplicated fixed heuristic —
         # bottom-level / critical-path included (>= 2 distinct orders on
@@ -809,9 +789,8 @@ class TestJoinSearch:
             reference.expected_time, rel=1e-12
         )
 
-    def test_custom_objective_wins_even_with_n_jobs(self, platform):
-        # a caller-supplied objective subclass must stay authoritative:
-        # the process pool (which rebuilds stock objectives) is bypassed
+    def test_custom_objective_is_authoritative(self, platform):
+        # a caller-supplied objective subclass prices every exact solve
         calls = {"exact": 0}
 
         class Spy(ChainObjective):
@@ -822,7 +801,7 @@ class TestJoinSearch:
         dag = generate("layered", seed=9, tasks=7, layers=2)
         spy = Spy(dag, platform, algorithm=FAST_ALGO)
         result = search_order(
-            dag, platform, seed=1, objective=spy, n_jobs=4, restarts=1
+            dag, platform, seed=1, objective=spy, restarts=1
         )
         assert calls["exact"] > 0
         assert calls["exact"] == spy.exact_evaluations + spy.exact_cache_hits

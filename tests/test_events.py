@@ -13,10 +13,10 @@ Three property families anchor the tentpole:
   operation returns the same cheap constants, so instrumented call
   sites cost one attribute check when events are off.
 
-Plus the emitters themselves: adaptive campaigns, the batched kernel,
-and the DAG searches produce the same event multiset in-process and
-through the ``n_jobs`` process pool, and the ETA estimator follows the
-1/sqrt(n) half-width model exactly.
+Plus the emitters themselves: adaptive campaigns and the batched kernel
+produce the same event multiset in-process and through the ``n_jobs``
+process pool, and the ETA estimator follows the 1/sqrt(n) half-width
+model exactly.
 """
 
 import json
@@ -247,7 +247,7 @@ class TestEstimateEta:
 
 
 # ----------------------------------------------------------------------
-# emitters: adaptive rounds, batch chunks, search — and n_jobs invariance
+# emitters: adaptive rounds, batch chunks — and n_jobs invariance
 # ----------------------------------------------------------------------
 _WALL_CLOCK_FIELDS = ("wall_s", "eta_s", "reps_per_s")
 
@@ -323,35 +323,6 @@ class TestEmitters:
         kinds = [e.kind for e in serial.snapshot().events]
         assert kinds.count("sim.chunk") == 4
         assert _event_multiset(serial) == _event_multiset(sharded)
-
-    def test_search_events_are_n_jobs_invariant(self):
-        from repro.dag import generate, search_order
-        from repro.platforms import Platform
-
-        platform = Platform.from_costs(
-            "dag", lf=2e-4, ls=6e-4, CD=40.0, CM=8.0, r=0.8
-        )
-        dag = generate("fork_join", seed=3, branches=2, branch_length=2)
-
-        def run(n_jobs):
-            bus = EventBus()
-            with instrument(MetricsRegistry(), events=bus):
-                result = search_order(
-                    dag,
-                    platform,
-                    method="hill_climb",
-                    seed=0,
-                    restarts=2,
-                    n_jobs=n_jobs,
-                )
-            return bus, result
-
-        serial_bus, serial = run(None)
-        pool_bus, pooled = run(2)
-        assert serial.solution.expected_time == pooled.solution.expected_time
-        assert _event_multiset(serial_bus) == _event_multiset(pool_bus)
-        kinds = {e.kind for e in serial_bus.snapshot().events}
-        assert "search.climb" in kinds and "search.round" in kinds
 
     def test_disabled_run_emits_nothing_and_matches_enabled_result(self):
         from repro.chains import uniform_chain

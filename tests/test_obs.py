@@ -3,8 +3,7 @@
 Covers the snapshot merge algebra (property-tested: associative,
 commutative, identity), histogram bucket merges, span nesting and the
 Chrome trace-event schema, the disabled-path no-op guarantees, snapshot
-pickling (the process-shard transport), and the ``n_jobs`` invariance of
-search accounting.  The merge properties are exact only for exactly
+pickling (the process-shard transport).  The merge properties are exact only for exactly
 representable observations, so the strategies draw multiples of 0.25.
 """
 
@@ -17,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dag import generate, search_order
 from repro.obs import (
     DEFAULT_BUCKETS,
     EMPTY_SNAPSHOT,
@@ -36,7 +34,6 @@ from repro.obs import (
     span,
     tracer,
 )
-from repro.platforms import Platform
 
 # ----------------------------------------------------------------------
 # strategies: observations drawn as multiples of 0.25 so that sums,
@@ -103,14 +100,6 @@ class TestMergeAlgebra:
     def test_empty_is_identity(self, a):
         assert EMPTY_SNAPSHOT.merge(a) == a
         assert a.merge(EMPTY_SNAPSHOT) == a
-
-    @given(parts=st.lists(snapshots, max_size=4))
-    @settings(max_examples=30)
-    def test_merge_all_folds_left(self, parts):
-        expected = EMPTY_SNAPSHOT
-        for part in parts:
-            expected = expected.merge(part)
-        assert MetricsSnapshot.merge_all(parts) == expected
 
     def test_counter_semantics(self):
         a = MetricsSnapshot(counters={"x": 3})
@@ -378,41 +367,6 @@ class TestProfileBuilder:
     def test_empty_snapshot_profile_renders(self):
         profile = build_profile(EMPTY_SNAPSHOT, None, command="noop")
         assert render_profile(profile).startswith("=== run report ===")
-
-
-# ----------------------------------------------------------------------
-# n_jobs invariance of search accounting
-# ----------------------------------------------------------------------
-class TestShardedAccounting:
-    def test_search_metrics_invariant_in_worker_count(self):
-        dag = generate(
-            "layered", seed=5, tasks=8, layers=3, density=0.5
-        )
-        platform = Platform.from_costs(
-            "dag", lf=2e-4, ls=6e-4, CD=40.0, CM=8.0, r=0.8
-        )
-        kwargs = dict(
-            algorithm="adv_star", seed=0, restarts=1, iterations=40
-        )
-        serial = search_order(dag, platform, **kwargs)
-        two = search_order(dag, platform, n_jobs=2, **kwargs)
-        three = search_order(dag, platform, n_jobs=3, **kwargs)
-
-        # winning order and value never depend on the shard layout
-        assert two.solution.order == serial.solution.order
-        assert three.solution.order == serial.solution.order
-        assert two.expected_time == serial.expected_time
-        assert three.expected_time == serial.expected_time
-
-        # each start always climbs against its own private memo in a
-        # pool, so the merged accounting is identical for 2 vs 3 workers
-        assert two.metrics == three.metrics
-        # and the climb trajectories match the serial run, so the move
-        # stream does too (only memo hit accounting may differ serially)
-        for name in ("search.moves.proposed", "search.moves.accepted",
-                     "search.starts", "search.restarts"):
-            assert two.metrics.counter(name) == serial.metrics.counter(name)
-        assert two.metrics.counter("search.exact.evaluations") > 0
 
 
 # ----------------------------------------------------------------------

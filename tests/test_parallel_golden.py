@@ -19,13 +19,10 @@ task to disk.
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.dag.generate import generate
 from repro.dag.parallel import search_parallel
-from repro.obs import EventBus, MetricsRegistry, instrument
 from repro.platforms import Platform
 
 PLATFORM = Platform.from_costs(
@@ -150,32 +147,3 @@ def test_parallel_search_path_is_pinned(
         for name in result.metrics.counters
         if name.startswith(("parallel.", "search.moves."))
     } <= set(COUNTERS)
-
-
-@pytest.mark.parametrize("method", ["hill_climb", "hybrid"])
-def test_parallel_search_is_n_jobs_invariant(method):
-    """Sharding the start climbs changes only the memo accounting: the
-    result and the multiset of events stay the same."""
-    spec = dict(DAGS["hetero"])
-    dag = generate(spec.pop("kind"), **spec)
-
-    def run(n_jobs):
-        bus = EventBus()
-        with instrument(MetricsRegistry(), events=bus):
-            result = search_parallel(
-                dag, PLATFORM, 2, algorithm="admv_star", method=method,
-                n_jobs=n_jobs, **{**SEARCH, "restarts": 2},
-            )
-        events = sorted(
-            (e.kind, json.dumps(e.data, sort_keys=True, default=str))
-            for e in bus.snapshot().events
-        )
-        return result, events
-
-    serial, serial_events = run(None)
-    sharded, sharded_events = run(2)
-    assert sharded.solution.order == serial.solution.order
-    assert sharded.solution.assignment == serial.solution.assignment
-    assert sharded.expected_time.hex() == serial.expected_time.hex()
-    assert sharded_events == serial_events
-    assert {kind for kind, _ in serial_events} >= {"search.climb", "search.round"}

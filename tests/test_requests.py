@@ -19,7 +19,9 @@ from repro.api.requests import (
     parse_request,
 )
 from repro.cli import main
+from repro.dag import ORDER_STRATEGIES, generate, optimize_dag
 from repro.exceptions import InvalidParameterError
+from repro.platforms import HERA
 from repro.service import Engine, make_server
 
 
@@ -146,6 +148,21 @@ def test_parallel_estimate_draws_its_own_stream(monkeypatch):
     )
 
 
+@pytest.mark.parametrize("strategy", [*ORDER_STRATEGIES, "auto"])
+def test_fixed_strategies_draw_no_randomness(strategy):
+    """The fixed-strategy path hands ``seed`` to ``optimize_dag`` and then
+    to ``certify_solution``.  No fixed strategy draws from it, so the
+    certification's first chunk cannot replay a search stream."""
+    dag = generate("layered", seed=4, tasks=8, layers=3, cost_spread=1.0)
+    assert dag.has_heterogeneous_costs()
+    a, b = (
+        optimize_dag(dag, HERA, algorithm="adv_star", strategy=strategy, seed=s)
+        for s in (0, 12345)
+    )
+    assert a.order == b.order
+    assert a.expected_time.hex() == b.expected_time.hex()
+
+
 def test_random_solve_is_seeded(capsys):
     argv = ("solve", "--pattern", "random", "-n", "6", "-a", "adv*")
     request = {"pattern": "random", "tasks": 6, "algorithm": "adv*"}
@@ -194,20 +211,6 @@ def test_type_errors_come_before_cross_field_rules():
     # restarts is also a search-only field: its type is reported first
     with pytest.raises(InvalidParameterError, match="must be an integer"):
         parse_request("dag/optimize", {"restarts": "x"})
-
-
-def test_run_rejects_jobs_where_the_search_does_not_shard():
-    from repro.service.engine import run
-
-    fixed = parse_request("dag/optimize", {"generator": FORK_JOIN})
-    with pytest.raises(InvalidParameterError, match="'jobs' \\(--jobs\\)"):
-        run(fixed, n_jobs=2)
-    join = parse_request(
-        "dag/optimize",
-        {"generator": {"kind": "join", "sources": 4}, "strategy": "search"},
-    )
-    with pytest.raises(InvalidParameterError, match="join objective"):
-        run(join, n_jobs=2)
 
 
 #: content keys recorded before the request models replaced the
@@ -281,8 +284,7 @@ def _post(base: str, path: str, doc: dict):
 
 
 #: every cross-field rejection ``repro dag optimize`` makes, as a request
-#: document, and a field its message names (``--jobs`` is not a request
-#: field: it shards a run, see test_run_rejects_jobs_...)
+#: document, and a field its message names
 CROSS_FIELD = [
     ({"backend": "numpy"}, "backend"),
     ({"target_ci": 0.05}, "target_ci"),

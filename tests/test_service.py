@@ -335,7 +335,7 @@ class TestHttp:
         assert doc["kind"] == "monte_carlo_result"
         assert doc["seed"] == 9
         assert doc["backend"] == "numpy"
-        assert doc["reps"] == doc["runs"] == 200
+        assert doc["reps"] == 200
 
     def test_dag_optimize(self, server):
         _, _, body = _post(
