@@ -361,8 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=256,
         help=(
-            "content-addressed cache budget shared by response payloads "
-            "and solver memo pools (0 disables caching)"
+            "content-addressed cache budget, in response bodies "
+            "(0 disables caching)"
         ),
     )
     p.add_argument(

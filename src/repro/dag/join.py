@@ -151,15 +151,10 @@ class JoinObjective:
     repositioning sources interacts with the checkpoint decisions.
     """
 
-    def __init__(
-        self,
-        instance: JoinInstance,
-        *,
-        metrics: MetricsRegistry | None = None,
-    ) -> None:
+    def __init__(self, instance: JoinInstance) -> None:
         self.instance = instance
         self._memo: dict[tuple, float] = {}
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self._c_evals = self.metrics.counter("search.join.evaluations")
         self._c_hits = self.metrics.counter("search.join.hits")
 

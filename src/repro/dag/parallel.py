@@ -463,7 +463,6 @@ class ParallelObjective:
         processors: int,
         *,
         algorithm: str = "admv",
-        metrics: MetricsRegistry | None = None,
     ) -> None:
         if processors < 1:
             raise InvalidParameterError(
@@ -503,9 +502,9 @@ class ParallelObjective:
         self._layouts: dict[tuple, float] = {}
         # worker sequence -> its epoch-opening flags and worker memo key
         self._placements: dict[tuple[int, ...], _Placement] = {}
-        # Same discipline as ChainObjective: a private live registry
-        # whose counters back the legacy int-attribute views below.
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        # Same discipline as ChainObjective: a private live registry,
+        # which the result fields read through the merged snapshot.
+        self.metrics = MetricsRegistry()
         self._c_interval_solves = self.metrics.counter("parallel.interval.solves")
         self._c_interval_hits = self.metrics.counter("parallel.interval.hits")
         self._c_worker_priced = self.metrics.counter("parallel.worker.priced")
@@ -517,26 +516,9 @@ class ParallelObjective:
         self._c_placement_priced = self.metrics.counter("pricing.placement.priced")
         self._c_placement_hits = self.metrics.counter("pricing.placement.hits")
 
-    # -- counter views (legacy int-attribute API) ----------------------
     @property
     def interval_solves(self) -> int:
         return self._c_interval_solves.value
-
-    @property
-    def interval_cache_hits(self) -> int:
-        return self._c_interval_hits.value
-
-    @property
-    def worker_cache_hits(self) -> int:
-        return self._c_worker_hits.value
-
-    @property
-    def states_priced(self) -> int:
-        return self._c_state_priced.value
-
-    @property
-    def state_cache_hits(self) -> int:
-        return self._c_state_hits.value
 
     # -- pricing -------------------------------------------------------
     def _place(
@@ -759,11 +741,6 @@ class ParallelObjective:
     def value(self, state: ParallelSchedule) -> float:
         """Surrogate expected makespan of ``state`` (memoized)."""
         return self.values((state,))[0]
-
-    @property
-    def states_scored(self) -> int:
-        """Total states this objective has priced (any path)."""
-        return self.states_priced + self.state_cache_hits
 
     # -- the local-search protocol (repro.dag.local_search) ------------
     def score(self, states: Sequence[ParallelSchedule]) -> list[tuple[float, None]]:
@@ -1007,7 +984,6 @@ def search_parallel(
     restarts: int = 2,
     iterations: int = 400,
     max_rounds: int = 60,
-    objective: ParallelObjective | None = None,
 ) -> ParallelSearchResult:
     """Best (assignment, order) pair found by metaheuristic search.
 
@@ -1028,17 +1004,7 @@ def search_parallel(
         raise InvalidParameterError(
             f"unknown search method {method!r}; expected one of {SEARCH_METHODS}"
         )
-    if objective is None:
-        objective = ParallelObjective(
-            dag, platform, processors, algorithm=algorithm
-        )
-    elif (
-        objective.processors != processors
-        or objective.dag is not dag
-    ):
-        raise InvalidParameterError(
-            "the supplied objective prices a different dag/processor count"
-        )
+    objective = ParallelObjective(dag, platform, processors, algorithm=algorithm)
 
     ss_starts, ss_climbs, ss_anneal = np.random.SeedSequence(seed).spawn(3)
     starts = _start_states(

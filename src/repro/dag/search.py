@@ -101,7 +101,7 @@ stamp to the result.  Join winners are certified against
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterator, MutableMapping, Sequence
+from collections.abc import Hashable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -354,7 +354,8 @@ class ChainObjective:
     """Expected-makespan objective with memoized incremental evaluation.
 
     ``exact(order)`` serialises the order and runs the chain optimizer,
-    memoized on the weight tuple; ``exact_all(orders)`` does the same
+    memoized on the weight tuple in a plain dict that lives and dies
+    with the objective (one search); ``exact_all(orders)`` does the same
     for a batch, its misses solved in one batched DP call.
     ``bound(order, reference)`` re-prices the reference solution's
     frozen schedule on the order's weights — an upper bound on
@@ -383,8 +384,6 @@ class ChainObjective:
         platform: Platform,
         *,
         algorithm: str = "admv",
-        metrics: MetricsRegistry | None = None,
-        exact_cache: MutableMapping[bytes, Solution] | None = None,
     ) -> None:
         self.dag = dag
         self.platform = platform
@@ -396,20 +395,12 @@ class ChainObjective:
             if self.heterogeneous
             else None
         )
-        # exact_cache lets a service engine share one evictable memo pool
-        # across objectives; the keys are pure weight/multiplier content,
-        # so the caller must namespace the mapping by (platform,
-        # algorithm) — see repro.service.cache.namespaced
-        self._exact: MutableMapping[bytes, Solution] = (
-            exact_cache if exact_cache is not None else {}
-        )
-        # exact_all's batch, until exact() takes each solution
-        self._solved: dict[bytes, Solution] = {}
+        self._exact: dict[bytes, Solution] = {}
         self._bounds: dict[tuple[bytes, bytes], float] = {}
         self._stops: dict[bytes, np.ndarray] = {}
         # Always a live registry (never the ambient null one): the
         # SearchResult accounting must exist with observability off.
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self._c_exact_evals = self.metrics.counter("search.exact.evaluations")
         self._c_exact_hits = self.metrics.counter("search.exact.hits")
         self._c_bound_evals = self.metrics.counter("search.bound.evaluations")
@@ -468,26 +459,19 @@ class ChainObjective:
         return weights if mult is None else weights + b"|" + mult.tobytes()
 
     def exact(self, order: Sequence[Hashable]) -> Solution:
-        """Optimal chain solution for this serialisation (memoized).
-
-        A miss takes the solution :meth:`exact_all` solved for it in its
-        batch, else solves the order alone; either way it counts one
-        evaluation and enters the memo.
-        """
+        """Optimal chain solution for this serialisation (memoized)."""
         key = self._exact_key(order)
         cached = self._exact.get(key)
         if cached is not None:
             self._c_exact_hits.inc()
             return cached
-        solution = self._solved.pop(key, None)
-        if solution is None:
-            _, chain = self.dag.serialise(list(order))
-            solution = optimize(
-                chain,
-                self.platform,
-                algorithm=self.algorithm,
-                costs=self.costs_of(order),
-            )
+        _, chain = self.dag.serialise(list(order))
+        solution = optimize(
+            chain,
+            self.platform,
+            algorithm=self.algorithm,
+            costs=self.costs_of(order),
+        )
         self._exact[key] = solution
         self._c_exact_evals.inc()
         return solution
@@ -496,16 +480,13 @@ class ChainObjective:
         """:meth:`exact` of every order of ``orders``.
 
         The distinct orders missing from the memo, when there are two or
-        more, are solved first in one
-        :func:`~repro.core.solver.optimize_batch` call into a private
-        buffer (not the memo, which a shared cache may evict from), from
-        which :meth:`exact` takes them.  The solutions, memo and counters
-        equal those of calling :meth:`exact` on each order in turn, and
-        an overridden :meth:`exact` still prices every order.
+        more, are solved in one :func:`~repro.core.solver.optimize_batch`
+        call straight into the memo.  The solutions, memo and counters
+        equal those of calling :meth:`exact` on each order in turn.
         """
+        keys = [self._exact_key(order) for order in orders]
         misses: dict[bytes, Sequence[Hashable]] = {}
-        for order in orders:
-            key = self._exact_key(order)
+        for key, order in zip(keys, orders):
             if key not in self._exact:
                 misses.setdefault(key, order)
         if len(misses) > 1:
@@ -516,14 +497,16 @@ class ChainObjective:
                 self.algorithm,
                 costs=[self.costs_of(o) for o in misses.values()],
             )
-            self._solved.update(
+            self._exact.update(
                 (key, replace(solution, chain=chain))
                 for key, chain, solution in zip(misses, chains, solutions)
             )
-        try:
-            return [self.exact(order) for order in orders]
-        finally:
-            self._solved.clear()
+            self._c_exact_evals.inc(len(misses))
+        else:
+            for order in misses.values():
+                self.exact(order)
+        self._c_exact_hits.inc(len(orders) - len(misses))
+        return [self._exact[key] for key in keys]
 
     # -- incremental bound path ----------------------------------------
     def _schedule_key(self, reference: Solution) -> bytes:
@@ -925,7 +908,6 @@ def search_order(
     iterations: int = 400,
     max_rounds: int = 200,
     polish_budget: int | None = None,
-    objective: ChainObjective | None = None,
     certify: bool = False,
     backend: str | None = None,
     target_ci: float = 0.01,
@@ -941,8 +923,7 @@ def search_order(
     chain is degenerate-join-shaped but stays on the chain model, whose
     values remain comparable across strategies) and uniform costs (the
     join model has one scalar ``C``, so heterogeneous DAGs keep the
-    chain objective, which does price the multipliers).  Passing an
-    explicit ``objective`` also pins chain semantics.  The join path
+    chain objective, which does price the multipliers).  The join path
     evaluates states exactly in ``O(n)``, so ``recombine``
     (and ``algorithm``/``polish_budget``/``backend``) do not apply and
     are ignored there.
@@ -964,11 +945,6 @@ def search_order(
         Crossover children to breed from the elite start-climb results
         (precedence-preserving one-point OX, decisions N/A on chains);
         each child is climbed like a start.  0 disables recombination.
-    objective:
-        Pluggable evaluation — pass a prepared :class:`ChainObjective`
-        (e.g. shared across calls to reuse its memo) or leave ``None`` to
-        build one for ``algorithm``.  Passing one also forces chain
-        semantics on join-shaped DAGs.
     certify:
         Replay the winning order through the batched adaptive Monte-Carlo
         engine until the mean is certified to ``target_ci`` (running on
@@ -980,7 +956,7 @@ def search_order(
         raise InvalidParameterError(
             f"unknown search method {method!r}; expected one of {SEARCH_METHODS}"
         )
-    if objective is None and uses_join_objective(dag):
+    if uses_join_objective(dag):
         return _search_join_order(
             dag,
             platform,
@@ -993,8 +969,7 @@ def search_order(
             target_ci=target_ci,
             certify_runs=certify_runs,
         )
-    if objective is None:
-        objective = ChainObjective(dag, platform, algorithm=algorithm)
+    objective = ChainObjective(dag, platform, algorithm=algorithm)
 
     # the certification draws from a fifth child, so that it never
     # replays the streams the search itself consumed

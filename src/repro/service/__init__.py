@@ -2,9 +2,9 @@
 
 The package splits into four layers, each usable on its own:
 
-- :mod:`.cache` — :class:`ContentCache`, the thread-safe LRU every
-  expensive artefact (rendered responses, exact-DP memos) lives in,
-  keyed by :func:`repro.api.canonical_hash` content addresses.
+- :mod:`.cache` — :class:`ContentCache`, the thread-safe LRU the
+  rendered response bodies live in, keyed by
+  :func:`repro.api.canonical_hash` content addresses.
 - :mod:`.engine` — :class:`Engine`, the session-spanning implementation
   of the ``solve`` / ``simulate`` / ``dag/optimize`` endpoints with
   per-request thread-local instrumentation and a cumulative mergeable

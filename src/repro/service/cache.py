@@ -1,25 +1,20 @@
-"""Shared, evictable memo pools for the service engine.
+"""The evictable response-body pool of the service engine.
 
 :class:`ContentCache` is a thread-safe LRU over content-addressed keys
-(the :func:`repro.api.canonical_hash` digests, or any hashable key a
-subsystem memoizes on).  It replaces the per-call memo dicts the CLI
-path rebuilds from scratch: one engine-owned pool is shared by every
-request and job, survives between them, and evicts oldest-touched
-entries under a budget instead of growing without bound.
-
-:func:`ContentCache.namespaced` hands a subsystem a ``MutableMapping``
-view whose keys are transparently prefixed — this is how a
-:class:`~repro.dag.search.ChainObjective` plugs its exact-solve memo
-(raw weight-vector bytes keys) into the shared pool without colliding
-with response payloads or other objectives' entries, while the pool's
-LRU budget and hit/miss accounting stay global.
+(the :func:`repro.api.canonical_hash` digests of normalized requests).
+One engine-owned pool holds the rendered response bodies every request
+and job shares; it survives between them and evicts oldest-touched
+entries under a budget instead of growing without bound.  Nothing but
+bodies enters it (the engine's spelling memo is a second instance): a
+search's memos live and die with the search, so a body never depends on
+what the pool held when it was computed.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from collections.abc import Hashable, Iterator, MutableMapping
+from collections.abc import Hashable
 from typing import Any
 
 __all__ = ["ContentCache"]
@@ -62,10 +57,6 @@ class ContentCache:
                 self._data.popitem(last=False)
                 self.evictions += 1
 
-    def discard(self, key: Hashable) -> bool:
-        with self._lock:
-            return self._data.pop(key, _MISSING) is not _MISSING
-
     def __contains__(self, key: Hashable) -> bool:
         with self._lock:
             return key in self._data
@@ -90,49 +81,3 @@ class ContentCache:
                 "misses": self.misses,
                 "evictions": self.evictions,
             }
-
-    def namespaced(self, prefix: Hashable) -> "NamespacedCache":
-        """A ``MutableMapping`` view storing under ``(prefix, key)``."""
-        return NamespacedCache(self, prefix)
-
-
-_MISSING = object()
-
-
-class NamespacedCache(MutableMapping[Any, Any]):
-    """Mapping facade over one namespace of a :class:`ContentCache`.
-
-    Subsystems that memoize on their own key material (e.g. the
-    ``ChainObjective`` exact memo, keyed on weight bytes) see a plain
-    dict-like object; the shared pool sees ``(prefix, key)`` entries
-    competing for the same LRU budget.  Iteration is unsupported on
-    purpose — an evictable pool has no stable item view to offer.
-    """
-
-    __slots__ = ("_cache", "_prefix")
-
-    def __init__(self, cache: ContentCache, prefix: Hashable) -> None:
-        self._cache = cache
-        self._prefix = prefix
-
-    def __getitem__(self, key: Hashable) -> Any:
-        value = self._cache.get((self._prefix, key), _MISSING)
-        if value is _MISSING:
-            raise KeyError(key)
-        return value
-
-    def __setitem__(self, key: Hashable, value: Any) -> None:
-        self._cache.put((self._prefix, key), value)
-
-    def __delitem__(self, key: Hashable) -> None:
-        if not self._cache.discard((self._prefix, key)):
-            raise KeyError(key)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return (self._prefix, key) in self._cache
-
-    def __iter__(self) -> Iterator[Any]:
-        raise TypeError("a namespaced cache view is not iterable")
-
-    def __len__(self) -> int:
-        raise TypeError("a namespaced cache view has no independent size")

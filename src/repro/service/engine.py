@@ -2,11 +2,11 @@
 
 An :class:`Engine` is the long-lived object the CLI never had: it owns
 
-- one :class:`~repro.service.cache.ContentCache` holding every expensive
-  artefact — rendered response payloads (a DP solve, a search campaign,
-  an MC stamp) keyed by :func:`repro.api.canonical_hash` of the
-  *normalized request content*, plus the ``ChainObjective`` exact-solve
-  memos as namespaced views into the same evictable pool;
+- one :class:`~repro.service.cache.ContentCache` holding the rendered
+  response bodies (a DP solve, a search campaign, an MC stamp) keyed by
+  :func:`repro.api.canonical_hash` of the *normalized request content*;
+  nothing else enters it, and every search owns its memo for its
+  lifetime only, so a body is a pure function of its request;
 - the cumulative :class:`~repro.obs.MetricsSnapshot` merged from every
   request/job session (each runs under its own thread-local
   :func:`repro.obs.instrument` scope, so concurrent requests never
@@ -156,18 +156,16 @@ def run(
     *,
     n_jobs: int | None = None,
     chunk_size: int | None = None,
-    exact_cache=None,
 ) -> Outcome:
     """Execute one parsed request; ``repro`` and :class:`Engine` both
     run every operation here.
 
     ``n_jobs`` and ``chunk_size`` shard a simulation without changing
     its result; only ``simulate`` reads them (a search always climbs
-    in-process).  ``exact_cache`` holds the exact-DP memo of a serial
-    order search (the engine passes a view of its evictable pool).
+    in-process).
     """
     if isinstance(request, DagOptimizeRequest):
-        return _run_dag(request, exact_cache=exact_cache)
+        return _run_dag(request)
     chain, platform = request.task_chain, request.platform
     if not isinstance(request, SimulateRequest):
         return Outcome(
@@ -203,9 +201,8 @@ def run(
     return Outcome(request, mc, schedule=schedule)
 
 
-def _run_dag(request: DagOptimizeRequest, *, exact_cache) -> Outcome:
+def _run_dag(request: DagOptimizeRequest) -> Outcome:
     from ..dag import optimize_dag, search_order, search_parallel
-    from ..dag.search import ChainObjective, uses_join_objective
 
     dag, platform = request.workflow, request.platform
     search = dict(
@@ -233,11 +230,6 @@ def _run_dag(request: DagOptimizeRequest, *, exact_cache) -> Outcome:
             )
         return Outcome(request, result, estimate=estimate)
     if request.strategy == "search":
-        objective = None
-        if exact_cache is not None and not uses_join_objective(dag):
-            objective = ChainObjective(
-                dag, platform, algorithm=request.algorithm, exact_cache=exact_cache
-            )
         result = search_order(
             dag,
             platform,
@@ -246,7 +238,6 @@ def _run_dag(request: DagOptimizeRequest, *, exact_cache) -> Outcome:
             certify=request.certify,
             backend=request.backend,
             target_ci=request.target_ci,
-            objective=objective,
         )
         return Outcome(request, result)
     solution = optimize_dag(
@@ -336,10 +327,10 @@ class Engine:
             if not isinstance(request, Request):
                 request = parse_request(endpoint, request)
             key = self.request_key(endpoint, request)
-        if not compute and ("response", key) not in self.cache:
+        if not compute and key not in self.cache:
             return None
         t0 = perf_counter()
-        cached = self.cache.get(("response", key))
+        cached = self.cache.get(key)
         if cached is None and not compute:
             return None  # evicted since the check above
         leader = flight = None
@@ -377,12 +368,10 @@ class Engine:
             with instrument(registry, tracer, events=events), span(
                 f"service.{endpoint}", key=key[:12]
             ):
-                doc = run(
-                    request, exact_cache=self._objective_pool(request)
-                ).document()
+                doc = run(request).document()
             wall = perf_counter() - t0
             body = _render(doc)
-            self.cache.put(("response", key), body)
+            self.cache.put(key, body)
             leader.set_result(body)
         except BaseException as exc:
             leader.set_exception(exc)
@@ -418,24 +407,6 @@ class Engine:
         if not isinstance(request, Request):
             request = parse_request(endpoint, request)
         return canonical_hash([endpoint, request.content()])
-
-    def _objective_pool(self, request: Request):
-        """A serial order search's exact-DP memo, as a view into the
-        shared evictable pool: a re-search of the same workflow, platform
-        and algorithm pays only for orders it has never priced."""
-        if not (
-            isinstance(request, DagOptimizeRequest)
-            and request.processors is None
-            and request.strategy == "search"
-        ):
-            return None
-        return self.cache.namespaced(
-            (
-                "objective",
-                canonical_hash([request.workflow, request.platform]),
-                request.algorithm,
-            )
-        )
 
     # -- observability -------------------------------------------------
     def merge_snapshot(self, snapshot: MetricsSnapshot) -> None:

@@ -270,30 +270,6 @@ class TestChainObjective:
             assert batch.metrics.snapshot() == one.metrics.snapshot()
         assert batch.exact_all([]) == []
 
-    def test_exact_all_survives_a_cache_that_forgets(self, platform):
-        # a shared evicting cache may drop a solution as soon as it is
-        # stored: the batch's solutions wait in a private buffer instead,
-        # and a repeat the cache dropped is solved again, as exact() does
-        class Forgetful(dict):
-            def __setitem__(self, key, value):
-                pass
-
-        dag = generate("layered", seed=6, tasks=8, layers=3)
-        cands = [
-            cand
-            for cand, _ in neighborhood(
-                dag, random_order(dag, np.random.default_rng(6))
-            )
-        ][:3]
-        objective = ChainObjective(
-            dag, platform, algorithm=FAST_ALGO, exact_cache=Forgetful()
-        )
-        solutions = objective.exact_all(cands + cands[:1])
-        assert solutions[0] == solutions[3]
-        assert objective.exact_evaluations == 4
-        assert objective.exact_cache_hits == 0
-        assert not objective._solved
-
     def test_bound_caches_are_content_keyed(self, pipeline, platform):
         # references the objective never saw (built by optimize() directly,
         # then dropped) must share cache entries with equal schedules and
@@ -643,13 +619,6 @@ class TestJoinSearch:
         # order: sources in searched order, sink last
         assert solution.order[-1] == join_dag.sinks()[0]
 
-    def test_explicit_objective_forces_chain_semantics(self, join_dag, platform):
-        objective = ChainObjective(join_dag, platform, algorithm=FAST_ALGO)
-        result = search_order(
-            join_dag, platform, seed=0, objective=objective
-        )
-        assert result.algorithm == FAST_ALGO  # chain path, not "join"
-
     def test_join_search_is_deterministic_per_seed(self, join_dag, platform):
         a = search_order(join_dag, platform, seed=7)
         b = search_order(join_dag, platform, seed=7)
@@ -788,21 +757,3 @@ class TestJoinSearch:
         assert result.expected_time == pytest.approx(
             reference.expected_time, rel=1e-12
         )
-
-    def test_custom_objective_is_authoritative(self, platform):
-        # a caller-supplied objective subclass prices every exact solve
-        calls = {"exact": 0}
-
-        class Spy(ChainObjective):
-            def exact(self, order):
-                calls["exact"] += 1
-                return super().exact(order)
-
-        dag = generate("layered", seed=9, tasks=7, layers=2)
-        spy = Spy(dag, platform, algorithm=FAST_ALGO)
-        result = search_order(
-            dag, platform, seed=1, objective=spy, restarts=1
-        )
-        assert calls["exact"] > 0
-        assert calls["exact"] == spy.exact_evaluations + spy.exact_cache_hits
-        assert result.exact_evaluations == spy.exact_evaluations

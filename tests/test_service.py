@@ -104,19 +104,6 @@ class TestContentCache:
         assert cache.get("a") is None
         assert len(cache) == 0
 
-    def test_namespaced_views_do_not_collide(self):
-        cache = ContentCache(8)
-        left = cache.namespaced("left")
-        right = cache.namespaced("right")
-        left[b"k"] = "L"
-        right[b"k"] = "R"
-        assert left.get(b"k") == "L"
-        assert right.get(b"k") == "R"
-        assert cache.stats()["entries"] == 2
-        del left[b"k"]
-        assert left.get(b"k") is None
-        assert right.get(b"k") == "R"
-
 
 # ----------------------------------------------------------------------
 # engine (no HTTP)
@@ -184,34 +171,40 @@ class TestEngine:
             ) != engine.request_key(endpoint, {**request, "seed": 4})
 
     def test_eviction_under_small_budget_recomputes_identically(self):
-        engine = Engine(cache_entries=2)
-        first = engine.handle("solve", dict(SOLVE))
-        for tasks in (5, 6, 7):  # flood the 2-entry budget
-            engine.handle("solve", {**SOLVE, "tasks": tasks})
-        assert engine.cache.stats()["evictions"] > 0
-        again = engine.handle("solve", dict(SOLVE))
-        assert again.cache == "miss"  # evicted, recomputed ...
-        assert again.body == first.body  # ... to the same bytes
+        search = {
+            "generator": {"kind": "layered", "tasks": 7, "seed": 2},
+            "strategy": "search",
+            "restarts": 1,
+            "iterations": 30,
+        }
+        for endpoint, request, vary in (
+            ("solve", SOLVE, "tasks"),
+            ("dag/optimize", search, "seed"),
+        ):
+            engine = Engine(cache_entries=2)
+            first = engine.handle(endpoint, dict(request))
+            for value in (5, 6, 7):  # flood the 2-entry budget
+                engine.handle(endpoint, {**request, vary: value})
+            assert engine.cache.stats()["evictions"] > 0
+            again = engine.handle(endpoint, dict(request))
+            assert again.cache == "miss"  # evicted, recomputed ...
+            assert again.body == first.body  # ... to the same bytes
 
-    def test_objective_memo_pool_is_shared_across_requests(self):
-        engine = Engine(cache_entries=4096)
+    def test_search_body_does_not_depend_on_cache_state(self):
+        # a search's memo lives and dies with the search: the budget and
+        # the earlier traffic never change the body, and the cache ends
+        # up holding that body alone
         request = {
             "generator": {"kind": "layered", "tasks": 8, "seed": 7},
             "strategy": "search",
-            "iterations": 30,
             "algorithm": "admv_star",
         }
-        cold = engine.handle("dag/optimize", request).document()
-        # same campaign, different seed: a different climb over the same
-        # platform/algorithm pool — cold exact solves become pool hits
-        warm = engine.handle(
-            "dag/optimize", {**request, "seed": 1}
-        ).document()
-        assert warm["exact_cache_hits"] > 0
-        assert (
-            warm["solution"]["expected_time"]
-            == cold["solution"]["expected_time"]
-        )
+        small = Engine(cache_entries=8)
+        large = Engine(cache_entries=4096)
+        cold = large.handle("dag/optimize", dict(request))
+        small.handle("dag/optimize", {**request, "seed": 1})
+        assert small.handle("dag/optimize", dict(request)).body == cold.body
+        assert large.cache.stats()["entries"] == 1
 
     def test_metrics_merge_across_threads(self):
         engine = Engine(cache_entries=64)
