@@ -58,6 +58,14 @@ def _platform(value: Any) -> Platform:
         raise InvalidParameterError(str(exc.args[0])) from None
 
 
+def _seed(value: Any) -> int:
+    """A seed NumPy's ``SeedSequence`` takes: a non-negative integer."""
+    seed = int(value)
+    if seed < 0:
+        raise ValueError(seed)
+    return seed
+
+
 def _algorithm(value: Any) -> str:
     return canonical_algorithm(str(value))
 
@@ -77,7 +85,7 @@ def _generator(value: Any) -> dict[str, Any]:
         raise InvalidParameterError("'generator' must be an object")
     knobs = dict(value or {})
     kind = str(knobs.pop("kind", "layered"))
-    seed = _coerce(knobs.pop("seed", 0), int, "generator.seed")
+    seed = _coerce(knobs.pop("seed", 0), _seed, "generator.seed")
     if kind in GENERATORS:
         accepted = inspect.signature(GENERATORS[kind]).parameters
         unknown = sorted(set(knobs) - set(accepted))
@@ -93,6 +101,7 @@ def _generator(value: Any) -> dict[str, Any]:
 _EXPECTED: dict[Callable[[Any], Any], str] = {
     int: "an integer",
     float: "a number",
+    _seed: "a non-negative integer",
     _weights: "a list of numbers",
     _platform: "a platform name or document",
 }
@@ -199,7 +208,7 @@ class SolveRequest(Request):
     chain: str = _option("custom", str, "the weights' chain name", flag="--chain-file")
     algorithm: str = _option("admv", _algorithm, _ALGORITHM_HELP, flag="-a/--algorithm")
     seed: int = _option(
-        0, int, "seed of the random pattern's weights and of a simulation"
+        0, _seed, "seed of the random pattern's weights and of a simulation"
     )
     #: the chain the request names: its weights, or its pattern drawn
     task_chain: TaskChain = field(init=False, repr=False, compare=False)
@@ -290,7 +299,7 @@ class DagOptimizeRequest(Request):
     method: str = _option(
         "hill_climb", str, "search method: hill_climb, anneal, hybrid"
     )
-    seed: int = _option(0, int, "seed of the search and its Monte-Carlo runs")
+    seed: int = _option(0, _seed, "seed of the search and its Monte-Carlo runs")
     restarts: int = _option(2, int, "random restarts (search)")
     iterations: int = _option(400, int, "annealing iterations (search)")
     recombine: int = _option(

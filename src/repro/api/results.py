@@ -55,10 +55,10 @@ from ..dag.parallel import ParallelSearchResult, ParallelSolution
 from ..dag.search import JoinDagSolution, SearchResult
 from ..dag.workflow import WorkflowDAG, canonical_node_key
 from ..exceptions import InvalidParameterError
-from ..experiments.common import AgreementStamp
 from ..obs import MetricsSnapshot
 from ..platforms import Platform
 from ..simulation.adaptive import AdaptiveResult, AdaptiveRound, StreamingMoments
+from ..simulation.certify import AgreementStamp
 from ..simulation.monte_carlo import MonteCarloResult
 from ..simulation.stats import SampleSummary
 
@@ -288,8 +288,6 @@ def _search_doc(result: SearchResult) -> dict[str, Any]:
         "recombined": result.recombined,
         "solution": _solution_doc(result.solution),
     }
-    if result.certificate is not None:
-        doc["certificate"] = _stamp_doc(result.certificate)
     if result.metrics is not None:
         doc["metrics"] = result.metrics.as_dict()
     return doc
@@ -524,11 +522,6 @@ def _search_from(doc: dict[str, Any]) -> SearchResult:
         bound_evaluations=int(doc["bound_evaluations"]),
         bound_cache_hits=int(doc["bound_cache_hits"]),
         start_values=dict(doc["start_values"]),
-        certificate=(
-            None
-            if doc.get("certificate") is None
-            else _stamp_from(doc["certificate"])
-        ),
         recombined=int(doc["recombined"]),
         metrics=(
             None

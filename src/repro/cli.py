@@ -651,7 +651,7 @@ def _cmd_dag_optimize(args) -> str:
     ]
     if search:
         out.append(result.summary())
-    elif outcome.certificate is not None:
+    if outcome.certificate is not None:
         out.append(outcome.certificate.line())
     return "\n".join(out)
 

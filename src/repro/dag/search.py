@@ -90,13 +90,6 @@ recombined with a precedence-preserving one-point order crossover
 (MoRoTA-style: a prefix of one parent completed in the other parent's
 relative order is always a valid linear extension) and the children are
 climbed too, in one lockstep call.
-
-The winning order can optionally be **certified** by replaying it through
-the batched adaptive Monte-Carlo engine (``certify=True``; the array-API
-``backend=`` is threaded through; heterogeneous cost profiles are priced
-in the simulation as well), attaching an analytic-vs-simulated agreement
-stamp to the result.  Join winners are certified against
-:func:`repro.dag.join.simulate_join` instead.
 """
 
 from __future__ import annotations
@@ -125,7 +118,6 @@ from .join import (
     join_neighborhood,
     join_sources,
     random_join_neighbor,
-    simulate_join,
     threshold_join,
 )
 from .linearize import DagSolution, candidate_orders
@@ -645,64 +637,6 @@ class JoinDagSolution(DagSolution):
         object.__setattr__(self, "instance", instance)
 
 
-#: Replication floor of the join certification.  Not the chain floor:
-#: the join model has no silent errors, and on Table I platforms a few
-#: hundred runs often see no fail-stop error at all — a zero-variance
-#: sample whose zero-width interval certifies nothing.
-_JOIN_MIN_RUNS = 2000
-
-
-def _certify_join(
-    instance: JoinInstance,
-    schedule: JoinSchedule,
-    platform: Platform,
-    label: str,
-    *,
-    analytic: float,
-    target_ci: float,
-    max_runs: int,
-    seed: np.random.SeedSequence,
-):
-    """Monte-Carlo agreement stamp for a join schedule.
-
-    The adaptive round driver over :func:`repro.dag.join.simulate_join`
-    makespans — the join-model analogue of the chain certification, with
-    the same round growth, agreement rule and events.  Each round draws
-    from the next child of the campaign seed.
-    """
-    from ..experiments.common import AgreementStamp
-    from ..simulation.adaptive import (
-        StreamingMoments,
-        _ChunkStats,
-        _run_rounds,
-        _validate_adaptive_params,
-    )
-
-    if max_runs < 1:
-        raise InvalidParameterError(f"certify_runs must be >= 1, got {max_runs}")
-    min_runs = min(_JOIN_MIN_RUNS, max_runs)
-    _validate_adaptive_params(target_ci, min_runs, max_runs, 2.0, 0.99)
-
-    def sample(seed_seq: np.random.SeedSequence, n: int) -> list[_ChunkStats]:
-        rng = np.random.default_rng(seed_seq.spawn(1)[0])
-        makespans = simulate_join(instance, schedule, runs=n, rng=rng)
-        return [_ChunkStats(moments=StreamingMoments.from_samples(makespans))]
-
-    result = _run_rounds(
-        sample,
-        "certify_join",
-        target_relative_ci=target_ci,
-        confidence=0.99,
-        min_runs=min_runs,
-        max_runs=max_runs,
-        growth=2.0,
-        seed=seed,
-        analytic=analytic,
-        join=True,
-    )
-    return AgreementStamp.from_adaptive(result, platform=platform.name, label=label)
-
-
 @dataclass(frozen=True)
 class SearchResult:
     """Outcome of :func:`search_order` with its work accounting."""
@@ -719,7 +653,6 @@ class SearchResult:
     bound_evaluations: int  #: frozen-schedule Markov evaluations
     bound_cache_hits: int
     start_values: dict[str, float] = field(default_factory=dict)
-    certificate: object | None = None  #: AgreementStamp when certify=True
     recombined: int = 0  #: crossover children climbed
     #: The objective's metric snapshot; the int fields above are views
     #: into its counters.
@@ -743,14 +676,10 @@ class SearchResult:
                 f"{self.bound_evaluations} frozen-schedule bounds, "
                 f"{self.exact_cache_hits + self.bound_cache_hits} cache hits)"
             )
-        lines = [
+        return (
             f"order search ({self.method}, seed {self.seed}) over "
-            f"{self.starts} starts: E[T] = {self.expected_time:.2f}s",
-            accounting,
-        ]
-        if self.certificate is not None:
-            lines.append(self.certificate.line())
-        return "\n".join(lines)
+            f"{self.starts} starts: E[T] = {self.expected_time:.2f}s\n{accounting}"
+        )
 
 
 def uses_join_objective(dag: WorkflowDAG) -> bool:
@@ -774,9 +703,6 @@ def _search_join_order(
     restarts: int,
     iterations: int,
     max_rounds: int,
-    certify: bool,
-    target_ci: float,
-    certify_runs: int,
 ) -> SearchResult:
     """Join-shaped dispatch target of :func:`search_order`.
 
@@ -794,9 +720,7 @@ def _search_join_order(
     n = instance.n_sources
     objective = JoinObjective(instance)
 
-    ss_starts, ss_climbs, ss_anneal, ss_certify = np.random.SeedSequence(
-        seed
-    ).spawn(4)
+    ss_starts, ss_climbs, ss_anneal = np.random.SeedSequence(seed).spawn(3)
     _, thr = threshold_join(instance)
     starts: list[tuple[str, JoinSchedule]] = [("threshold", thr)]
     for label, sign in (("heavy-first", -1.0), ("light-first", 1.0)):
@@ -865,19 +789,6 @@ def _search_join_order(
         join_checkpoints=best_schedule.n_checkpoints,
     )
 
-    certificate = None
-    if certify:
-        certificate = _certify_join(
-            instance,
-            best_schedule,
-            platform,
-            label=f"{dag.name} join order",
-            analytic=best_value,
-            target_ci=target_ci,
-            max_runs=certify_runs,
-            seed=ss_certify,
-        )
-
     merged = search.publish()
     return SearchResult(
         solution=solution,
@@ -892,7 +803,6 @@ def _search_join_order(
         bound_evaluations=0,
         bound_cache_hits=0,
         start_values=search.start_values,
-        certificate=certificate,
         metrics=merged,
     )
 
@@ -908,10 +818,6 @@ def search_order(
     iterations: int = 400,
     max_rounds: int = 200,
     polish_budget: int | None = None,
-    certify: bool = False,
-    backend: str | None = None,
-    target_ci: float = 0.01,
-    certify_runs: int = 200_000,
     recombine: int = 2,
 ) -> SearchResult:
     """Best serialisation of ``dag`` found by metaheuristic order search.
@@ -925,8 +831,8 @@ def search_order(
     join model has one scalar ``C``, so heterogeneous DAGs keep the
     chain objective, which does price the multipliers).  The join path
     evaluates states exactly in ``O(n)``, so ``recombine``
-    (and ``algorithm``/``polish_budget``/``backend``) do not apply and
-    are ignored there.
+    (and ``algorithm``/``polish_budget``) do not apply and are ignored
+    there.
 
     Parameters
     ----------
@@ -945,12 +851,6 @@ def search_order(
         Crossover children to breed from the elite start-climb results
         (precedence-preserving one-point OX, decisions N/A on chains);
         each child is climbed like a start.  0 disables recombination.
-    certify:
-        Replay the winning order through the batched adaptive Monte-Carlo
-        engine until the mean is certified to ``target_ci`` (running on
-        the array-API ``backend``; heterogeneous cost profiles are priced
-        in the simulation too), attaching the agreement stamp.  Join
-        winners replay through :func:`repro.dag.join.simulate_join`.
     """
     if method not in SEARCH_METHODS:
         raise InvalidParameterError(
@@ -965,17 +865,12 @@ def search_order(
             restarts=restarts,
             iterations=iterations,
             max_rounds=max_rounds,
-            certify=certify,
-            target_ci=target_ci,
-            certify_runs=certify_runs,
         )
     objective = ChainObjective(dag, platform, algorithm=algorithm)
 
-    # the certification draws from a fifth child, so that it never
-    # replays the streams the search itself consumed
-    ss_starts, ss_climbs, ss_recombine, ss_anneal, ss_certify = (
-        np.random.SeedSequence(seed).spawn(5)
-    )
+    ss_starts, ss_climbs, ss_recombine, ss_anneal = np.random.SeedSequence(
+        seed
+    ).spawn(4)
     starts = start_orders(dag, restarts, np.random.default_rng(ss_starts))
     objective.metrics.counter("search.restarts").inc(max(0, restarts))
     search = multistart(
@@ -1030,23 +925,6 @@ def search_order(
         search_recombined=recombined,
     )
 
-    certificate = None
-    if certify:
-        from ..experiments.common import certify_solution
-
-        _, chain = dag.serialise(list(best_order))
-        certificate = certify_solution(
-            chain,
-            platform,
-            best_solution,
-            label=f"{dag.name} search order",
-            target_ci=target_ci,
-            seed=ss_certify,
-            backend=backend,
-            max_runs=certify_runs,
-            costs=dag.cost_profile(list(best_order), platform),
-        )
-
     logger.debug(
         "search_order done: dag=%s method=%s seed=%d starts=%d value=%.6g "
         "exact=%d bounds=%d",
@@ -1076,7 +954,6 @@ def search_order(
         bound_evaluations=bound_evaluations,
         bound_cache_hits=bound_cache_hits,
         start_values=search.start_values,
-        certificate=certificate,
         recombined=recombined,
         metrics=merged,
     )

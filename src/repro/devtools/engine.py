@@ -53,7 +53,7 @@ class FileContext:
                     target = alias.name if alias.asname else alias.name.split(".")[0]
                     self.imports[name] = target
             elif isinstance(node, ast.ImportFrom):
-                base = self._resolve_from(node)
+                base = self.resolve_from(node)
                 if base is None:
                     continue
                 for alias in node.names:
@@ -62,7 +62,7 @@ class FileContext:
                     name = alias.asname or alias.name
                     self.imports[name] = f"{base}.{alias.name}"
 
-    def _resolve_from(self, node: ast.ImportFrom) -> str | None:
+    def resolve_from(self, node: ast.ImportFrom) -> str | None:
         if node.level == 0:
             return node.module
         # relative import: resolve against this file's package

@@ -7,7 +7,7 @@ from __future__ import annotations
 from ..engine import Rule
 from .concurrency import LockDisciplineRule
 from .determinism import DeterminismRule, SpawnDisciplineRule
-from .hygiene import LibraryHygieneRule, ProcessPoolRule
+from .hygiene import LayeringRule, LibraryHygieneRule, ProcessPoolRule
 from .portability import ArrayApiPortabilityRule
 from .schema import SchemaCoverageRule
 
@@ -15,6 +15,7 @@ __all__ = [
     "DEFAULT_RULES",
     "DeterminismRule",
     "ArrayApiPortabilityRule",
+    "LayeringRule",
     "LockDisciplineRule",
     "LibraryHygieneRule",
     "ProcessPoolRule",
@@ -31,4 +32,5 @@ DEFAULT_RULES: tuple[Rule, ...] = (
     SchemaCoverageRule(),
     SpawnDisciplineRule(),
     ProcessPoolRule(),
+    LayeringRule(),
 )

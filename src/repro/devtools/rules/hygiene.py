@@ -1,5 +1,5 @@
-"""RPR004/RPR007: library hygiene — no stray stdout, no bare excepts,
-no private process pools.
+"""RPR004/RPR007/RPR009: library hygiene — no stray stdout, no bare
+excepts, no private process pools, no upward imports.
 
 The CLI owns stdout (its JSON output must stay machine-parseable), the
 logging layer owns stderr; a ``print`` anywhere else corrupts piped
@@ -12,6 +12,9 @@ support.
 Worker processes start with instrumentation off, so a pool opened
 anywhere but :func:`repro.obs.fan_out` silently drops the metrics and
 events of everything it runs (RPR007).
+
+The library layers sit below the front ends (the experiment drivers,
+the analysis helpers, the CLI) and never import them (RPR009).
 """
 
 from __future__ import annotations
@@ -22,7 +25,13 @@ from typing import Iterable
 from ..engine import BaseRule, FileContext
 from ..model import Finding
 
-__all__ = ["LibraryHygieneRule", "ProcessPoolRule"]
+__all__ = ["LayeringRule", "LibraryHygieneRule", "ProcessPoolRule"]
+
+#: The library layers and the front-end modules they never import.
+_LIBRARY_LAYERS = tuple(
+    f"repro/{layer}/" for layer in ("core", "simulation", "dag", "api", "service")
+)
+_FRONT_ENDS = {"repro.experiments", "repro.analysis", "repro.cli"}
 
 
 class LibraryHygieneRule(BaseRule):
@@ -93,4 +102,35 @@ class ProcessPoolRule(BaseRule):
                     "ProcessPoolExecutor outside repro/obs/; run worker "
                     "processes through repro.obs.fan_out so their metrics "
                     "and events reach the caller",
+                )
+
+
+class LayeringRule(BaseRule):
+    code = "RPR009"
+    name = "layering"
+    rationale = (
+        "repro/core, simulation, dag, api and service never import "
+        "repro.experiments, repro.analysis or repro.cli, at module level "
+        "or inside a function: code a front end shares with the library "
+        "lives in the lowest layer that needs it."
+    )
+
+    def check_file(self, ctx: FileContext) -> Iterable[Finding]:
+        if not ctx.rel.startswith(_LIBRARY_LAYERS):
+            return
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.Import):
+                targets = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = ctx.resolve_from(node)
+                targets = [f"{base}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            upward = {".".join(t.split(".")[:2]) for t in targets} & _FRONT_ENDS
+            if upward:
+                yield ctx.finding(
+                    self.code,
+                    node,
+                    f"library module imports {', '.join(sorted(upward))}; "
+                    "move what it needs down into the library layers",
                 )

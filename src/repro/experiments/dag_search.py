@@ -38,7 +38,8 @@ from ..dag.join import exhaustive_join, join_from_dag, local_search_join, thresh
 from ..dag.linearize import optimize_dag
 from ..dag.search import SearchResult, search_order
 from ..platforms import Platform
-from .common import AgreementStamp, certify_solution, render_stamps
+from ..simulation.certify import AgreementStamp, certify_dag_solution
+from .common import render_stamps
 
 __all__ = ["DagSearchResult", "run", "stress_platform"]
 
@@ -222,6 +223,17 @@ def _search(dag, platform, seed, **kwargs) -> SearchResult:
     )
 
 
+def _certify(dag, platform, found: SearchResult, seed, backend) -> AgreementStamp:
+    return certify_dag_solution(
+        dag,
+        platform,
+        found.solution,
+        label=f"{dag.name} search",
+        seed=seed,
+        backend=backend,
+    )
+
+
 def run(
     *,
     fast: bool = True,
@@ -287,17 +299,7 @@ def run(
             )
         )
         if certify and index == 0:
-            _, chain = dag.serialise(found.solution.order)
-            stamps.append(
-                certify_solution(
-                    chain,
-                    platform,
-                    found.solution,
-                    label=f"{dag.name} search",
-                    seed=seed,
-                    backend=backend,
-                )
-            )
+            stamps.append(_certify(dag, platform, found, seed, backend))
 
     # ------------------------------------------------------------------
     # heterogeneous-cost campaign: where order search pays off
@@ -326,19 +328,7 @@ def run(
             )
         )
         if certify and index == 0:
-            order = found.solution.order
-            _, chain = dag.serialise(order)
-            stamps.append(
-                certify_solution(
-                    chain,
-                    platform,
-                    found.solution,
-                    label=f"{dag.name} search",
-                    seed=seed,
-                    backend=backend,
-                    costs=dag.cost_profile(order, platform),
-                )
-            )
+            stamps.append(_certify(dag, platform, found, seed, backend))
 
     # ------------------------------------------------------------------
     # join campaign: forever-vulnerable objective, decisions + order

@@ -24,12 +24,11 @@ from ..analysis.tables import format_table
 from ..analysis.metrics import improvement
 from ..chains import make_chain
 from ..platforms import Platform
+from ..simulation.certify import AgreementStamp, certify_solution
 from .common import (
     ALGORITHM_LABELS,
     PAPER_ALGORITHMS,
     PAPER_PLATFORMS,
-    AgreementStamp,
-    certify_solution,
     render_stamps,
     task_grid,
 )

@@ -19,12 +19,8 @@ from ..chains import uniform_chain
 from ..platforms import Platform
 from ..core.result import Solution
 from ..core.solver import optimize
-from .common import (
-    PAPER_PLATFORMS,
-    AgreementStamp,
-    certify_solution,
-    render_stamps,
-)
+from ..simulation.certify import AgreementStamp, certify_solution
+from .common import PAPER_PLATFORMS, render_stamps
 
 __all__ = ["Fig6Result", "run"]
 

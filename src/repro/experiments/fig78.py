@@ -24,12 +24,11 @@ from ..chains import make_chain
 from ..platforms import Platform
 from ..core.result import Solution
 from ..core.solver import optimize
+from ..simulation.certify import AgreementStamp, certify_solution
 from .common import (
     ALGORITHM_LABELS,
     EXTREME_PLATFORMS,
     PAPER_ALGORITHMS,
-    AgreementStamp,
-    certify_solution,
     render_stamps,
     task_grid,
 )

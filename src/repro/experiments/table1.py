@@ -17,7 +17,8 @@ from ..analysis.tables import format_table
 from ..chains import uniform_chain
 from ..core.solver import optimize
 from ..platforms import TABLE1_ROWS, Platform
-from .common import AgreementStamp, certify_solution, render_stamps
+from ..simulation.certify import AgreementStamp, certify_solution
+from .common import render_stamps
 
 __all__ = ["Table1Result", "run"]
 

@@ -38,8 +38,6 @@ from hashlib import blake2b
 from time import perf_counter
 from typing import Any
 
-import numpy as np
-
 from ..api import SCHEMA_VERSION, as_document, canonical_hash
 from ..api.requests import (
     REQUESTS,
@@ -71,6 +69,7 @@ from ..simulation import (
     run_adaptive_parallel,
     run_monte_carlo,
 )
+from ..simulation.certify import certification_seed, certify_dag_solution
 from .cache import ContentCache
 
 logger = get_logger(__name__)
@@ -115,7 +114,7 @@ def _load_body(body: bytes) -> dict:
 @dataclass(frozen=True)
 class Outcome:
     """One run of a request: its result object and what its document
-    echoes besides (the schedule a simulation ran, a fixed-strategy
+    echoes besides (the schedule a simulation ran, a serial winner's
     certificate, a parallel plan's makespan estimate)."""
 
     request: Request
@@ -217,52 +216,39 @@ def _run_dag(request: DagOptimizeRequest) -> Outcome:
         estimate = None
         if request.estimate:
             # the analytic value is a surrogate (the epoch fold swaps E
-            # and max), so the plan's wall-clock makespan is simulated,
-            # from a fourth child of the seed: search_parallel draws its
-            # starts, climbs and walk from the first three
+            # and max), so the plan's wall-clock makespan is simulated
             estimate = run_adaptive_parallel(
                 result.solution.plan(),
                 platform,
                 target_relative_ci=request.target_ci,
-                seed=np.random.SeedSequence(request.seed).spawn(4)[3],
+                seed=certification_seed(request.seed),
                 backend=request.backend,
                 analytic=result.solution.expected_time,
             )
         return Outcome(request, result, estimate=estimate)
     if request.strategy == "search":
-        result = search_order(
+        result = search_order(dag, platform, **search, recombine=request.recombine)
+        solution = result.solution
+    else:
+        result = solution = optimize_dag(
             dag,
             platform,
-            **search,
-            recombine=request.recombine,
-            certify=request.certify,
-            backend=request.backend,
-            target_ci=request.target_ci,
+            algorithm=request.algorithm,
+            strategy=request.strategy,
+            seed=request.seed,
         )
-        return Outcome(request, result)
-    solution = optimize_dag(
-        dag,
-        platform,
-        algorithm=request.algorithm,
-        strategy=request.strategy,
-        seed=request.seed,
-    )
     certificate = None
     if request.certify:
-        from ..experiments.common import certify_solution
-
-        _, chain = dag.serialise(solution.order)
-        certificate = certify_solution(
-            chain,
+        certificate = certify_dag_solution(
+            dag,
             platform,
             solution,
             label=f"{dag.name} {request.strategy} order",
             seed=request.seed,
-            backend=request.backend,
             target_ci=request.target_ci,
-            costs=dag.cost_profile(solution.order, platform),
+            backend=request.backend,
         )
-    return Outcome(request, solution, certificate=certificate)
+    return Outcome(request, result, certificate=certificate)
 
 
 class Engine:

@@ -20,7 +20,7 @@ reduced to O(1) records:
   chunk per record, sharded over a lazily started process pool;
 * the p-worker sampler (:func:`run_adaptive_parallel`) runs one
   :func:`~repro.simulation.parallel.simulate_parallel` campaign a round;
-* the join certifier of :mod:`repro.dag.search` samples
+* the join sampler of :mod:`repro.simulation.certify` samples
   :func:`repro.dag.join.simulate_join` makespans.
 
 No full sample is ever retained.  A record carries

@@ -31,7 +31,7 @@ from repro.core import Schedule, optimize
 from repro.dag.generate import generate
 from repro.dag.search import search_order
 from repro.exceptions import InvalidParameterError
-from repro.experiments.common import AgreementStamp
+from repro.simulation.certify import AgreementStamp
 from repro.obs import MetricsSnapshot
 from repro.platforms import ATLAS, HERA, Platform
 from repro.simulation import run_monte_carlo
@@ -206,6 +206,29 @@ class TestDocuments:
         assert clone.exact_cache_hits == result.exact_cache_hits
         assert clone.metrics is not None
         assert clone.metrics.counters == result.metrics.counters
+
+    def test_search_document_certificate_is_ignored(self):
+        # dag/optimize adds the stamp next to the search document's keys;
+        # a SearchResult carries none, so the reader skips it
+        from repro.api.requests import parse_request
+        from repro.service.engine import run
+
+        request = parse_request(
+            "dag/optimize",
+            {
+                "generator": {"kind": "layered", "tasks": 6, "seed": 2},
+                "algorithm": "adv*",
+                "strategy": "search",
+                "restarts": 1,
+                "certify": True,
+                "target_ci": 0.05,
+            },
+        )
+        outcome = run(request)
+        doc = outcome.document()
+        assert doc["certificate"]["label"].endswith("search order")
+        clone = from_document(doc)
+        assert clone == from_document(as_document(outcome.result))
 
     def test_agreement_stamp_round_trip(self):
         stamp = AgreementStamp(

@@ -27,6 +27,7 @@ from repro.dag.search import (
 )
 from repro.exceptions import InvalidParameterError
 from repro.platforms import Platform
+from repro.simulation.certify import certify_dag_solution
 
 FAST_ALGO = "adv_star"  # cheapest exact DP: keeps the suite quick
 
@@ -406,50 +407,85 @@ class TestCertification:
         # backend-matrix lane proves the dag -> batched-engine path under
         # array-api-strict too
         dag = generate("fork_join", seed=1, branches=2, branch_length=2)
-        result = search_order(
+        result = search_order(dag, platform, algorithm=FAST_ALGO, seed=0)
+        stamp = certify_dag_solution(
             dag,
             platform,
-            algorithm=FAST_ALGO,
+            result.solution,
+            label=f"{dag.name} search order",
             seed=0,
-            certify=True,
             target_ci=0.05,
-            certify_runs=20_000,
+            max_runs=20_000,
         )
-        stamp = result.certificate
-        assert stamp is not None
         assert stamp.agrees, stamp.line()
         assert stamp.label.endswith("search order")
-        assert "search order" in result.summary()
+        assert "search order" in stamp.line()
 
-    def test_chain_certification_draws_its_own_stream(
-        self, platform, monkeypatch
-    ):
-        # the chain twin of the join test below: the first chunk of the
-        # certification must not replay the search's start-order stream
+    @pytest.mark.parametrize(
+        "path",
+        ["chain-search", "join-search", "fixed", "parallel-estimate", "sweep"],
+    )
+    def test_every_stamp_draws_the_fifth_seed_child(self, path, monkeypatch):
+        """Every DAG stamp (and the p=2 estimate) is one adaptive campaign
+        seeded from child 4 of the search seed, whose first chunk replays
+        none of the children 0-3 the searches draw from."""
         import copy
 
-        import repro.simulation as simulation
-        from repro.simulation.batch import _seed_sequence
+        import repro.simulation.adaptive as adaptive
+        from repro.api.requests import parse_request
+        from repro.experiments import dag_search
+        from repro.service.engine import run
 
-        seeds = []
-        real = simulation.run_monte_carlo
+        campaigns = []
+        real = adaptive._seed_sequence
 
-        def spy(*args, seed, **kwargs):
-            seeds.append(copy.deepcopy(_seed_sequence(seed)))
-            return real(*args, seed=seed, **kwargs)
+        def spy(seed):
+            campaign = real(seed)
+            campaigns.append(copy.deepcopy(campaign))
+            return campaign
 
-        monkeypatch.setattr(simulation, "run_monte_carlo", spy)
-        dag = generate("fork_join", seed=1, branches=2, branch_length=2)
-        search_order(
-            dag, platform, algorithm=FAST_ALGO, seed=0, certify=True,
-            target_ci=0.05, certify_runs=20_000,
-        )
-        (certify,) = seeds
-        starts = np.random.SeedSequence(0).spawn(1)[0]
-        first_chunk = np.random.default_rng(certify.spawn(1)[0]).random(8)
-        assert not np.array_equal(
-            first_chunk, np.random.default_rng(starts).random(8)
-        )
+        monkeypatch.setattr(adaptive, "_seed_sequence", spy)
+        seed = 3
+        fork_join = {"kind": "fork_join", "branches": 2, "branch_length": 2}
+        requests = {
+            "chain-search": {"generator": fork_join, "strategy": "search"},
+            "join-search": {
+                "generator": {"kind": "join", "sources": 4},
+                "strategy": "search",
+            },
+            "fixed": {"generator": fork_join, "strategy": "heavy_first"},
+            "parallel-estimate": {"generator": fork_join, "processors": 2},
+        }
+        if path == "sweep":
+            stamps = dag_search.run(seed=seed).stamps
+            assert len(stamps) == len(campaigns) == 2
+        else:
+            serial = path != "parallel-estimate"
+            doc = run(
+                parse_request(
+                    "dag/optimize",
+                    {
+                        **requests[path],
+                        "seed": seed,
+                        "algorithm": FAST_ALGO,
+                        "target_ci": 0.05,
+                        **({"certify": True} if serial else {}),
+                    },
+                )
+            ).document()
+            assert ("certificate" if serial else "estimate") in doc
+            assert len(campaigns) == 1
+        root = np.random.SeedSequence(seed)
+        search_children = root.spawn(4)
+        for campaign in campaigns:
+            assert campaign.entropy == root.entropy
+            assert campaign.spawn_key == (4,)
+            first_chunk = np.random.default_rng(campaign.spawn(1)[0]).random(8)
+            for child in search_children:
+                for stream in (child, child.spawn(1)[0]):
+                    assert not np.array_equal(
+                        first_chunk, np.random.default_rng(stream).random(8)
+                    )
 
 
 # ----------------------------------------------------------------------
@@ -625,36 +661,40 @@ class TestJoinSearch:
         assert a.solution.join_schedule == b.solution.join_schedule
         assert a.expected_time == b.expected_time
 
-    def test_certified_join_search_attaches_stamp(self, join_dag, platform):
-        result = search_order(
-            join_dag,
+    @staticmethod
+    def certify(dag, platform, result, **kwargs):
+        return certify_dag_solution(
+            dag,
             platform,
-            seed=0,
-            certify=True,
-            target_ci=0.05,
-            certify_runs=20_000,
+            result.solution,
+            label=f"{dag.name} search order",
+            seed=result.seed,
+            **kwargs,
         )
-        stamp = result.certificate
-        assert stamp is not None
+
+    def test_certified_join_search_attaches_stamp(self, join_dag, platform):
+        result = search_order(join_dag, platform, seed=0)
+        stamp = self.certify(
+            join_dag, platform, result, target_ci=0.05, max_runs=20_000
+        )
         assert stamp.agrees, stamp.line()
-        assert "join order" in stamp.label
+        assert "search order" in stamp.label
 
     def test_certified_join_search_emits_round_events(self, join_dag, platform):
         # the join stamp runs the shared adaptive round loop: the same
         # round growth and mc.* events as the chain certification, from
         # the join model's own floor
-        from repro.dag.search import _JOIN_MIN_RUNS
         from repro.obs import EventBus, MetricsRegistry, instrument
+        from repro.simulation.certify import _JOIN_MIN_RUNS
 
         bus = EventBus()
         with instrument(MetricsRegistry(), events=bus):
-            result = search_order(
+            stamp = self.certify(
                 join_dag,
                 platform,
-                seed=0,
-                certify=True,
+                search_order(join_dag, platform, seed=0),
                 target_ci=0.05,
-                certify_runs=20_000,
+                max_runs=20_000,
             )
         events = [
             e for e in bus.snapshot().events if e.kind.startswith("mc.")
@@ -663,7 +703,7 @@ class TestJoinSearch:
         assert rounds and rounds[0].data["total_reps"] == _JOIN_MIN_RUNS
         terminal = events[-1]
         assert terminal.kind in ("mc.converged", "mc.capped")
-        assert terminal.data["total_reps"] == result.certificate.reps
+        assert terminal.data["total_reps"] == stamp.reps
         assert terminal.data["rounds"] == len(rounds)
 
     @pytest.mark.parametrize("name", ["hera", "atlas"])
@@ -673,54 +713,30 @@ class TestJoinSearch:
         # can see none and certify a zero-width interval that excludes the
         # analytic value (on Atlas, 400 runs of this instance do); the
         # join floor keeps enough runs to see them
-        from repro.dag.search import _JOIN_MIN_RUNS
         from repro.platforms import get_platform
+        from repro.simulation.certify import _JOIN_MIN_RUNS
 
         dag = generate("join", seed=8, sources=6, weights="lognormal")
-        stamp = search_order(
-            dag, get_platform(name), seed=0, certify=True
-        ).certificate
+        platform = get_platform(name)
+        stamp = self.certify(dag, platform, search_order(dag, platform, seed=0))
         assert stamp.reps >= _JOIN_MIN_RUNS
         assert stamp.relative_half_width > 0.0
         assert stamp.agrees, stamp.line()
 
-    def test_join_certification_draws_its_own_stream(
-        self, join_dag, platform, monkeypatch
-    ):
-        # the random start orders draw from the first child of the search
-        # seed; the certification must not replay those bits
-        import copy
-
-        import repro.dag.search as search_mod
-
-        first_draws = []
-        real = search_mod.simulate_join
-
-        def spy(instance, schedule, *, runs, rng):
-            first_draws.append(copy.deepcopy(rng).random(8))
-            return real(instance, schedule, runs=runs, rng=rng)
-
-        monkeypatch.setattr(search_mod, "simulate_join", spy)
-        search_order(join_dag, platform, seed=0, certify=True, target_ci=0.05)
-        starts = np.random.SeedSequence(0).spawn(1)[0]
-        assert first_draws
-        assert not np.array_equal(
-            first_draws[0], np.random.default_rng(starts).random(8)
-        )
-
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(certify_runs=0),
-            dict(certify_runs=-5),
+            dict(max_runs=0),
+            dict(max_runs=-5),
             dict(target_ci=0.0),
         ],
     )
     def test_join_certification_rejects_bad_parameters(
         self, join_dag, platform, kwargs
     ):
+        result = search_order(join_dag, platform, seed=0)
         with pytest.raises(InvalidParameterError):
-            search_order(join_dag, platform, seed=0, certify=True, **kwargs)
+            self.certify(join_dag, platform, result, **kwargs)
 
     def test_degenerate_join_shapes_stay_on_chain_semantics(self, platform):
         # a single task and a 2-node chain are join-*shaped* but the join

@@ -451,6 +451,56 @@ class TestProcessPoolRule:
 
 
 # ----------------------------------------------------------------------
+# RPR009 layering
+# ----------------------------------------------------------------------
+class TestLayeringRule:
+    def test_upward_imports_fire_in_library_layers(self, tmp_path):
+        root = _project(tmp_path, {
+            "repro/dag/search.py": """
+                import repro.cli
+                from ..analysis import format_table
+                from repro.experiments.common import render_stamps
+
+                def stamp():
+                    from .. import experiments
+                    return experiments
+            """,
+            "repro/service/engine.py": """
+                from ..experiments import dag_search
+            """,
+        })
+        report = _run(root, ["RPR009"])
+        assert [(f.path, f.line) for f in report.active] == [
+            ("repro/dag/search.py", 2),
+            ("repro/dag/search.py", 3),
+            ("repro/dag/search.py", 4),
+            ("repro/dag/search.py", 7),
+            ("repro/service/engine.py", 2),
+        ]
+        assert "repro.analysis" in report.active[1].message
+
+    def test_front_ends_may_import_the_library(self, tmp_path):
+        root = _project(tmp_path, {
+            "repro/experiments/dag_search.py": """
+                from ..analysis import format_table
+                from ..simulation.certify import certify_dag_solution
+            """,
+            "repro/cli.py": """
+                from .experiments import dag_search
+            """,
+            "repro/simulation/certify.py": """
+                from ..core.result import Solution
+                from .adaptive import run_adaptive
+
+                def join():
+                    from ..dag.join import simulate_join
+                    return simulate_join
+            """,
+        })
+        assert _run(root, ["RPR009"]).ok
+
+
+# ----------------------------------------------------------------------
 # suppression parsing (+ RPR000 hygiene)
 # ----------------------------------------------------------------------
 class TestSuppressions:

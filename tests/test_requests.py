@@ -3,13 +3,11 @@
 
 from __future__ import annotations
 
-import copy
 import json
 import threading
 import urllib.error
 import urllib.request
 
-import numpy as np
 import pytest
 
 from repro.api.requests import (
@@ -124,35 +122,12 @@ def test_parallel_estimate_is_an_adaptive_result(capsys):
     assert doc["backend"] == "numpy"
 
 
-def test_parallel_estimate_draws_its_own_stream(monkeypatch):
-    """The estimate's first chunk must not replay the search's random
-    start stream (``SeedSequence(seed).spawn(3)[0]``)."""
-    import repro.service.engine as engine
-    from repro.simulation.batch import _seed_sequence
-
-    seeds = []
-    real = engine.run_adaptive_parallel
-
-    def spy(*args, seed, **kwargs):
-        seeds.append(copy.deepcopy(_seed_sequence(seed)))
-        return real(*args, seed=seed, **kwargs)
-
-    monkeypatch.setattr(engine, "run_adaptive_parallel", spy)
-    _, (endpoint, request) = SHAPES["dag-parallel-estimate"]
-    Engine().handle(endpoint, request)
-    (estimate,) = seeds
-    starts = np.random.SeedSequence(request["seed"]).spawn(3)[0]
-    first_chunk = np.random.default_rng(estimate.spawn(1)[0]).random(8)
-    assert not np.array_equal(
-        first_chunk, np.random.default_rng(starts).random(8)
-    )
-
-
 @pytest.mark.parametrize("strategy", [*ORDER_STRATEGIES, "auto"])
 def test_fixed_strategies_draw_no_randomness(strategy):
-    """The fixed-strategy path hands ``seed`` to ``optimize_dag`` and then
-    to ``certify_solution``.  No fixed strategy draws from it, so the
-    certification's first chunk cannot replay a search stream."""
+    """The fixed-strategy path hands ``seed`` to ``optimize_dag``, whose
+    fixed strategies draw nothing from it: the request seed changes only
+    the certification (child 4 of the seed, see
+    ``test_every_stamp_draws_the_fifth_seed_child``)."""
     dag = generate("layered", seed=4, tasks=8, layers=3, cost_spread=1.0)
     assert dag.has_heterogeneous_costs()
     a, b = (
@@ -322,3 +297,36 @@ def test_cross_field_rejections_are_400(server, request_doc, field):
     err = json.loads(body)
     assert err["kind"] == "error"
     assert repr(field) in err["error"]
+
+
+#: every request field that seeds a NumPy stream, set negative: NumPy
+#: raises a bare ValueError on it, which must not surface as a 500
+NEGATIVE_SEEDS = [
+    ("/simulate", {"seed": -1}, "seed"),
+    ("/solve", {"pattern": "random", "seed": -1}, "seed"),
+    ("/dag/optimize", {"strategy": "search", "seed": -1}, "seed"),
+    ("/dag/optimize", {"processors": 2, "seed": -1}, "seed"),
+    ("/dag/optimize", {"certify": True, "seed": -1}, "seed"),
+    ("/dag/optimize", {"generator": {"seed": -1}}, "generator.seed"),
+]
+
+
+@pytest.mark.parametrize("path, request_doc, field", NEGATIVE_SEEDS)
+def test_negative_seeds_are_400(server, path, request_doc, field):
+    status, body = _post(server, path, request_doc)
+    assert status == 400, body
+    err = json.loads(body)
+    assert f"field {field!r} must be a non-negative integer" in err["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--seed", "-1"),
+        ("sweep", "--seed", "-1", "--max-n", "2"),
+        ("dag", "optimize", "--seed", "-1"),
+    ],
+)
+def test_negative_seeds_are_cli_errors(capsys, argv):
+    assert main(list(argv)) == 2
+    assert "must be a non-negative integer" in capsys.readouterr().err
