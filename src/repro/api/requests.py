@@ -26,7 +26,7 @@ import numpy as np
 from ..chains import PAPER_TOTAL_WEIGHT, PATTERNS, TaskChain, make_chain
 from ..core.solver import canonical_algorithm
 from ..dag.generate import GENERATORS, generate
-from ..dag.search import uses_join_objective
+from ..dag.search import SEARCH_METHODS, uses_join_objective
 from ..dag.workflow import WorkflowDAG
 from ..exceptions import InvalidParameterError, ReproError
 from ..platforms import PLATFORMS, Platform, get_platform
@@ -41,6 +41,7 @@ __all__ = [
     "DagOptimizeRequest",
     "REQUESTS",
     "parse_request",
+    "parse_seed",
 ]
 
 
@@ -85,7 +86,7 @@ def _generator(value: Any) -> dict[str, Any]:
         raise InvalidParameterError("'generator' must be an object")
     knobs = dict(value or {})
     kind = str(knobs.pop("kind", "layered"))
-    seed = _coerce(knobs.pop("seed", 0), _seed, "generator.seed")
+    seed = parse_seed(knobs.pop("seed", 0), "generator.seed")
     if kind in GENERATORS:
         accepted = inspect.signature(GENERATORS[kind]).parameters
         unknown = sorted(set(knobs) - set(accepted))
@@ -105,6 +106,12 @@ _EXPECTED: dict[Callable[[Any], Any], str] = {
     _weights: "a list of numbers",
     _platform: "a platform name or document",
 }
+
+
+def parse_seed(value: Any, name: str = "seed") -> int:
+    """``value`` as a NumPy seed, or a typed error naming the field."""
+    seed: int = _coerce(value, _seed, name)
+    return seed
 
 
 def _coerce(value: Any, kind: Callable[[Any], Any], name: str) -> Any:
@@ -297,7 +304,7 @@ class DagOptimizeRequest(Request):
         "auto", str, "auto, all, search, or a single heuristic order"
     )
     method: str = _option(
-        "hill_climb", str, "search method: hill_climb, anneal, hybrid"
+        "hill_climb", str, "search method", choices=SEARCH_METHODS
     )
     seed: int = _option(0, _seed, "seed of the search and its Monte-Carlo runs")
     restarts: int = _option(2, int, "random restarts (search)")

@@ -45,6 +45,7 @@ from .api.requests import (
     Request,
     backend_name,
     parse_request,
+    parse_seed,
 )
 from .chains import load_chain
 from .core import Schedule, evaluate_schedule
@@ -664,9 +665,10 @@ def _cmd_dag_sweep(args) -> str:
             "--backend selects where the certification campaign runs; "
             "drop --no-certify to use it"
         )
+    seed = parse_seed(args.seed)
     result = dag_search.run(
         fast=not args.full,
-        seed=args.seed,
+        seed=seed,
         backend=args.backend,
         certify=not args.no_certify,
     )

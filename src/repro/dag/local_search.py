@@ -17,31 +17,35 @@ a move when ``delta <= 0`` or with Metropolis probability
 per step.  Improvements are relative (:data:`RELATIVE_TOLERANCE`), so
 float noise never counts as progress.
 
-The protocol takes batches.  :func:`hill_climb_all` climbs several
-starts *in lockstep*: every climb takes exactly the steps it would take
-alone, with its own rng, but the kernel collects the next request of
-each climb and serves all requests of one kind together.  The start
-scores are one ``score`` call; the neighbourhoods of every climb that
-moved are one ``screen`` call; and once no climb waits on a screen,
-each *wave* of confirms (the next candidate of every climb still
-looking for a move) is one ``confirm`` call.  Screens go first so that
+The protocol takes batches, and one server runs every search *in
+lockstep*: each hill climb and each annealing walk is a generator that
+takes exactly the steps it would take alone, with its own rng, and the
+server collects the next request of each and serves all requests of one
+kind together.  The start scores are one ``score`` call; the screens of
+every climb that moved and every walk that stepped are one ``screen``
+call; and once nothing waits on a screen, each *wave* of confirms (the
+next candidate of every climb still looking for a move, the accepted
+move of every walk) is one ``confirm`` call.  Screens go first so that
 a climb which accepted early joins the next wave instead of idling
 until the slowest climb decides.  So the chain objective solves a
 wave's orders in one batched DP call and the p=2 objective prices a
 round's neighbourhoods together.  No request is speculative, and the
 memos are value-transparent, so values, states, rounds and every
-counter equal those of climbing the starts one after another; only the
-``search.round`` events of different climbs interleave.
+counter equal those of running the starts one after another; only the
+``search.round`` and ``search.best`` events of different starts
+interleave.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Generator, Hashable, Sequence
+from collections.abc import Callable, Generator, Hashable, Sequence
+from functools import partial
 from typing import Any, NamedTuple, Protocol
 
 import numpy as np
 
+from ..exceptions import InvalidParameterError
 from ..obs import MetricsRegistry, MetricsSnapshot
 from ..obs import events as _ambient_events
 from ..obs import metrics as _ambient_metrics
@@ -60,7 +64,7 @@ __all__ = [
     "simulated_annealing",
 ]
 
-SEARCH_METHODS = ("hill_climb", "anneal", "hybrid")
+SEARCH_METHODS = ("hill_climb", "anneal")
 
 #: Relative improvement below which two values are considered equal
 #: (guards against accepting float noise as progress).
@@ -87,8 +91,8 @@ class Objective(Protocol):
     """What the kernel asks of a search problem.
 
     ``score``, ``screen`` and ``confirm`` take batches, one entry per
-    climb of a lockstep call (:func:`hill_climb_all`); the annealer calls
-    them with one-element lists.
+    climb or walk of a lockstep call; only the kernel's server calls
+    them.
     """
 
     #: receives the ``search.moves.*`` counters
@@ -128,8 +132,8 @@ class Climb(NamedTuple):
     rounds: int
 
 
-#: The kinds of request a climb makes, in the order the kernel serves
-#: them: the start scores, then the screens, then each confirm wave.
+#: The kinds of request a climb or walk makes, in the order the kernel
+#: serves them: the start scores, then the screens, then each confirm wave.
 _SCORE, _SCREEN, _CONFIRM = range(3)
 
 
@@ -179,14 +183,73 @@ def _climb_steps(
     return Climb(state, value, detail, rounds)
 
 
-def _serve(objective: Objective, kind: int, requests: list) -> list:
-    """The answers to a batch of requests of one kind."""
-    if kind == _SCORE:
-        return objective.score(requests)
-    if kind == _SCREEN:
-        return objective.screen(requests)
-    states, screened = zip(*requests)
-    return objective.confirm(states, screened)
+def _walk_steps(
+    objective: Objective,
+    start: Any,
+    rng: np.random.Generator,
+    iterations: int,
+) -> Generator[tuple[int, Any], Any, Climb]:
+    """One annealing walk as a generator, like :func:`_climb_steps`: each
+    step screens one random move against the current state and confirms
+    it only when the Metropolis rule accepts it."""
+    state = start
+    value, detail = yield _SCORE, start
+    best = Climb(state, value, detail, 0)
+    temperature = INITIAL_TEMPERATURE * value
+    c_proposed = objective.metrics.counter("search.moves.proposed")
+    c_accepted = objective.metrics.counter("search.moves.accepted")
+    bus = _ambient_events()
+    accepted = 0
+    for it in range(iterations):
+        cand = objective.random_neighbor(state, rng)
+        if cand is None:  # a rigid state: nothing to explore
+            break
+        c_proposed.inc()
+        (screened,) = yield _SCREEN, ([cand], detail)
+        delta = screened - value
+        if delta <= 0.0 or rng.random() < math.exp(
+            -delta / max(temperature, 1e-300)
+        ):
+            value, detail = yield _CONFIRM, (cand, screened)
+            state = cand
+            accepted += 1
+            c_accepted.inc()
+            if improves(value, best.value):
+                best = Climb(state, value, detail, 0)
+                if bus.enabled:
+                    bus.emit(
+                        "search.best", iteration=it, value=value, accepted=accepted
+                    )
+        temperature *= COOLING
+    return best._replace(rounds=accepted)
+
+
+def _lockstep(objective: Objective, steps: Sequence[Generator]) -> list[Climb]:
+    """Run climbs and walks together and return where each ended.
+
+    Every round serves all waiting requests of the lowest kind in one
+    call: the start scores, then every waiting screen, and once no step
+    waits on a screen, each confirm wave (see the module docstring).
+    """
+    pending = {i: next(step) for i, step in enumerate(steps)}
+    ends: list[Climb] = [None] * len(steps)  # type: ignore[list-item]
+    while pending:
+        kind = min(kind for kind, _ in pending.values())
+        wave = [i for i, (k, _) in pending.items() if k == kind]
+        requests = [pending[i][1] for i in wave]
+        if kind == _SCORE:
+            answers = objective.score(requests)
+        elif kind == _SCREEN:
+            answers = objective.screen(requests)
+        else:  # (state, screened value) pairs
+            answers = objective.confirm(*zip(*requests))
+        for i, answer in zip(wave, answers):
+            try:
+                pending[i] = steps[i].send(answer)
+            except StopIteration as done:
+                del pending[i]
+                ends[i] = done.value
+    return ends
 
 
 def hill_climb_all(
@@ -208,27 +271,15 @@ def hill_climb_all(
     neighbour beats, or after ``max_rounds`` moves.
 
     Climb ``i`` draws its moves from ``rngs[i]`` and takes the steps it
-    would take alone; the kernel only batches the requests of all climbs
-    (see the module docstring): the start scores, then every waiting
-    screen, and once no climb waits on a screen, each confirm wave.
+    would take alone; the kernel only batches the requests of all climbs.
     """
-    steps = [
-        _climb_steps(objective, start, rng, max_rounds, polish_budget)
-        for start, rng in zip(starts, rngs)
-    ]
-    pending = {i: next(step) for i, step in enumerate(steps)}
-    climbs: list[Climb] = [None] * len(steps)  # type: ignore[list-item]
-    while pending:
-        kind = min(kind for kind, _ in pending.values())
-        wave = [i for i, (k, _) in pending.items() if k == kind]
-        answers = _serve(objective, kind, [pending[i][1] for i in wave])
-        for i, answer in zip(wave, answers):
-            try:
-                pending[i] = steps[i].send(answer)
-            except StopIteration as done:
-                del pending[i]
-                climbs[i] = done.value
-    return climbs
+    return _lockstep(
+        objective,
+        [
+            _climb_steps(objective, start, rng, max_rounds, polish_budget)
+            for start, rng in zip(starts, rngs)
+        ],
+    )
 
 
 def hill_climb(
@@ -260,60 +311,25 @@ def simulated_annealing(
     exact price only for accepted states.  ``rounds`` counts the
     accepted moves.
     """
-    state = start
-    ((value, detail),) = objective.score([state])
-    best = Climb(state, value, detail, 0)
-    temperature = INITIAL_TEMPERATURE * value
-    c_proposed = objective.metrics.counter("search.moves.proposed")
-    c_accepted = objective.metrics.counter("search.moves.accepted")
-    bus = _ambient_events()
-    accepted = 0
-    for it in range(iterations):
-        cand = objective.random_neighbor(state, rng)
-        if cand is None:  # a rigid state: nothing to explore
-            break
-        c_proposed.inc()
-        ((screened,),) = objective.screen([([cand], detail)])
-        delta = screened - value
-        if delta <= 0.0 or rng.random() < math.exp(
-            -delta / max(temperature, 1e-300)
-        ):
-            ((value, detail),) = objective.confirm([cand], [screened])
-            state = cand
-            accepted += 1
-            c_accepted.inc()
-            if improves(value, best.value):
-                best = Climb(state, value, detail, 0)
-                if bus.enabled:
-                    bus.emit(
-                        "search.best", iteration=it, value=value, accepted=accepted
-                    )
-        temperature *= COOLING
-    return best._replace(rounds=accepted)
+    (walk,) = _lockstep(objective, [_walk_steps(objective, start, rng, iterations)])
+    return walk
 
 
 class Multistart:
     """A multistart search in progress: every climb's value, the best.
 
     :func:`multistart` climbs the starts; callers may then climb more
-    states (:meth:`climb_all`) and anneal from the winner (:meth:`anneal`)
-    before :meth:`publish` folds the work accounting.
+    states (:meth:`climb_all`) before :meth:`publish` folds the work
+    accounting.
     """
 
     def __init__(
         self,
         objective: Objective,
-        method: str,
-        *,
-        iterations: int,
-        max_rounds: int,
-        polish_budget: int | None,
+        steps: Callable[[Any, np.random.Generator], Generator],
     ) -> None:
         self.objective = objective
-        self.method = method
-        self.iterations = iterations
-        self.max_rounds = max_rounds
-        self.polish_budget = polish_budget
+        self.steps = steps  #: one start's climb or walk, as a generator
         self.climbs: list[Climb] = []  #: the start climbs, in start order
         self.best: Climb | None = None
         self.start_values: dict[str, float] = {}
@@ -326,55 +342,25 @@ class Multistart:
         if self.best is None or improves(climb.value, self.best.value):
             self.best = climb
 
-    def _run(
-        self, starts: Sequence, seeds: Sequence[np.random.SeedSequence]
-    ) -> list[Climb]:
-        """Climb ``starts`` under one ``search.climbs`` span: a walk each
-        for ``anneal``, else one lockstep hill climb."""
-        with _span("search.climbs", starts=len(starts)) as sp:
-            rngs = [np.random.default_rng(seed) for seed in seeds]
-            if self.method == "anneal":
-                climbs = [
-                    simulated_annealing(
-                        self.objective, start, rng, iterations=self.iterations
-                    )
-                    for start, rng in zip(starts, rngs)
-                ]
-            else:
-                climbs = hill_climb_all(
-                    self.objective,
-                    starts,
-                    rngs,
-                    max_rounds=self.max_rounds,
-                    polish_budget=self.polish_budget,
-                )
-            sp.set(rounds=sum(climb.rounds for climb in climbs))
-        return climbs
-
     def climb_all(
         self,
         starts: Sequence[tuple[str, Any]],
         seeds: Sequence[np.random.SeedSequence],
     ) -> list[Climb]:
-        """Climb more ``(label, state)`` starts as the method's start
-        climbs are climbed, and offer them in order."""
-        climbs = self._run([state for _, state in starts], seeds)
+        """Climb ``(label, state)`` starts in lockstep under one
+        ``search.climbs`` span, and offer them in order."""
+        with _span("search.climbs", starts=len(starts)) as sp:
+            climbs = _lockstep(
+                self.objective,
+                [
+                    self.steps(state, np.random.default_rng(seed))
+                    for (_, state), seed in zip(starts, seeds)
+                ],
+            )
+            sp.set(rounds=sum(climb.rounds for climb in climbs))
         for (label, _), climb in zip(starts, climbs):
             self.offer(label, climb)
         return climbs
-
-    def anneal(self, seed: np.random.SeedSequence) -> None:
-        """The ``hybrid`` method's last step: one walk from the winner."""
-        assert self.best is not None
-        with _span("search.anneal") as sp:
-            result = simulated_annealing(
-                self.objective,
-                self.best.state,
-                np.random.default_rng(seed),
-                iterations=self.iterations,
-            )
-            sp.set(value=result.value)
-        self.offer("anneal", result)
 
     def publish(self) -> MetricsSnapshot:
         """The objective's counters, also merged into the ambient
@@ -396,24 +382,26 @@ def multistart(
 ) -> Multistart:
     """Climb every ``(label, state)`` start with its own seed.
 
-    ``anneal`` walks from each start; ``hill_climb`` and ``hybrid``
-    hill-climb them, in-process in one lockstep :func:`hill_climb_all`
-    call (the ``hybrid`` walk is :meth:`Multistart.anneal`).  Each climb
-    emits one ``search.climb`` event, in start order.
+    ``hill_climb`` climbs each start and ``anneal`` walks from each, all
+    in one lockstep call.  Each climb emits one ``search.climb`` event,
+    in start order.
     """
-    search = Multistart(
-        objective,
-        method,
-        iterations=iterations,
-        max_rounds=max_rounds,
-        polish_budget=polish_budget,
-    )
+    if method == "hill_climb":
+        steps = partial(
+            _climb_steps, objective, max_rounds=max_rounds, polish_budget=polish_budget
+        )
+    elif method == "anneal":
+        steps = partial(_walk_steps, objective, iterations=iterations)
+    else:
+        raise InvalidParameterError(
+            f"unknown search method {method!r}; expected one of {SEARCH_METHODS}"
+        )
+    search = Multistart(objective, steps)
     objective.metrics.counter("search.starts").inc(len(starts))
-    search.climbs = search._run([start for _, start in starts], seeds)
+    search.climbs = search.climb_all(starts, seeds)
     bus = _ambient_events()
-    for (label, _), climb in zip(starts, search.climbs):
-        search.offer(label, climb)
-        if bus.enabled:
+    if bus.enabled:
+        for (label, _), climb in zip(starts, search.climbs):
             bus.emit(
                 "search.climb", label=label, value=climb.value, rounds=climb.rounds
             )

@@ -77,7 +77,7 @@ from ..obs import MetricsRegistry, MetricsSnapshot, get_logger
 from ..obs import span as _span
 from ..simulation.parallel import ParallelPlan, WorkerPlan
 from .linearize import candidate_orders
-from .local_search import SEARCH_METHODS, multistart, neighbor_cap
+from .local_search import multistart, neighbor_cap
 from .search import neighborhood, random_neighbor, start_orders, subsample
 from .workflow import WorkflowDAG
 
@@ -993,20 +993,16 @@ def search_parallel(
     through the greedy forward pass, plus a one-task-per-worker seed
     when ``processors >= n`` and ``restarts`` random orders), each
     climbed under :class:`ParallelObjective` with (assignment, order)
-    moves.  ``method`` follows the chain search (``"hill_climb"``,
-    ``"anneal"``, ``"hybrid"``).
+    moves.  ``method`` follows the chain search (``"hill_climb"`` or
+    ``"anneal"``).
 
-    Seeding discipline matches PR-5's: every random choice descends from
+    Seeding matches the chain search: every random choice descends from
     ``seed`` through spawned ``SeedSequence`` children, one per start, so
     the result is reproducible for a fixed ``seed``.
     """
-    if method not in SEARCH_METHODS:
-        raise InvalidParameterError(
-            f"unknown search method {method!r}; expected one of {SEARCH_METHODS}"
-        )
     objective = ParallelObjective(dag, platform, processors, algorithm=algorithm)
 
-    ss_starts, ss_climbs, ss_anneal = np.random.SeedSequence(seed).spawn(3)
+    ss_starts, ss_climbs = np.random.SeedSequence(seed).spawn(2)
     starts = _start_states(
         dag, processors, restarts, np.random.default_rng(ss_starts)
     )
@@ -1019,8 +1015,6 @@ def search_parallel(
         iterations=iterations,
         max_rounds=max_rounds,
     )
-    if method == "hybrid":
-        search.anneal(ss_anneal)
     best_state, best_value = search.best.state, search.best.value
 
     pricing = objective.price(best_state)

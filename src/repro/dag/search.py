@@ -720,7 +720,7 @@ def _search_join_order(
     n = instance.n_sources
     objective = JoinObjective(instance)
 
-    ss_starts, ss_climbs, ss_anneal = np.random.SeedSequence(seed).spawn(3)
+    ss_starts, ss_climbs = np.random.SeedSequence(seed).spawn(2)
     _, thr = threshold_join(instance)
     starts: list[tuple[str, JoinSchedule]] = [("threshold", thr)]
     for label, sign in (("heavy-first", -1.0), ("light-first", 1.0)):
@@ -746,8 +746,6 @@ def _search_join_order(
         iterations=iterations,
         max_rounds=max_rounds,
     )
-    if method == "hybrid":
-        search.anneal(ss_anneal)
     best_schedule, best_value = search.best.state, search.best.value
 
     order_nodes = [sources[i] for i in best_schedule.order] + [sink]
@@ -840,9 +838,8 @@ def search_order(
         ``"hill_climb"`` — steepest descent from every heuristic order
         plus ``restarts`` random orders; ``"anneal"`` — an independent
         ``iterations``-step simulated-annealing walk from *each* of those
-        starts (so total work scales with the start count); ``"hybrid"``
-        — hill climbing from every start, then one annealing walk from
-        its winner.
+        starts (so total work scales with the start count).  Either way
+        the starts run in lockstep (:mod:`repro.dag.local_search`).
     seed:
         Single seed pinning every random choice.  Each start climbs with
         an independently spawned child seed, so results are reproducible
@@ -852,10 +849,6 @@ def search_order(
         (precedence-preserving one-point OX, decisions N/A on chains);
         each child is climbed like a start.  0 disables recombination.
     """
-    if method not in SEARCH_METHODS:
-        raise InvalidParameterError(
-            f"unknown search method {method!r}; expected one of {SEARCH_METHODS}"
-        )
     if uses_join_objective(dag):
         return _search_join_order(
             dag,
@@ -868,9 +861,7 @@ def search_order(
         )
     objective = ChainObjective(dag, platform, algorithm=algorithm)
 
-    ss_starts, ss_climbs, ss_recombine, ss_anneal = np.random.SeedSequence(
-        seed
-    ).spawn(4)
+    ss_starts, ss_climbs, ss_recombine = np.random.SeedSequence(seed).spawn(3)
     starts = start_orders(dag, restarts, np.random.default_rng(ss_starts))
     objective.metrics.counter("search.restarts").inc(max(0, restarts))
     search = multistart(
@@ -905,8 +896,6 @@ def search_order(
             search.climb_all(children, seeds[1:])
             recombined = len(children)
 
-    if method == "hybrid":
-        search.anneal(ss_anneal)
     best_order, best_solution = search.best.state, search.best.detail
 
     merged = search.publish()

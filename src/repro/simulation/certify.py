@@ -52,8 +52,8 @@ _JOIN_MIN_RUNS = 2000
 
 def certification_seed(seed: int) -> np.random.SeedSequence:
     """The campaign seed of a DAG result searched with ``seed``: child 4
-    of ``SeedSequence(seed)``.  Chain search draws from children 0-3,
-    join and p=2 search from 0-2, so no stamp (nor the p=2 makespan
+    of ``SeedSequence(seed)``.  Chain search draws from children 0-2,
+    join and p=2 search from 0-1, so no stamp (nor the p=2 makespan
     estimate, which draws from it too) replays a search stream."""
     return np.random.SeedSequence(seed).spawn(5)[4]
 

@@ -66,22 +66,6 @@ GOLDEN = [
         (266, 39, 147, 300),
     ),
     (
-        "join-6",
-        "hybrid",
-        "4 1 5 0 2 3",
-        "111110",
-        "0x1.2b4e0bd789164p+12",
-        (
-            ("threshold", "0x1.2cf587b8f4281p+12"),
-            ("heavy-first", "0x1.2b4e0bd789164p+12"),
-            ("light-first", "0x1.2cf587b8f4281p+12"),
-            ("random-0", "0x1.2cf587b8f4281p+12"),
-            ("random-1", "0x1.2cf587b8f4281p+12"),
-            ("anneal", "0x1.2b4e0bd789164p+12"),
-        ),
-        (676, 218, 57, 888),
-    ),
-    (
         "join-9",
         "hill_climb",
         "4 0 1 2 3 5 6 7 8",
@@ -112,22 +96,6 @@ GOLDEN = [
         (277, 28, 122, 300),
     ),
     (
-        "join-9",
-        "hybrid",
-        "4 0 1 2 3 5 6 7 8",
-        "111111111",
-        "0x1.415e77462cf9ep+13",
-        (
-            ("threshold", "0x1.415e77462cf9ep+13"),
-            ("heavy-first", "0x1.415e77462cf9fp+13"),
-            ("light-first", "0x1.415e77462cf9fp+13"),
-            ("random-0", "0x1.41652f4bf9225p+13"),
-            ("random-1", "0x1.415e77462cf9fp+13"),
-            ("anneal", "0x1.415e77462cf9ep+13"),
-        ),
-        (1885, 287, 59, 2166),
-    ),
-    (
         "join-12",
         "hill_climb",
         "4 5 10 7 8 0 11 6 2 1 9 3",
@@ -156,22 +124,6 @@ GOLDEN = [
             ("random-1", "0x1.cd9b65bfcabc9p+13"),
         ),
         (298, 7, 140, 300),
-    ),
-    (
-        "join-12",
-        "hybrid",
-        "4 5 10 7 8 0 11 6 2 1 9 3",
-        "111111111100",
-        "0x1.bb4f74d9d187ep+13",
-        (
-            ("threshold", "0x1.c0612f025ed89p+13"),
-            ("heavy-first", "0x1.bb4f74d9d187ep+13"),
-            ("light-first", "0x1.d7d36fdcd3d62p+13"),
-            ("random-0", "0x1.bf7a7c9e6640dp+13"),
-            ("random-1", "0x1.fca7dc0e0c24bp+13"),
-            ("anneal", "0x1.bb4f74d9d187ep+13"),
-        ),
-        (3914, 472, 62, 4380),
     ),
 ]
 

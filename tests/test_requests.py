@@ -325,8 +325,25 @@ def test_negative_seeds_are_400(server, path, request_doc, field):
         ("simulate", "--seed", "-1"),
         ("sweep", "--seed", "-1", "--max-n", "2"),
         ("dag", "optimize", "--seed", "-1"),
+        ("dag", "sweep", "--seed", "-1"),
     ],
 )
 def test_negative_seeds_are_cli_errors(capsys, argv):
     assert main(list(argv)) == 2
     assert "must be a non-negative integer" in capsys.readouterr().err
+
+
+def test_hybrid_is_no_search_method(server, capsys):
+    """``hybrid`` (hill climbs, then one walk from the winner) was folded
+    away: both front ends reject it and name the methods they take."""
+    with pytest.raises(SystemExit) as exc:
+        main(["dag", "optimize", "--strategy", "search", "--method", "hybrid"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'hybrid'" in capsys.readouterr().err
+    status, body = _post(
+        server, "/dag/optimize", {"strategy": "search", "method": "hybrid"}
+    )
+    assert status == 400, body
+    assert json.loads(body)["error"] == (
+        "unknown search method 'hybrid'; expected one of ('hill_climb', 'anneal')"
+    )

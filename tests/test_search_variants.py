@@ -51,12 +51,10 @@ PAYLOAD_KEYS = {
     "search.best": {"iteration", "value", "accepted"},
     "search.climb": {"label", "value", "rounds"},
 }
-#: event kinds each method emits on these instances; a hybrid run also
-#: emits ``search.best`` when its walk beats the climbed winner
+#: event kinds each method emits on these instances
 EXPECTED_KINDS = {
     "hill_climb": {"search.round", "search.climb"},
     "anneal": {"search.best", "search.climb"},
-    "hybrid": {"search.round", "search.climb"},
 }
 
 
