@@ -26,8 +26,10 @@ setup(
     python_requires=">=3.10",
     # numpy >= 2: the batched kernel targets the array-API standard names
     # (np.bool / np.astype / np.concat) that NumPy only exposes from 2.0.
-    # networkx: repro.dag stores and sorts workflow graphs with it.
-    install_requires=["numpy>=2.0", "scipy", "networkx"],
+    # scipy: imported on first use, for Student-t critical values only.
+    # repro.dag keeps its own workflow graph; networkx is a test-only
+    # oracle (requirements-ci.txt).
+    install_requires=["numpy>=2.0", "scipy"],
     entry_points={
         "console_scripts": [
             "repro = repro.cli:main",

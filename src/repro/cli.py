@@ -604,7 +604,7 @@ def _cmd_dag_generate(args) -> str:
     lines = [
         f"{dag!r} (kind={doc['kind']}, seed={doc['seed']})",
         f"  total work {dag.total_weight:.1f}s over {dag.n} tasks, "
-        f"{dag.graph.number_of_edges()} edges",
+        f"{len(dag.graph.edges)} edges",
         f"  sources {len(dag.sources())}, sinks {len(dag.sinks())}, "
         f"critical path {length:.1f}s ({len(path)} tasks)",
     ]

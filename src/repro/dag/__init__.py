@@ -53,9 +53,10 @@ from .search import (
     crossover_orders,
     search_order,
 )
-from .workflow import WorkflowDAG, canonical_node_key
+from .workflow import DagGraph, WorkflowDAG, canonical_node_key
 
 __all__ = [
+    "DagGraph",
     "WorkflowDAG",
     "canonical_node_key",
     "DagSolution",

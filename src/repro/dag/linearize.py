@@ -28,11 +28,8 @@ optimum.  All deterministic tie-breaks use the numeric-aware
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from collections.abc import Hashable
-
-import networkx as nx
 
 from ..exceptions import InvalidParameterError
 from ..platforms import Platform
@@ -50,32 +47,10 @@ __all__ = ["candidate_orders", "optimize_dag", "DagSolution", "ORDER_STRATEGIES"
 MAX_EXHAUSTIVE_ORDERS = 20_000
 
 
-def _list_schedule(dag: WorkflowDAG, priority) -> list[Hashable]:
-    """Generic list scheduling: repeatedly run the ready task minimizing
-    ``priority(v)``; ties break on the canonical node order."""
-    graph = dag.graph
-    indeg = {v: graph.in_degree(v) for v in graph}
-    ready = [
-        (priority(v), canonical_node_key(v), v)
-        for v in graph
-        if indeg[v] == 0
-    ]
-    heapq.heapify(ready)
-    order: list[Hashable] = []
-    while ready:
-        _, _, v = heapq.heappop(ready)
-        order.append(v)
-        for w in graph.successors(v):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(ready, (priority(w), canonical_node_key(w), w))
-    return order
-
-
 def _greedy_order(dag: WorkflowDAG, *, heavy_first: bool) -> list[Hashable]:
     """List scheduling: among ready tasks, pick the heaviest (or lightest)."""
     sign = -1.0 if heavy_first else 1.0
-    return _list_schedule(dag, lambda v: sign * dag.weight(v))
+    return dag.graph.canonical_sort(lambda v: sign * dag.weight(v))
 
 
 def _level_keys(dag: WorkflowDAG) -> tuple[dict, dict]:
@@ -86,7 +61,7 @@ def _level_keys(dag: WorkflowDAG) -> tuple[dict, dict]:
     (``v`` excluded).  Their sum is the longest path *through* ``v``.
     """
     graph = dag.graph
-    order = list(nx.topological_sort(graph))
+    order = graph.topological_sort()
     top: dict[Hashable, float] = {}
     for v in order:
         top[v] = max(
@@ -104,13 +79,13 @@ def _level_keys(dag: WorkflowDAG) -> tuple[dict, dict]:
 def _bottom_level_order(dag: WorkflowDAG) -> list[Hashable]:
     """Priority rule: largest bottom level first (critical-path method)."""
     _, bottom = _level_keys(dag)
-    return _list_schedule(dag, lambda v: -bottom[v])
+    return dag.graph.canonical_sort(lambda v: -bottom[v])
 
 
 def _critical_path_order(dag: WorkflowDAG) -> list[Hashable]:
     """Priority rule: longest path through the task first."""
     top, bottom = _level_keys(dag)
-    return _list_schedule(dag, lambda v: -(top[v] + bottom[v]))
+    return dag.graph.canonical_sort(lambda v: -(top[v] + bottom[v]))
 
 
 def _dfs_order(dag: WorkflowDAG) -> list[Hashable]:
@@ -188,11 +163,7 @@ def candidate_orders(
     orders: list[list[Hashable]] = []
     for name in names:
         if name == "lexicographic":
-            order = list(
-                nx.lexicographical_topological_sort(
-                    dag.graph, key=canonical_node_key
-                )
-            )
+            order = dag.graph.canonical_sort()
         elif name == "heavy_first":
             order = _greedy_order(dag, heavy_first=True)
         elif name == "light_first":

@@ -64,7 +64,7 @@ from itertools import chain
 
 import numpy as np
 
-from ..exceptions import InvalidChainError, InvalidParameterError
+from ..exceptions import InvalidParameterError
 from ..chains import TaskChain
 from ..platforms import Platform
 from ..core.costs import COST_NAMES, CostProfile
@@ -79,7 +79,7 @@ from ..simulation.parallel import ParallelPlan, WorkerPlan
 from .linearize import candidate_orders
 from .local_search import multistart, neighbor_cap
 from .search import neighborhood, random_neighbor, start_orders, subsample
-from .workflow import WorkflowDAG
+from .workflow import DagGraph, WorkflowDAG
 
 __all__ = [
     "ParallelSchedule",
@@ -155,16 +155,7 @@ class ParallelSchedule:
             raise InvalidParameterError(
                 f"processors must be >= 1, got {self.processors}"
             )
-        if set(self.order) != set(self.dag.graph) or len(self.order) != self.dag.n:
-            raise InvalidChainError(
-                "order must list every task of the DAG exactly once"
-            )
-        position = {v: i for i, v in enumerate(self.order)}
-        for u, v in self.dag.graph.edges:
-            if position[u] >= position[v]:
-                raise InvalidChainError(
-                    f"order violates precedence: {u!r} must precede {v!r}"
-                )
+        self.dag.check_order(self.order)
         for v in self.order:
             w = self.assignment.get(v)
             if w is None or not 0 <= int(w) < self.processors:
@@ -212,41 +203,22 @@ class ParallelSchedule:
     def layout(self) -> _Layout:
         """Commit boundaries + epoch dependencies (cached)."""
         if self._layout is None:
-            index = _DagIndex(self.dag)
+            graph = self.dag.graph
             key = self.key()
-            numbers, seqs = _sequences(index, self.processors, key)
+            numbers, seqs = _sequences(graph, self.processors, key)
             self._layout = _epochs(
-                index, numbers, key[1], seqs, [_cuts(index, seq) for seq in seqs]
+                graph, numbers, key[1], seqs, [_cuts(graph, seq) for seq in seqs]
             )
         return self._layout
 
 
-class _DagIndex:
-    """The DAG with its tasks numbered (in graph order): its edges, and
-    each task's predecessors and successors."""
-
-    __slots__ = ("nodes", "number", "edges", "preds", "succs")
-
-    def __init__(self, dag: WorkflowDAG) -> None:
-        graph = dag.graph
-        self.nodes: tuple[Hashable, ...] = tuple(graph)
-        number = self.number = {v: i for i, v in enumerate(self.nodes)}
-        self.edges = tuple((number[u], number[v]) for u, v in graph.edges)
-        self.preds = tuple(
-            frozenset(number[u] for u in graph.predecessors(v)) for v in self.nodes
-        )
-        self.succs = tuple(
-            frozenset(number[u] for u in graph.successors(v)) for v in self.nodes
-        )
-
-
 def _sequences(
-    index: _DagIndex, processors: int, key: tuple
+    graph: DagGraph, processors: int, key: tuple
 ) -> tuple[list[int], list[list[int]]]:
     """The state ``key``'s global order in task numbers and each
     worker's task sequence: its layout, which fixes its value."""
     order, workers = key
-    numbers = list(map(index.number.__getitem__, order))
+    numbers = list(map(graph.number.__getitem__, order))
     seqs: list[list[int]] = [[] for _ in range(processors)]
     for i, w in zip(numbers, workers):
         seqs[w].append(i)
@@ -258,7 +230,7 @@ _Placement = tuple[tuple[bool, ...], tuple]
 
 
 def _cuts(
-    index: _DagIndex, seq: Sequence[int]
+    graph: DagGraph, seq: Sequence[int]
 ) -> tuple[tuple[bool, ...], tuple[int, ...]]:
     """Epoch-opening flags of a worker's task sequence and its commit
     boundaries (1-based interior positions).
@@ -268,7 +240,7 @@ def _cuts(
     its worker, opens an epoch.  Whether a neighbour is remote depends
     only on the worker's own task set, so the sequence alone fixes both.
     """
-    preds, succs = index.preds, index.succs
+    preds, succs = graph.preds, graph.succs
     tasks = frozenset(seq)
     flags = []
     boundaries = []
@@ -283,7 +255,7 @@ def _cuts(
 
 
 def _fold(
-    index: _DagIndex,
+    graph: DagGraph,
     numbers: Sequence[int],
     workers: Sequence[int],
     flags: Sequence[Sequence[bool]],
@@ -301,7 +273,7 @@ def _fold(
     finished no later than that worker's previous epoch, so it never
     raises a start.
     """
-    preds = index.preds
+    preds = graph.preds
     completion = [0.0] * len(flags)  # of each worker's latest epoch
     finish = [0.0] * len(numbers)  # completion of each task's epoch
     opening = [iter(f) for f in flags]
@@ -318,7 +290,7 @@ def _fold(
 
 
 def _epochs(
-    index: _DagIndex,
+    graph: DagGraph,
     numbers: Sequence[int],
     workers: Sequence[int],
     seqs: Sequence[Sequence[int]],
@@ -342,11 +314,12 @@ def _epochs(
         [set() for _ in range(count[w] + 1)] if seq else []
         for w, seq in enumerate(seqs)
     ]
-    for u, v in index.edges:
-        if worker_of[u] != worker_of[v]:
-            deps[worker_of[v]][epoch[v]].add((worker_of[u], epoch[u]))
+    for v, preds in enumerate(graph.preds):
+        for u in preds:
+            if worker_of[u] != worker_of[v]:
+                deps[worker_of[v]][epoch[v]].add((worker_of[u], epoch[u]))
     return _Layout(
-        worker_orders=tuple(tuple(index.nodes[i] for i in seq) for seq in seqs),
+        worker_orders=tuple(tuple(graph.nodes[i] for i in seq) for seq in seqs),
         boundaries=tuple(boundaries for _, boundaries in cuts),
         deps=tuple(tuple(tuple(sorted(d)) for d in dw) for dw in deps),
         epoch_sequence=tuple(sequence),
@@ -475,8 +448,7 @@ class ParallelObjective:
         self.heterogeneous = dag.has_heterogeneous_costs()
         # per task number: weights, cost multipliers (None when uniform)
         # and their bytes, from which the memo keys are joined
-        self._index = _DagIndex(dag)
-        nodes = self._index.nodes
+        nodes = dag.graph.nodes
         self._weights = np.array([float(dag.weight(v)) for v in nodes])
         self._weight_bytes = [w.tobytes() for w in self._weights]
         self._mults = (
@@ -543,7 +515,7 @@ class ParallelObjective:
                 continue
             entry = self._placements.get(seq) or placed.get(seq)
             if entry is None:
-                flags, boundaries = _cuts(self._index, seq)
+                flags, boundaries = _cuts(self.dag.graph, seq)
                 key = (
                     b"".join([self._weight_bytes[i] for i in seq]),
                     None
@@ -671,7 +643,7 @@ class ParallelObjective:
     def price(self, state: ParallelSchedule) -> ParallelPricing:
         """Schedules, epoch durations and surrogate value of ``state``."""
         key = state.key()
-        numbers, seqs = _sequences(self._index, self.processors, key)
+        numbers, seqs = _sequences(self.dag.graph, self.processors, key)
         placed: dict[tuple[int, ...], _Placement] = {}
         workers: dict[tuple, tuple[tuple, ...]] = {}
         intervals: dict[tuple, tuple[tuple[int, ...], float, float]] = {}
@@ -679,7 +651,7 @@ class ParallelObjective:
         self._price(placed, workers, intervals)
         flags, durations = self._fold_inputs(entries)
         return ParallelPricing(
-            value=_fold(self._index, numbers, key[1], flags, durations),
+            value=_fold(self.dag.graph, numbers, key[1], flags, durations),
             worker_schedules=tuple(
                 None if e is None else Schedule(self._workers[e[1]][1])
                 for e in entries
@@ -712,7 +684,7 @@ class ParallelObjective:
             for key in keys:
                 if key in self._values or key in fresh:
                     continue
-                numbers, seqs = _sequences(self._index, self.processors, key)
+                numbers, seqs = _sequences(self.dag.graph, self.processors, key)
                 layout = fresh[key] = tuple(map(tuple, seqs))
                 if layout in self._layouts or layout in layouts:
                     layout_hits += 1
@@ -728,7 +700,7 @@ class ParallelObjective:
         with _span("parallel.fold", layouts=len(layouts)):
             for layout, (numbers, at, entries) in layouts.items():
                 self._layouts[layout] = _fold(
-                    self._index, numbers, at, *self._fold_inputs(entries)
+                    self.dag.graph, numbers, at, *self._fold_inputs(entries)
                 )
         for key, layout in fresh.items():
             self._values[key] = self._layouts[layout]

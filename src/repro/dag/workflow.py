@@ -6,24 +6,25 @@ arbitrary DAG, each task requires the whole platform (so any execution is a
 and the resilience actions.  Even the restricted join-graph case with only
 fail-stop errors is NP-hard [Aupy, Benoit, Casanova, Robert, APDCM'15].
 
-This module provides the workflow model: a :class:`WorkflowDAG` wraps a
-``networkx.DiGraph`` whose nodes carry weights, with validation (acyclicity,
-positive weights), classic queries (critical path, levels) and the bridges
-to the linear-chain machinery (:meth:`WorkflowDAG.serialise`).
+This module provides the workflow model: a :class:`WorkflowDAG` holds the
+weights and a :class:`DagGraph`, the task graph numbered once, with
+validation (acyclicity, positive weights), classic queries (critical path,
+levels) and the bridges to the linear-chain machinery
+(:meth:`WorkflowDAG.serialise`).
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
-from collections.abc import Hashable, Iterable, Mapping
-
-import networkx as nx
+from collections import deque
+from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from ..chains import TaskChain
 from ..exceptions import InvalidChainError
 
-__all__ = ["WorkflowDAG", "canonical_node_key"]
+__all__ = ["DagGraph", "WorkflowDAG", "canonical_node_key"]
 
 _DIGIT_RUN = re.compile(r"(\d+)")
 
@@ -49,6 +50,137 @@ def canonical_node_key(node: Hashable) -> tuple:
         if run
     )
     return (chunks, repr(node))
+
+
+class DagGraph:
+    """A task graph built once, never changed: tasks numbered in insertion order.
+
+    ``edges`` lists the ``(u, v)`` task pairs by source in node order,
+    successors in first-insertion order, a repeated edge once.
+    ``preds[i]`` / ``succs[i]`` hold task ``i``'s neighbours' numbers.
+    Each walk keeps the order of the networkx algorithm it names.
+    """
+
+    __slots__ = ("nodes", "number", "edges", "preds", "succs", "_pred", "_succ")
+
+    def __init__(
+        self, nodes: Iterable[Hashable], edges: Iterable[tuple[Hashable, Hashable]]
+    ) -> None:
+        self.nodes: tuple[Hashable, ...] = tuple(nodes)
+        number = self.number = {v: i for i, v in enumerate(self.nodes)}
+        pred: dict[Hashable, dict] = {v: {} for v in self.nodes}
+        succ: dict[Hashable, dict] = {v: {} for v in self.nodes}
+        for u, v in edges:
+            if u not in number or v not in number:
+                raise InvalidChainError(
+                    f"edge ({u!r}, {v!r}) references an unknown task"
+                )
+            if u == v:
+                raise InvalidChainError(f"self-loop on task {u!r}")
+            succ[u][v] = pred[v][u] = None  # dicts as insertion-ordered sets
+        self._pred = {v: tuple(p) for v, p in pred.items()}
+        self._succ = {v: tuple(s) for v, s in succ.items()}
+        self.edges = tuple((u, v) for u in self.nodes for v in self._succ[u])
+        self.preds = tuple(frozenset(map(number.get, pred[v])) for v in self.nodes)
+        self.succs = tuple(frozenset(map(number.get, succ[v])) for v in self.nodes)
+
+    def __iter__(self) -> Iterator[Hashable]:
+        return iter(self.nodes)
+
+    def predecessors(self, node: Hashable) -> tuple[Hashable, ...]:
+        return self._pred[node]
+
+    def successors(self, node: Hashable) -> tuple[Hashable, ...]:
+        return self._succ[node]
+
+    def in_degree(self, node: Hashable) -> int:
+        return len(self._pred[node])
+
+    def out_degree(self, node: Hashable) -> int:
+        return len(self._succ[node])
+
+    def has_edge(self, u: Hashable, v: Hashable) -> bool:
+        return v in self._succ[u]
+
+    def topological_sort(self) -> list[Hashable]:
+        """Kahn's sort by generations, as ``nx.topological_sort``; the
+        tasks on or after a cycle are left out."""
+        indegree = {v: len(p) for v, p in self._pred.items()}
+        order = [v for v in self.nodes if not indegree[v]]
+        for v in order:  # visits the tasks appended below too
+            for w in self._succ[v]:
+                indegree[w] -= 1
+                if not indegree[w]:
+                    order.append(w)
+        return order
+
+    def canonical_sort(
+        self, priority: Callable[[Hashable], float] = lambda v: 0.0
+    ) -> list[Hashable]:
+        """List scheduling: run the ready task of least ``priority(v)``,
+        ties broken on :func:`canonical_node_key`.  With no priority, it
+        is ``nx.lexicographical_topological_sort(key=canonical_node_key)``."""
+
+        def entry(v: Hashable) -> tuple:
+            return (priority(v), canonical_node_key(v), self.number[v])
+
+        indegree = {v: len(p) for v, p in self._pred.items()}
+        ready = [entry(v) for v in self.nodes if not indegree[v]]
+        heapq.heapify(ready)
+        order: list[Hashable] = []
+        while ready:
+            v = self.nodes[heapq.heappop(ready)[-1]]
+            order.append(v)
+            for w in self._succ[v]:
+                indegree[w] -= 1
+                if not indegree[w]:
+                    heapq.heappush(ready, entry(w))
+        return order
+
+    def all_topological_sorts(self) -> Iterator[list[Hashable]]:
+        """Every order, in ``nx.all_topological_sorts``'s sequence: Knuth's
+        enumeration, rotating the ready list at the deepest position with
+        choices left.  It keeps its own stack: a deep chain needs no recursion."""
+        count = {v: len(p) for v, p in self._pred.items()}
+        ready = deque(v for v in self.nodes if not count[v])
+        order: list[Hashable] = []
+        bases: list[Hashable] = []  # the first task tried at each position
+        while True:
+            while len(order) < len(self.nodes):
+                v = ready.pop()
+                for w in self._succ[v]:
+                    count[w] -= 1
+                    if not count[w]:
+                        ready.append(w)
+                if len(bases) == len(order):
+                    bases.append(v)
+                order.append(v)
+            yield list(order)
+            while bases:
+                v = order.pop()
+                for w in self._succ[v]:
+                    count[w] += 1
+                while ready and count[ready[-1]]:  # ``v``'s successors
+                    ready.pop()
+                ready.appendleft(v)
+                if ready[-1] != bases[-1]:
+                    break
+                bases.pop()
+            if not bases:
+                return
+
+    def find_cycle(self) -> list[tuple[Hashable, Hashable]]:
+        """The edges of one dependency cycle (``[]`` when acyclic)."""
+        left = set(self.nodes).difference(self.topological_sort())
+        # each task left over waits on another: walk back until one repeats
+        path = [v for v in self.nodes if v in left][:1]
+        while path:
+            v = next(u for u in self._pred[path[-1]] if u in left)
+            if v in path:
+                cycle = [v, *path[: path.index(v) : -1]]
+                return list(zip(cycle, cycle[1:] + [v]))
+            path.append(v)
+        return []
 
 
 class WorkflowDAG:
@@ -89,15 +221,15 @@ class WorkflowDAG:
     ) -> None:
         if not weights:
             raise InvalidChainError("a workflow needs at least one task")
-        graph = nx.DiGraph()
         for node, w in weights.items():
             if not (isinstance(w, (int, float)) and math.isfinite(w) and w > 0):
                 raise InvalidChainError(
                     f"task {node!r} weight must be positive and finite, got {w!r}"
                 )
-            graph.add_node(node, weight=float(w))
+        self._weights = {node: float(w) for node, w in weights.items()}
+        self._costs = dict.fromkeys(self._weights, 1.0)
         for node, m in (cost_multipliers or {}).items():
-            if node not in graph:
+            if node not in weights:
                 raise InvalidChainError(
                     f"cost multiplier references an unknown task {node!r}"
                 )
@@ -106,20 +238,12 @@ class WorkflowDAG:
                     f"task {node!r} cost multiplier must be positive and "
                     f"finite, got {m!r}"
                 )
-            graph.nodes[node]["cost"] = float(m)
-        for u, v in edges:
-            if u not in graph or v not in graph:
-                raise InvalidChainError(
-                    f"edge ({u!r}, {v!r}) references an unknown task"
-                )
-            if u == v:
-                raise InvalidChainError(f"self-loop on task {u!r}")
-            graph.add_edge(u, v)
-        if not nx.is_directed_acyclic_graph(graph):
-            cycle = nx.find_cycle(graph)
+            self._costs[node] = float(m)
+        self.graph = DagGraph(weights, edges)
+        cycle = self.graph.find_cycle()
+        if cycle:
             raise InvalidChainError(f"workflow has a dependency cycle: {cycle}")
-        self.graph = graph
-        self.name = name or f"dag-{graph.number_of_nodes()}"
+        self.name = name or f"dag-{self.n}"
 
     # ------------------------------------------------------------------
     # basic queries
@@ -127,21 +251,19 @@ class WorkflowDAG:
     @property
     def n(self) -> int:
         """Number of tasks."""
-        return self.graph.number_of_nodes()
+        return len(self.graph.nodes)
 
     def weight(self, node: Hashable) -> float:
         """Weight of one task."""
-        return float(self.graph.nodes[node]["weight"])
+        return self._weights[node]
 
     def cost_multiplier(self, node: Hashable) -> float:
         """Resilience-cost multiplier of one task (1.0 = platform scalars)."""
-        return float(self.graph.nodes[node].get("cost", 1.0))
+        return self._costs[node]
 
     def has_heterogeneous_costs(self) -> bool:
         """True when any task carries a cost multiplier != 1.0."""
-        return any(
-            d.get("cost", 1.0) != 1.0 for _, d in self.graph.nodes(data=True)
-        )
+        return any(m != 1.0 for m in self._costs.values())
 
     def cost_profile(self, order: list[Hashable], platform) -> "object | None":
         """Per-position :class:`~repro.core.costs.CostProfile` for ``order``.
@@ -163,7 +285,7 @@ class WorkflowDAG:
     @property
     def total_weight(self) -> float:
         """Sum of all task weights (serial error-free execution time)."""
-        return float(sum(d["weight"] for _, d in self.graph.nodes(data=True)))
+        return float(sum(self._weights.values()))
 
     def sources(self) -> list[Hashable]:
         """Tasks with no predecessors."""
@@ -180,7 +302,7 @@ class WorkflowDAG:
         error-free makespan only through the serial total; it is still the
         classic DAG metric users expect to query.
         """
-        order = list(nx.topological_sort(self.graph))
+        order = self.graph.topological_sort()
         dist: dict[Hashable, float] = {}
         pred: dict[Hashable, Hashable | None] = {}
         for v in order:
@@ -198,15 +320,12 @@ class WorkflowDAG:
         return path, dist[end]
 
     def is_chain(self) -> bool:
-        """True if the DAG is a simple linear chain."""
-        degrees_ok = all(
+        """True if the DAG is a simple linear chain: acyclic with every
+        degree at most 1, it is a set of disjoint paths, and ``n - 1``
+        edges make it one path."""
+        return len(self.graph.edges) == self.n - 1 and all(
             self.graph.in_degree(v) <= 1 and self.graph.out_degree(v) <= 1
             for v in self.graph
-        )
-        return (
-            degrees_ok
-            and nx.is_weakly_connected(self.graph)
-            and self.graph.number_of_edges() == self.n - 1
         )
 
     def is_join(self) -> bool:
@@ -225,7 +344,19 @@ class WorkflowDAG:
     # ------------------------------------------------------------------
     def topological_orders(self) -> Iterable[list[Hashable]]:
         """All topological orders (exponential; small DAGs only)."""
-        return nx.all_topological_sorts(self.graph)
+        return self.graph.all_topological_sorts()
+
+    def check_order(self, order: Sequence[Hashable]) -> None:
+        """Raise :class:`InvalidChainError` unless ``order`` lists every
+        task exactly once, each after its predecessors."""
+        if len(order) != self.n or set(order) != set(self.graph.nodes):
+            raise InvalidChainError("order must contain every task exactly once")
+        seen: set[Hashable] = set()
+        for v in order:
+            for u in self.graph.predecessors(v):
+                if u not in seen:
+                    raise InvalidChainError(f"order violates precedence {u!r} -> {v!r}")
+            seen.add(v)
 
     def serialise(
         self, order: list[Hashable] | None = None
@@ -250,26 +381,9 @@ class WorkflowDAG:
             The order used and the weight chain in that order.
         """
         if order is None:
-            order = list(
-                nx.lexicographical_topological_sort(
-                    self.graph, key=canonical_node_key
-                )
-            )
+            order = self.graph.canonical_sort()
         else:
-            # multiset equality without sorting: node identity is what
-            # matters here, not any particular canonical order
-            if len(order) != self.n or set(order) != set(self.graph.nodes):
-                raise InvalidChainError(
-                    "order must contain every task exactly once"
-                )
-            seen: set[Hashable] = set()
-            for v in order:
-                for u in self.graph.predecessors(v):
-                    if u not in seen:
-                        raise InvalidChainError(
-                            f"order violates precedence {u!r} -> {v!r}"
-                        )
-                seen.add(v)
+            self.check_order(order)
         chain = TaskChain(
             [self.weight(v) for v in order], name=f"{self.name}-serialised"
         )
@@ -316,5 +430,5 @@ class WorkflowDAG:
     def __repr__(self) -> str:
         return (
             f"WorkflowDAG({self.name!r}, n={self.n}, "
-            f"edges={self.graph.number_of_edges()})"
+            f"edges={len(self.graph.edges)})"
         )

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from ..exceptions import InvalidParameterError
 
@@ -89,8 +88,10 @@ def t_critical(count: int, confidence: float) -> float:
 def _t_ppf(count: int, confidence: float) -> float:
     # an adaptive campaign asks for a handful of (count, confidence)
     # pairs thousands of times; scipy's ppf costs ~70 us a call on a
-    # 2-vCPU Xeon guest
-    return float(_scipy_stats.t.ppf(0.5 + confidence / 2.0, df=count - 1))
+    # 2-vCPU Xeon guest.  SciPy loads on first use: its import takes ~1 s.
+    from scipy import stats
+
+    return float(stats.t.ppf(0.5 + confidence / 2.0, df=count - 1))
 
 
 def confidence_interval(

@@ -220,7 +220,7 @@ def test_invalid_rows_are_named(rows, bad):
 # ----------------------------------------------------------------------
 def reference_layout(state: ParallelSchedule):
     """Worker orders, boundaries, epoch deps and sequence, walking the
-    networkx edge views by task name."""
+    edges by task name."""
     p = state.processors
     worker_orders: list[list] = [[] for _ in range(p)]
     wpos = {}
@@ -362,11 +362,11 @@ def test_layout_and_fold_equal_the_epoch_graph_reference(case):
 # ----------------------------------------------------------------------
 # the oracle: the full pass that values() replaced
 # ----------------------------------------------------------------------
-def full_place(index, processors, key):
+def full_place(graph, processors, key):
     """Worker sequences, epoch-opening flags and commit boundaries from
     one pass over the global order and one over the edges."""
     order, workers = key
-    numbers = [index.number[v] for v in order]
+    numbers = [graph.number[v] for v in order]
     seqs = [[] for _ in range(processors)]
     worker_of = [0] * len(numbers)
     local = [0] * len(numbers)  # 1-based position on its worker
@@ -378,7 +378,8 @@ def full_place(index, processors, key):
     for seq in seqs:
         if seq:
             opens[seq[0]] = True
-    for u, v in index.edges:
+    number = graph.number
+    for u, v in [(number[u], number[v]) for u, v in graph.edges]:
         if worker_of[u] != worker_of[v]:
             seq = seqs[worker_of[u]]
             if local[u] < len(seq):
@@ -390,7 +391,7 @@ def full_place(index, processors, key):
     return numbers, workers, seqs, opens, boundaries
 
 
-def full_fold(index, placed, durations) -> float:
+def full_fold(graph, placed, durations) -> float:
     """The critical-path fold over the global order."""
     numbers, workers, seqs, opens, _ = placed
     completion = [0.0] * len(seqs)
@@ -399,7 +400,7 @@ def full_fold(index, placed, durations) -> float:
     for i, w in zip(numbers, workers):
         if opens[i]:
             start = completion[w]
-            for u in index.preds[i]:
+            for u in graph.preds[i]:
                 if finish[u] > start:
                     start = finish[u]
             completion[w] = start + next(epochs[w])
@@ -469,13 +470,13 @@ class FullPassObjective(ParallelObjective):
         for key in keys:
             if key in self._values or key in fresh:
                 continue
-            placed = full_place(self._index, self.processors, key)
+            placed = full_place(self.dag.graph, self.processors, key)
             fresh[key] = (placed, self._full_keys(placed, workers, intervals))
         self._price({}, workers, intervals)
         c = self.metrics.counter
         for key, (placed, worker_keys) in fresh.items():
             value = full_fold(
-                self._index,
+                self.dag.graph,
                 placed,
                 [() if k is None else self._workers[k][0] for k in worker_keys],
             )

@@ -68,7 +68,7 @@ class TestGeneratorProperties:
         kind, kwargs = call
         dag = generate(kind, **kwargs)
         # structurally valid: a DAG with positive finite weights
-        assert nx.is_directed_acyclic_graph(dag.graph)
+        assert nx.is_directed_acyclic_graph(nx.DiGraph(dag.graph.edges))
         for v in dag.graph:
             w = dag.weight(v)
             assert math.isfinite(w) and w > 0.0
@@ -92,7 +92,7 @@ class TestGeneratorProperties:
     def test_tree_edge_counts(self):
         for kind in ("in_tree", "out_tree"):
             dag = generate(kind, seed=3, tasks=12, arity=3)
-            assert dag.graph.number_of_edges() == 11  # a tree on 12 nodes
+            assert len(dag.graph.edges) == 11  # a tree on 12 nodes
         assert len(generate("in_tree", seed=3, tasks=12, arity=3).sinks()) == 1
         assert (
             len(generate("out_tree", seed=3, tasks=12, arity=3).sources()) == 1
@@ -102,16 +102,17 @@ class TestGeneratorProperties:
         dag = generate("fork_join", seed=0, branches=3, branch_length=2)
         assert len(dag.sources()) == 1
         assert len(dag.sinks()) == 1
-        assert dag.graph.number_of_edges() == 3 * (2 + 1)
+        assert len(dag.graph.edges) == 3 * (2 + 1)
 
     def test_layered_density_extremes(self):
         sparse = generate("layered", seed=1, tasks=12, layers=3, density=0.0)
         dense = generate("layered", seed=1, tasks=12, layers=3, density=1.0)
         # density 0 keeps the one guaranteed predecessor per task
-        assert sparse.graph.number_of_edges() < dense.graph.number_of_edges()
+        assert len(sparse.graph.edges) < len(dense.graph.edges)
         # density 1 wires complete consecutive-layer bicliques
-        sizes = [len(level) for level in nx.topological_generations(dense.graph)]
-        assert dense.graph.number_of_edges() == sum(
+        graph = nx.DiGraph(dense.graph.edges)
+        sizes = [len(level) for level in nx.topological_generations(graph)]
+        assert len(dense.graph.edges) == sum(
             a * b for a, b in zip(sizes, sizes[1:])
         )
 
