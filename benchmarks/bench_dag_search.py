@@ -4,11 +4,17 @@ The metaheuristic order search (:mod:`repro.dag.search`) earns its place
 only if (a) it is *correct* where correctness is checkable and *better*
 than the fixed heuristics where it is not, (b) its incremental
 evaluation actually avoids the per-neighbor chain-DP re-solve, and (c)
-the exact solves it does make reach the DP in batches.  Six gates, one
+the exact solves it does make reach the DP in batches.  Seven gates, one
 per claim:
 
 * **small campaign** (n <= 8): search must recover the exhaustive
   enumeration optimum exactly on every instance;
+* **mid campaign** (n = 9-12, up to 9,450 orders, homogeneous and
+  heterogeneous costs): the same, on the stress platform and on Hera,
+  except on the pairs of ``MID_KNOWN_MISSES``, where search has stopped
+  short of the optimum since the campaign was added and must stay within
+  ``MID_MISS_BOUND`` of it; the gate's seconds are recorded as
+  ``mid_seconds``;
 * **default campaign** (n >= 20): search must beat the best fixed
   heuristic's expected makespan on a strict majority of instances;
 * **hetero campaign** (per-task cost multipliers): search must beat the
@@ -61,6 +67,7 @@ from repro.dag.linearize import optimize_dag
 from repro.dag.search import neighborhood, search_order
 from repro.experiments.dag_search import stress_platform
 from repro.obs import MetricsRegistry, instrument
+from repro.platforms import get_platform
 from repro.service.engine import run
 
 SEED = 0
@@ -78,6 +85,11 @@ NORTH_STAR = {
     "strategy": "search",
 }
 MIN_ROWS_PER_DP_CALL = 2.0
+#: (platform, instance) pairs of the mid campaign where the default search
+#: finds a local optimum only (relative gaps 7.6e-7 and 2.3e-5 when the
+#: campaign was added); every other pair must match the exhaustive optimum
+MID_KNOWN_MISSES = {("Hera", "forkjoin-11"), ("Hera", "hetero-outtree-11")}
+MID_MISS_BOUND = 1e-4
 
 
 def test_dag_search_gates(benchmark, results_dir):
@@ -113,6 +125,51 @@ def test_dag_search_gates(benchmark, results_dir):
         f"small campaign: search recovered the exhaustive optimum on "
         f"{len(small)}/{len(small)} instances"
     )
+
+    # ------------------------------------------------------------------
+    # gate 1b — mid DAGs (n = 9-12): search == exhaustive optimum on the
+    # stress platform and on Hera, bar MID_KNOWN_MISSES
+    # ------------------------------------------------------------------
+    mid = []
+    mid_t0 = time.perf_counter()
+    for plat in (platform, get_platform("hera")):
+        for dag in campaign("mid", seed=SEED):
+            t0 = time.perf_counter()
+            exhaustive = optimize_dag(
+                dag, plat, algorithm=QUALITY_ALGORITHM, strategy="all"
+            )
+            exhaustive_s = time.perf_counter() - t0
+            t0 = time.perf_counter()
+            found = search_order(dag, plat, algorithm=QUALITY_ALGORITHM, seed=SEED)
+            search_s = time.perf_counter() - t0
+            gap = (found.expected_time - exhaustive.expected_time) / (
+                exhaustive.expected_time
+            )
+            mid.append(
+                {
+                    "platform": plat.name,
+                    "instance": dag.name,
+                    "n": dag.n,
+                    "orders": len(candidate_orders(dag, "all")),
+                    "exhaustive": exhaustive.expected_time,
+                    "search": found.expected_time,
+                    "relative_gap": gap,
+                    "matches_exhaustive": gap <= 1e-9,
+                    "exhaustive_s": exhaustive_s,
+                    "search_s": search_s,
+                }
+            )
+    mid_seconds = time.perf_counter() - mid_t0
+    misses = {
+        (r["platform"], r["instance"]) for r in mid if not r["matches_exhaustive"]
+    }
+    lines.append(
+        f"mid campaign: search recovered the exhaustive optimum on "
+        f"{len(mid) - len(misses)}/{len(mid)} instances "
+        f"(stress and Hera, {mid_seconds:.1f}s; misses: {sorted(misses)})"
+    )
+    assert misses <= MID_KNOWN_MISSES, mid
+    assert all(r["relative_gap"] <= MID_MISS_BOUND for r in mid), mid
 
     # ------------------------------------------------------------------
     # gate 2 — campaign DAGs: search beats the best fixed heuristic
@@ -362,6 +419,8 @@ def test_dag_search_gates(benchmark, results_dir):
         "platform": platform.name,
         "quality_algorithm": QUALITY_ALGORITHM,
         "small_campaign": small,
+        "mid_campaign": mid,
+        "mid_seconds": mid_seconds,
         "default_campaign": rows,
         "campaign_wins": wins,
         "hetero_campaign": hetero,

@@ -115,14 +115,17 @@ class TaskChain:
     def batch(cls, rows: Iterable[Iterable[float]]) -> list["TaskChain"]:
         """One chain per row of ``rows``, the rows validated together.
 
-        Rows may differ in length.  A row that is empty or not 1-D, or
-        a weight that is not a positive finite number, raises
-        :class:`InvalidChainError` naming the row.
+        Rows may differ in length, and a row that is a chain keeps its
+        name.  A row that is empty or not 1-D, or a weight that is not a
+        positive finite number, raises :class:`InvalidChainError` naming
+        the row.
         """
         if isinstance(rows, (str, bytes)) or not isinstance(rows, Iterable):
             raise InvalidChainError("weights must be a sequence of rows")
-        arrays = []
+        arrays, names = [], []
         for i, row in enumerate(rows):
+            row, name = (row.weights, row.name) if isinstance(row, cls) else (row, "")
+            names.append(name)
             try:
                 arr = np.array(row, dtype=np.float64)
             except (TypeError, ValueError):
@@ -145,9 +148,9 @@ class TaskChain:
                 "numbers"
             )
         chains = []
-        for arr in arrays:
+        for arr, name in zip(arrays, names):
             chain = cls.__new__(cls)
-            chain._freeze(arr, "")
+            chain._freeze(arr, name)
             chains.append(chain)
         return chains
 

@@ -31,6 +31,7 @@ import argparse
 import cProfile
 import io
 import json
+import os
 import pstats
 import sys
 from dataclasses import fields
@@ -862,15 +863,20 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         if observing:
-            print(_run_instrumented(handlers[args.command], args, command))
+            out = _run_instrumented(handlers[args.command], args, command)
         else:
-            print(handlers[args.command](args))
-    except ReproError as exc:
+            out = handlers[args.command](args)
+    except (ReproError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    try:
+        print(out, flush=True)
+    except BrokenPipeError:
+        # `| head` closed the pipe: the exit-time flush must not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return 0
 
 

@@ -154,7 +154,8 @@ def optimize_batch(
 ) -> list[Solution]:
     """:func:`optimize` for K chains: ``weights`` holds one row per chain.
 
-    The rows may differ in length.  ``costs`` holds one
+    The rows may differ in length; a :class:`~repro.chains.TaskChain` row
+    keeps its name in its solution and in an overflow error.  ``costs`` holds one
     :class:`~repro.core.costs.CostProfile` (or ``None``, the uniform
     model) per chain, or their :func:`~repro.core.costs.cost_table`
     stack, ``(K, 6, n + 1)`` for the longest row's ``n``.  ``admv_star``

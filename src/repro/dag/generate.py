@@ -33,7 +33,8 @@ is untouched.
 instance) used by the CLI (``repro dag sweep``), the experiment driver and
 the benchmarks; :func:`campaign` instantiates one with per-instance seeds
 derived deterministically from a single master seed.  ``small`` /
-``default`` are the PR-4 uniform-cost suites; ``hetero`` carries strong
+``default`` are the PR-4 uniform-cost suites, ``mid`` the largest DAGs
+``strategy="all"`` still enumerates; ``hetero`` carries strong
 per-task cost heterogeneity (where serialisation order genuinely moves
 the makespan) and ``join`` the forever-vulnerable join instances.
 """
@@ -423,9 +424,10 @@ def generate(kind: str, *, seed: int = 0, **kwargs) -> WorkflowDAG:
 
 
 #: Named instance suites: campaign -> (instance name -> (kind, kwargs)).
-#: ``small`` stays within exhaustive-enumeration reach (n <= 8) so search
-#: can be checked against the true optimum; ``default`` is the 20+-task
-#: regime where only heuristics and search are feasible.
+#: ``small`` (n <= 8) and ``mid`` (n = 9-12) stay within
+#: exhaustive-enumeration reach so search can be checked against the true
+#: optimum; ``default`` is the 20+-task regime where only heuristics and
+#: search are feasible.
 CAMPAIGNS: dict[str, dict[str, tuple[str, dict]]] = {
     "small": {
         "layered-6": ("layered", {"tasks": 6, "layers": 3, "density": 0.4}),
@@ -435,6 +437,32 @@ CAMPAIGNS: dict[str, dict[str, tuple[str, dict]]] = {
         "layered-8": (
             "layered",
             {"tasks": 8, "layers": 4, "density": 0.5, "weights": "lognormal"},
+        ),
+    },
+    # n = 9-12, each under MAX_EXHAUSTIVE_ORDERS topological orders (70
+    # to 9,450 at seed 0), so strategy="all" is the oracle of the search;
+    # the hetero- twins repeat two specs with cost_spread=1
+    "mid": {
+        "layered-10": ("layered", {"tasks": 10, "layers": 4, "density": 0.5}),
+        "layered-12": (
+            "layered",
+            {"tasks": 12, "layers": 5, "density": 0.5, "weights": "lognormal"},
+        ),
+        "forkjoin-10": ("fork_join", {"branches": 2, "branch_length": 4}),
+        "forkjoin-11": (
+            "fork_join",
+            {"branches": 3, "branch_length": 3, "weights": "bimodal"},
+        ),
+        "intree-10": ("in_tree", {"tasks": 10, "arity": 2}),
+        "outtree-11": ("out_tree", {"tasks": 11, "arity": 2, "weights": "lognormal"}),
+        "diamond-3x3": ("diamond", {"rows": 3, "cols": 3}),
+        "hetero-layered-10": (
+            "layered",
+            {"tasks": 10, "layers": 4, "density": 0.5, "cost_spread": 1.0},
+        ),
+        "hetero-outtree-11": (
+            "out_tree",
+            {"tasks": 11, "arity": 2, "weights": "lognormal", "cost_spread": 1.0},
         ),
     },
     "default": {

@@ -5,7 +5,9 @@ order and then running the linear-chain optimizer on the serialisation.
 The *order* changes the optimum: placing heavy tasks early (so failures hit
 before much state accumulates) or grouping subtrees can both matter.
 
-:func:`optimize_dag` tries a set of candidate orders and keeps the best:
+:func:`optimize_dag` prices candidate orders through the search's
+batched, memoized DP (:meth:`repro.dag.search.ChainObjective.exact_all`)
+and keeps the first strict minimum:
 
 * ``"lexicographic"`` — deterministic baseline (canonical node order);
 * ``"heavy_first"`` / ``"light_first"`` — greedy list scheduling by weight
@@ -34,7 +36,6 @@ from collections.abc import Hashable
 from ..exceptions import InvalidParameterError
 from ..platforms import Platform
 from ..core.result import Solution
-from ..core.solver import optimize
 from .workflow import WorkflowDAG, canonical_node_key
 
 __all__ = ["candidate_orders", "optimize_dag", "DagSolution", "ORDER_STRATEGIES"]
@@ -47,45 +48,24 @@ __all__ = ["candidate_orders", "optimize_dag", "DagSolution", "ORDER_STRATEGIES"
 MAX_EXHAUSTIVE_ORDERS = 20_000
 
 
-def _greedy_order(dag: WorkflowDAG, *, heavy_first: bool) -> list[Hashable]:
-    """List scheduling: among ready tasks, pick the heaviest (or lightest)."""
-    sign = -1.0 if heavy_first else 1.0
-    return dag.graph.canonical_sort(lambda v: sign * dag.weight(v))
+def _level_order(dag: WorkflowDAG, *, through: bool) -> list[Hashable]:
+    """Priority rule: largest bottom level first (critical-path method),
+    or with ``through`` the longest path through the task first.
 
-
-def _level_keys(dag: WorkflowDAG) -> tuple[dict, dict]:
-    """``(top_level, bottom_level)`` per node.
-
-    ``bottom_level[v]`` is the heaviest weighted path starting at ``v``
-    (``v`` included); ``top_level[v]`` the heaviest path ending at ``v``
-    (``v`` excluded).  Their sum is the longest path *through* ``v``.
+    A task's bottom level is the heaviest weighted path starting at it
+    (itself included), its top level the heaviest path ending at it
+    (itself excluded); their sum is the longest path *through* it.
     """
-    graph = dag.graph
-    order = graph.topological_sort()
-    top: dict[Hashable, float] = {}
-    for v in order:
-        top[v] = max(
-            (top[u] + dag.weight(u) for u in graph.predecessors(v)),
-            default=0.0,
-        )
+    dist, pred = dag.heaviest_paths()
+    top = {v: 0.0 if u is None else dist[u] for v, u in pred.items()}
     bottom: dict[Hashable, float] = {}
-    for v in reversed(order):
+    for v in reversed(dist):
         bottom[v] = dag.weight(v) + max(
-            (bottom[w] for w in graph.successors(v)), default=0.0
+            (bottom[w] for w in dag.graph.successors(v)), default=0.0
         )
-    return top, bottom
-
-
-def _bottom_level_order(dag: WorkflowDAG) -> list[Hashable]:
-    """Priority rule: largest bottom level first (critical-path method)."""
-    _, bottom = _level_keys(dag)
+    if through:
+        return dag.graph.canonical_sort(lambda v: -(top[v] + bottom[v]))
     return dag.graph.canonical_sort(lambda v: -bottom[v])
-
-
-def _critical_path_order(dag: WorkflowDAG) -> list[Hashable]:
-    """Priority rule: longest path through the task first."""
-    top, bottom = _level_keys(dag)
-    return dag.graph.canonical_sort(lambda v: -(top[v] + bottom[v]))
 
 
 def _dfs_order(dag: WorkflowDAG) -> list[Hashable]:
@@ -110,14 +90,17 @@ def _dfs_order(dag: WorkflowDAG) -> list[Hashable]:
     return order
 
 
-ORDER_STRATEGIES = (
-    "lexicographic",
-    "heavy_first",
-    "light_first",
-    "dfs",
-    "bottom_level",
-    "critical_path",
-)
+#: The fixed heuristic orders by strategy name; list scheduling picks the
+#: ready task of least key (``heavy_first``: the heaviest).
+_HEURISTICS = {
+    "lexicographic": lambda dag: dag.graph.canonical_sort(),
+    "heavy_first": lambda dag: dag.graph.canonical_sort(lambda v: -dag.weight(v)),
+    "light_first": lambda dag: dag.graph.canonical_sort(dag.weight),
+    "dfs": _dfs_order,
+    "bottom_level": lambda dag: _level_order(dag, through=False),
+    "critical_path": lambda dag: _level_order(dag, through=True),
+}
+ORDER_STRATEGIES = tuple(_HEURISTICS)
 
 
 def candidate_orders(
@@ -162,18 +145,7 @@ def candidate_orders(
         )
     orders: list[list[Hashable]] = []
     for name in names:
-        if name == "lexicographic":
-            order = dag.graph.canonical_sort()
-        elif name == "heavy_first":
-            order = _greedy_order(dag, heavy_first=True)
-        elif name == "light_first":
-            order = _greedy_order(dag, heavy_first=False)
-        elif name == "bottom_level":
-            order = _bottom_level_order(dag)
-        elif name == "critical_path":
-            order = _critical_path_order(dag)
-        else:
-            order = _dfs_order(dag)
+        order = _HEURISTICS[name](dag)
         if order not in orders:
             orders.append(order)
     return orders
@@ -223,7 +195,10 @@ def optimize_dag(
     and *dispatches on the DAG shape*: a join-shaped DAG is searched
     under the APDCM'15 forever-vulnerable join objective (orders plus
     per-source checkpoint decisions), any other shape under the chain
-    serialisation objective.  Heterogeneous per-task cost multipliers
+    serialisation objective.  Any other strategy prices its
+    :func:`candidate_orders` through the search's batched, memoized DP,
+    one fresh objective per :func:`~repro.dag.search.dp_rows` slice, and
+    keeps the first strict minimum.  Heterogeneous per-task cost multipliers
     (:meth:`WorkflowDAG.cost_profile`) are priced through every strategy.
     Returns a :class:`DagSolution` carrying the winning topological order;
     ``solution.schedule`` indexes tasks by their position in that order.
@@ -253,16 +228,18 @@ def optimize_dag(
             **(search_options or {}),
         )
         return result.solution
+    from .search import ChainObjective, dp_rows
+
+    # one fresh memo per slice of at most one DP call: only the running
+    # best outlives its slice, so "all" never holds 20,000 solutions
+    orders = candidate_orders(dag, strategy)
+    rows = dp_rows(dag.n)
     best: DagSolution | None = None
-    for order in candidate_orders(dag, strategy):
-        _, chain = dag.serialise(order)
-        sol = optimize(
-            chain,
-            platform,
-            algorithm=algorithm,
-            costs=dag.cost_profile(order, platform),
-        )
-        if best is None or sol.expected_time < best.expected_time:
-            best = DagSolution(order, sol)
+    for lo in range(0, len(orders), rows):
+        piece = orders[lo : lo + rows]
+        objective = ChainObjective(dag, platform, algorithm=algorithm)
+        for order, sol in zip(piece, objective.exact_all(piece)):
+            if best is None or sol.expected_time < best.expected_time:
+                best = DagSolution(order, sol)
     assert best is not None  # candidate_orders is never empty
     return best

@@ -78,7 +78,7 @@ from ..obs import span as _span
 from ..simulation.parallel import ParallelPlan, WorkerPlan
 from .linearize import candidate_orders
 from .local_search import multistart, neighbor_cap
-from .search import neighborhood, random_neighbor, start_orders, subsample
+from .search import dp_rows, neighborhood, random_neighbor, start_orders, subsample
 from .workflow import DagGraph, WorkflowDAG
 
 __all__ = [
@@ -580,14 +580,16 @@ class ParallelObjective:
         The intervals are solved sorted by length, in
         :func:`~repro.core.solver.optimize_batch` calls of at most
         :data:`INTERVAL_CHUNK` rows, so a short interval is not padded to
-        the longest of a large batch.
+        the longest of a large batch, nor more than
+        :func:`~repro.dag.search.dp_rows` allows for the longest.
         """
         if intervals:
             ikeys = sorted(intervals, key=lambda ikey: len(intervals[ikey][0]))
             n_max = len(intervals[ikeys[-1]][0])
             with _span("parallel.price_intervals", k=len(ikeys), n_max=n_max):
-                for lo in range(0, len(ikeys), INTERVAL_CHUNK):
-                    self._solve_intervals(ikeys[lo : lo + INTERVAL_CHUNK], intervals)
+                rows = min(INTERVAL_CHUNK, dp_rows(n_max))
+                for lo in range(0, len(ikeys), rows):
+                    self._solve_intervals(ikeys[lo : lo + rows], intervals)
         self._c_interval_solves.inc(len(intervals))
         for key, interval_keys in workers.items():
             durations, levels = zip(*map(self._intervals.__getitem__, interval_keys))

@@ -45,8 +45,8 @@ layers two reuse mechanisms on top of the exact solver:
   lockstep, so the exact solves of the start scores and of each wave of
   confirms arrive together, and :meth:`ChainObjective.exact_all` solves
   the memo misses among them in one
-  :func:`~repro.core.solver.optimize_batch` call, whose DP costs far
-  less per row than one solve per order.
+  :func:`~repro.core.solver.optimize_batch` call per :func:`dp_rows`
+  misses, whose DP costs far less per row than one solve per order.
 
 Heterogeneous per-task costs
 ----------------------------
@@ -95,18 +95,18 @@ climbed too, in one lockstep call.
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterator, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.costs import CostProfile
-# evaluate_schedule stays importable here: profilers wrap the evaluator
-# by its attribute on each calling module
+# evaluate_schedule and optimize stay importable here: profilers wrap
+# them by their attribute on each calling module
 from ..core.evaluator import evaluate_schedule  # noqa: F401
 from ..core.evaluator import evaluate_schedules
 from ..core.result import Solution
 from ..core.schedule import Schedule
-from ..core.solver import optimize, optimize_batch
+from ..core.solver import optimize  # noqa: F401
+from ..core.solver import optimize_batch
 from ..exceptions import InvalidParameterError
 from ..obs import MetricsRegistry, MetricsSnapshot, get_logger
 from ..platforms import Platform
@@ -153,6 +153,15 @@ __all__ = [
 ]
 
 logger = get_logger(__name__)
+
+#: Most DP cells one batched chain-DP call holds: ``ADMV*`` and ``ADMV``
+#: keep ``(n + 1)^3`` entries of 12 and ~30 bytes per row of length ``n``.
+DP_CELLS = 2**20
+
+
+def dp_rows(n: int) -> int:
+    """Most rows of length ``n`` one batched DP call solves (at least 1)."""
+    return max(1, DP_CELLS // (n + 1) ** 3)
 
 
 # ----------------------------------------------------------------------
@@ -345,10 +354,10 @@ def crossover_orders(
 class ChainObjective:
     """Expected-makespan objective with memoized incremental evaluation.
 
-    ``exact(order)`` serialises the order and runs the chain optimizer,
-    memoized on the weight tuple in a plain dict that lives and dies
-    with the objective (one search); ``exact_all(orders)`` does the same
-    for a batch, its misses solved in one batched DP call.
+    ``exact_all(orders)`` serialises each order and runs the chain
+    optimizer, memoized on the weight tuple in a plain dict that lives
+    and dies with the objective (one search), its misses solved in
+    batched DP calls; ``exact(order)`` is its one-order call.
     ``bound(order, reference)`` re-prices the reference solution's
     frozen schedule on the order's weights — an upper bound on
     ``exact(order).expected_time``, memoized on the verification-segment
@@ -427,13 +436,6 @@ class ChainObjective:
             [self._multiplier[v] for v in order], dtype=np.float64
         )
 
-    def costs_of(self, order: Sequence[Hashable]) -> CostProfile | None:
-        """The order's permuted cost profile (``None`` = uniform model)."""
-        mult = self.multipliers_of(order)
-        if mult is None:
-            return None
-        return CostProfile.scaled(self.platform, mult)
-
     @property
     def orders_scored(self) -> int:
         """Total candidate orders this objective has priced (any path)."""
@@ -452,51 +454,34 @@ class ChainObjective:
 
     def exact(self, order: Sequence[Hashable]) -> Solution:
         """Optimal chain solution for this serialisation (memoized)."""
-        key = self._exact_key(order)
-        cached = self._exact.get(key)
-        if cached is not None:
-            self._c_exact_hits.inc()
-            return cached
-        _, chain = self.dag.serialise(list(order))
-        solution = optimize(
-            chain,
-            self.platform,
-            algorithm=self.algorithm,
-            costs=self.costs_of(order),
-        )
-        self._exact[key] = solution
-        self._c_exact_evals.inc()
-        return solution
+        return self.exact_all([order])[0]
 
     def exact_all(self, orders: Sequence[Sequence[Hashable]]) -> list[Solution]:
         """:meth:`exact` of every order of ``orders``.
 
-        The distinct orders missing from the memo, when there are two or
-        more, are solved in one :func:`~repro.core.solver.optimize_batch`
-        call straight into the memo.  The solutions, memo and counters
-        equal those of calling :meth:`exact` on each order in turn.
+        The distinct orders missing from the memo are solved straight
+        into the memo by :func:`~repro.core.solver.optimize_batch` calls
+        of at most :func:`dp_rows` rows; each row equals its own
+        ``optimize`` call bit for bit.  An order whose key the memo, or
+        an earlier order of the batch, already holds counts as a hit.
         """
         keys = [self._exact_key(order) for order in orders]
         misses: dict[bytes, Sequence[Hashable]] = {}
         for key, order in zip(keys, orders):
             if key not in self._exact:
                 misses.setdefault(key, order)
-        if len(misses) > 1:
-            chains = [self.dag.serialise(list(o))[1] for o in misses.values()]
+        pending = list(misses.items())
+        rows = dp_rows(self.dag.n)
+        for lo in range(0, len(pending), rows):
+            chunk = pending[lo : lo + rows]
             solutions = optimize_batch(
-                [chain.weights for chain in chains],
+                [self.dag.serialise(list(o))[1] for _, o in chunk],
                 self.platform,
                 self.algorithm,
-                costs=[self.costs_of(o) for o in misses.values()],
+                costs=[self.dag.cost_profile(list(o), self.platform) for _, o in chunk],
             )
-            self._exact.update(
-                (key, replace(solution, chain=chain))
-                for key, chain, solution in zip(misses, chains, solutions)
-            )
-            self._c_exact_evals.inc(len(misses))
-        else:
-            for order in misses.values():
-                self.exact(order)
+            self._exact.update(zip((key for key, _ in chunk), solutions))
+        self._c_exact_evals.inc(len(misses))
         self._c_exact_hits.inc(len(orders) - len(misses))
         return [self._exact[key] for key in keys]
 

@@ -295,6 +295,24 @@ class WorkflowDAG:
         """Tasks with no successors."""
         return [v for v in self.graph if self.graph.out_degree(v) == 0]
 
+    def heaviest_paths(self) -> tuple[dict, dict]:
+        """Heaviest weighted path ending at each task: ``(dist, pred)``.
+
+        ``dist[v]`` counts ``v`` itself, and ``pred[v]`` is the previous
+        task on that path: the first predecessor of greatest ``dist``, or
+        ``None`` for a source.  Both dicts run in topological order.
+        """
+        dist: dict[Hashable, float] = {}
+        pred: dict[Hashable, Hashable | None] = {}
+        for v in self.graph.topological_sort():
+            best, arg = 0.0, None
+            for u in self.graph.predecessors(v):
+                if dist[u] > best:
+                    best, arg = dist[u], u
+            dist[v] = best + self.weight(v)
+            pred[v] = arg
+        return dist, pred
+
     def critical_path(self) -> tuple[list[Hashable], float]:
         """Longest weighted path: ``(nodes, total weight)``.
 
@@ -302,16 +320,7 @@ class WorkflowDAG:
         error-free makespan only through the serial total; it is still the
         classic DAG metric users expect to query.
         """
-        order = self.graph.topological_sort()
-        dist: dict[Hashable, float] = {}
-        pred: dict[Hashable, Hashable | None] = {}
-        for v in order:
-            best, arg = 0.0, None
-            for u in self.graph.predecessors(v):
-                if dist[u] > best:
-                    best, arg = dist[u], u
-            dist[v] = best + self.weight(v)
-            pred[v] = arg
+        dist, pred = self.heaviest_paths()
         end = max(dist, key=lambda v: dist[v])
         path = [end]
         while pred[path[-1]] is not None:

@@ -933,3 +933,31 @@ class TestParallelEstimate:
         )
         assert code == 2
         assert "--processors" in err
+
+
+def test_closed_stdout_exits_quietly():
+    # `repro ... | head` closes the pipe early; here the read end is
+    # closed before the child starts, so every write meets EPIPE
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "dag", "optimize", "--kind",
+                "diamond", "--rows", "3", "--cols", "3", "--json",
+            ],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""
+    assert proc.returncode == 1

@@ -175,6 +175,14 @@ class TestCampaigns:
     def test_small_campaign_is_exhaustible(self):
         assert all(d.n <= 8 for d in campaign("small"))
 
+    def test_mid_campaign_is_exhaustible_beyond_small(self):
+        from repro.dag import candidate_orders
+
+        for dag in campaign("mid"):
+            assert 9 <= dag.n <= 12
+            candidate_orders(dag, "all")  # raises past MAX_EXHAUSTIVE_ORDERS
+        assert any(d.has_heterogeneous_costs() for d in campaign("mid"))
+
     def test_default_campaign_is_search_scale(self):
         assert all(d.n >= 20 for d in campaign("default"))
 

@@ -246,18 +246,30 @@ class TestChainObjective:
     def test_exact_all_equals_one_exact_per_order(
         self, platform, algorithm, cost_spread
     ):
-        # solutions (chain name and diagnostics too), memo and counters as
-        # if exact() ran on each order in turn, on a cold and a warm memo
+        # each solution (chain name and diagnostics too) equals optimize()
+        # on the order's serialised chain, and the counters see each
+        # distinct weight-and-cost key solved once, on a cold and a warm
+        # memo; exact() is exact_all() of one order
+        from repro.core.solver import optimize as solve
+
         dag = generate(
             "layered", seed=6, tasks=8, layers=3, cost_spread=cost_spread
         )
         order = random_order(dag, np.random.default_rng(6))
         cands = [cand for cand, _ in neighborhood(dag, order)][:6]
         cands += cands[:2] + [order]
-        one = ChainObjective(dag, platform, algorithm=algorithm)
         batch = ChainObjective(dag, platform, algorithm=algorithm)
+        seen: set[tuple] = set()
+        hits = 0
         for orders in (cands[:4], cands):
-            want = [one.exact(cand) for cand in orders]
+            want = []
+            for cand in orders:
+                _, chain = dag.serialise(cand)
+                costs = dag.cost_profile(cand, platform)
+                want.append(solve(chain, platform, algorithm, costs=costs))
+                key = tuple((dag.weight(v), dag.cost_multiplier(v)) for v in cand)
+                hits += key in seen
+                seen.add(key)
             got = batch.exact_all(orders)
             assert got == want
             for a, b in zip(got, want):
@@ -268,7 +280,11 @@ class TestChainObjective:
                     np.testing.assert_array_equal(
                         a.diagnostics[key], b.diagnostics[key]
                     )
-            assert batch.metrics.snapshot() == one.metrics.snapshot()
+            assert batch.exact_evaluations == len(seen)
+            assert batch.exact_cache_hits == hits
+        assert hits >= 6
+        assert batch.exact(order) is got[-1]
+        assert batch.exact_cache_hits == hits + 1
         assert batch.exact_all([]) == []
 
     def test_bound_caches_are_content_keyed(self, pipeline, platform):

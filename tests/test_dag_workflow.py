@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
+from repro.core import optimize
 from repro.dag import (
     ORDER_STRATEGIES,
     WorkflowDAG,
+    campaign,
     candidate_orders,
     canonical_node_key,
+    generate,
     optimize_dag,
 )
+from repro.dag import search
+from repro.dag.search import ChainObjective, dp_rows
 from repro.exceptions import InvalidChainError, InvalidParameterError
 from repro.platforms import Platform
 
@@ -70,6 +77,30 @@ class TestWorkflowDAG:
         path, length = diamond.critical_path()
         assert path == ["a", "c", "d"]
         assert length == pytest.approx(38.0)
+
+    def test_critical_path_ties_go_to_the_first_predecessor(self):
+        dag = WorkflowDAG(
+            {"a": 5.0, "b": 5.0, "c": 1.0}, [("b", "c"), ("a", "c")]
+        )
+        assert dag.critical_path() == (["b", "c"], 6.0)
+        dist, pred = dag.heaviest_paths()
+        assert dist == {"a": 5.0, "b": 5.0, "c": 6.0}
+        assert pred == {"a": None, "b": None, "c": "b"}
+
+    @pytest.mark.parametrize("kind", ["layered", "in_tree", "diamond"])
+    def test_heaviest_paths_give_the_top_levels(self, kind):
+        # the top-level recursion, written out: max over predecessors
+        dag = generate(kind, seed=3, weights="lognormal")
+        dist, pred = dag.heaviest_paths()
+        top: dict = {}
+        for v in dag.graph.topological_sort():
+            top[v] = max(
+                (top[u] + dag.weight(u) for u in dag.graph.predecessors(v)),
+                default=0.0,
+            )
+            want = top[v] + dag.weight(v)
+            assert dist[v].hex() == want.hex()
+            assert top[v] == (0.0 if pred[v] is None else dist[pred[v]])
 
     def test_is_chain(self):
         chain = WorkflowDAG({"a": 1.0, "b": 1.0}, [("a", "b")])
@@ -329,3 +360,112 @@ class TestOptimizeDag:
             chain_sol.expected_time, rel=1e-12
         )
         assert dag_sol.order == ["a", "b", "c"]
+
+
+def reference_optimize_dag(dag, platform, algorithm, strategy):
+    """Reference: one ``optimize`` call per candidate, first strict minimum."""
+    best = None
+    for order in candidate_orders(dag, strategy):
+        _, chain = dag.serialise(order)
+        costs = dag.cost_profile(order, platform)
+        sol = optimize(chain, platform, algorithm=algorithm, costs=costs)
+        if best is None or sol.expected_time < best[1].expected_time:
+            best = (order, sol)
+    return best
+
+
+ORACLE_DAGS = campaign("small") + [
+    generate("layered", seed=5, tasks=8, cost_spread=1.0),
+    generate("diamond", seed=0, rows=3, cols=3),
+]
+
+
+class TestOptimizeDagOracle:
+    @pytest.mark.parametrize("dag", ORACLE_DAGS, ids=lambda d: d.name)
+    @pytest.mark.parametrize("algorithm", ["admv_star", "adv_star"])
+    def test_equals_one_optimize_per_candidate(self, dag, algorithm, platform):
+        # every fixed strategy prices through the batched, memoized DP and
+        # still returns the old loop's winner bit for bit
+        for strategy in ("auto", "all") + ORDER_STRATEGIES:
+            order, want = reference_optimize_dag(dag, platform, algorithm, strategy)
+            got = optimize_dag(dag, platform, algorithm=algorithm, strategy=strategy)
+            assert got.order == order, strategy
+            assert got.expected_time.hex() == want.expected_time.hex(), strategy
+            assert got.schedule == want.schedule, strategy
+            assert got.chain.name == want.chain.name, strategy
+            assert got.algorithm == f"dag+{want.algorithm}"
+
+    @staticmethod
+    def paired_diamond() -> WorkflowDAG:
+        # tasks share weights in pairs on a 3x3 diamond: its 744 orders
+        # serialise to 145 weight vectors
+        shape = generate("diamond", seed=0, rows=3, cols=3)
+        return WorkflowDAG(
+            {v: 100.0 * (1 + i // 2) for i, v in enumerate(shape.graph)},
+            shape.graph.edges,
+        )
+
+    @staticmethod
+    def dp_counts(run) -> tuple[int, int]:
+        """``(dp.solve calls, dp.solves.admv_star rows)`` of ``run()``."""
+        from repro.obs import MetricsRegistry, instrument
+
+        registry = MetricsRegistry()
+        with instrument(registry):
+            run()
+        snapshot = registry.snapshot()
+        return (
+            snapshot.timers["dp.solve"].count,
+            snapshot.counter("dp.solves.admv_star"),
+        )
+
+    def test_all_solves_each_distinct_key_once(self, platform):
+        dag = self.paired_diamond()
+        orders = candidate_orders(dag, "all")
+        distinct = len({tuple(dag.weight(v) for v in o) for o in orders})
+        assert distinct == 145 and len(orders) == 744 <= dp_rows(dag.n)
+        calls, rows = self.dp_counts(
+            lambda: optimize_dag(dag, platform, algorithm="admv_star", strategy="all")
+        )
+        assert (calls, rows) == (1, distinct)
+
+    def test_exact_all_chunks_its_misses_by_dp_rows(self, platform, monkeypatch):
+        # a 50-row budget at n = 9: the 145 distinct keys take 3 calls
+        monkeypatch.setattr(search, "DP_CELLS", 50 * 10**3)
+        dag = self.paired_diamond()
+        orders = candidate_orders(dag, "all")
+        objective = ChainObjective(dag, platform, algorithm="admv_star")
+        calls, rows = self.dp_counts(lambda: objective.exact_all(orders))
+        assert dp_rows(dag.n) == 50
+        assert (calls, rows) == (math.ceil(145 / 50), 145)
+
+    def test_optimize_dag_keeps_one_slice_of_solutions(self, platform, monkeypatch):
+        # each slice of 50 orders gets a fresh memo: one call per slice,
+        # a key repeated across slices is solved again, and the winner is
+        # still the first strict minimum of the one-by-one loop
+        monkeypatch.setattr(search, "DP_CELLS", 50 * 10**3)
+        dag = self.paired_diamond()
+        orders = candidate_orders(dag, "all")
+        slices = [orders[lo : lo + 50] for lo in range(0, len(orders), 50)]
+        per_slice = sum(
+            len({tuple(dag.weight(v) for v in o) for o in piece}) for piece in slices
+        )
+        got = []
+        calls, rows = self.dp_counts(
+            lambda: got.append(
+                optimize_dag(dag, platform, algorithm="admv_star", strategy="all")
+            )
+        )
+        assert (calls, rows) == (len(slices), per_slice)
+        order, want = reference_optimize_dag(dag, platform, "admv_star", "all")
+        assert got[0].order == order
+        assert got[0].expected_time.hex() == want.expected_time.hex()
+
+    @pytest.mark.parametrize("strategy", ["auto", "all", "lexicographic", "search"])
+    def test_overflow_error_names_the_serialised_chain(self, strategy):
+        from repro.experiments.dag_search import stress_platform
+
+        dag = WorkflowDAG({"a": 13000.0, "b": 832000.0}, name="huge")
+        platform = stress_platform()
+        with pytest.raises(InvalidParameterError, match="of huge-serialised on"):
+            optimize_dag(dag, platform, algorithm="admv_star", strategy=strategy)

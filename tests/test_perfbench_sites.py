@@ -44,6 +44,8 @@ IMPORT_ONLY_SITES = {
     ("repro.dag.parallel", "optimize"),
     # the chain search prices neighbourhoods through evaluate_schedules
     ("repro.dag.search", "evaluate_schedule"),
+    # and solves its orders through optimize_batch
+    ("repro.dag.search", "optimize"),
 }
 
 
