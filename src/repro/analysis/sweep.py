@@ -191,8 +191,8 @@ def sweep_task_counts(
     ``validate_runs`` is 0.
 
     ``validate_backend`` selects the array-API backend the validation
-    campaigns run on (a registered name such as ``"array-api-strict"`` or
-    ``"cupy"``; ``None`` = the ``REPRO_BACKEND`` / NumPy default).
+    campaigns run on (``"numpy"`` or ``"array-api-strict"``; ``None`` =
+    the ``REPRO_BACKEND`` / NumPy default).
 
     The ``random`` pattern draws each size's weights from
     ``validate_seed`` (unless ``pattern_kwargs`` name an ``rng``), as

@@ -159,9 +159,8 @@ def _option(
 _PLATFORM_HELP = f"platform name ({', '.join(sorted(PLATFORMS))})"
 _ALGORITHM_HELP = "adv*, admv*, admv"
 _BACKEND_HELP = (
-    "array-API backend for the batched kernel (numpy, array-api-strict, "
-    "cupy, torch, or any registered name; default: $REPRO_BACKEND, else "
-    "numpy)"
+    "array-API backend for the batched kernel (numpy or "
+    "array-api-strict; default: $REPRO_BACKEND, else numpy)"
 )
 
 

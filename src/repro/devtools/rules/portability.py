@@ -1,10 +1,11 @@
 """RPR002: the lockstep kernel must stay on the array-API portable subset.
 
-PR 3 ported the batched engine to the array API standard so CuPy/torch
-are config flags, not rewrites.  The standard specifies ``take`` and
-boolean-mask indexing but *not* integer fancy indexing, and many NumPy
-conveniences (``np.clip`` keyword forms, ``bincount``, ``add.at``, …)
-have no standard counterpart.  ``tests/test_backend.py`` proves the
+The batched engine is written against the array API standard, and the
+CI ``backend-matrix`` lane runs it on ``array-api-strict``, the standard's
+conformance namespace, to keep it that way.  The standard specifies
+``take`` and boolean-mask indexing but *not* integer fancy indexing, and
+many NumPy conveniences (``np.clip`` keyword forms, ``bincount``,
+``add.at``, …) have no standard counterpart.  ``tests/test_backend.py`` proves the
 invariant at runtime through a guard namespace; this rule proves it at
 lint time, before a test ever runs, and catches the APIs the runtime
 guard's NumPy fallback would happily execute.
@@ -88,7 +89,7 @@ class ArrayApiPortabilityRule(BaseRule):
     name = "array-api-portability"
     rationale = (
         "Kernel modules (simulation/compile.py, batch.py, breakdown.py) "
-        "run on every registered backend.  xp.* calls must come from the "
+        "run on NumPy and array-api-strict.  xp.* calls must come from the "
         "array API standard surface, xp-derived arrays must never be "
         "integer-fancy-indexed (use xp.take) nor updated in place "
         "(functional updates only); host-side NumPy buffers are exempt."

@@ -57,12 +57,11 @@ class SimulationError(ReproError, RuntimeError):
 
 
 class BackendUnavailableError(ReproError, ImportError):
-    """A registered array-API backend cannot be loaded in this environment.
+    """A known array-API backend cannot be loaded in this environment.
 
-    Raised when a backend *name* is known to the registry
+    Raised when a backend *name* is known
     (:mod:`repro.simulation.backend`) but importing its array namespace
-    fails — e.g. ``cupy`` on a machine without CUDA, or
-    ``array-api-strict`` when the package is not installed.  Distinct from
-    :class:`InvalidParameterError`, which signals a name the registry has
-    never heard of.
+    fails — e.g. ``array-api-strict`` when the package is not installed.
+    Distinct from :class:`InvalidParameterError`, which signals a name
+    that is not a backend at all.
     """

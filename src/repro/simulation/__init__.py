@@ -14,10 +14,10 @@ runs sequential-sampling campaigns that stop at a target relative CI
 half-width, streaming moments instead of retaining samples.
 
 The batched kernel is written against the Python array-API standard and
-runs on any registered backend (:mod:`repro.simulation.backend`): NumPy
-by default, ``array-api-strict`` for conformance CI, CuPy/torch as
-drop-in GPU namespaces — selected per call (``backend=...``), via the
-CLI (``--backend``) or the ``REPRO_BACKEND`` environment variable.
+runs on two backends (:mod:`repro.simulation.backend`): NumPy by default,
+and ``array-api-strict`` for conformance CI — selected by name per call
+(``backend=...``), via the CLI (``--backend``) or the ``REPRO_BACKEND``
+environment variable.
 """
 
 from .adaptive import (
@@ -35,10 +35,8 @@ from .backend import (
     DEFAULT_BACKEND,
     Backend,
     array_namespace,
-    available_backends,
     get_backend,
     installed_backends,
-    register_backend,
 )
 from .batch import (
     DEFAULT_CHUNK_SIZE,
@@ -76,10 +74,8 @@ __all__ = [
     "BACKEND_ENV_VAR",
     "DEFAULT_BACKEND",
     "array_namespace",
-    "available_backends",
     "get_backend",
     "installed_backends",
-    "register_backend",
     "simulate_run",
     "RunResult",
     "DEFAULT_MAX_ATTEMPTS",

@@ -65,10 +65,9 @@ from ..obs import (
 from ..platforms import Platform
 from ..core.costs import CostProfile
 from ..core.schedule import Schedule
-from .backend import Backend, get_backend
+from .backend import get_backend
 from .batch import (
     DEFAULT_CHUNK_SIZE,
-    _require_shardable,
     _run_chunks,
     _seed_sequence,
     run_compiled,
@@ -289,7 +288,7 @@ def _chunk_stats(
     child: np.random.SeedSequence,
     n: int,
     max_attempts: int,
-    backend: "str | Backend | None" = None,
+    backend: str,
 ) -> _ChunkStats:
     """Worker entry point (module-level so it pickles for ``n_jobs``)."""
     batch = run_compiled(
@@ -557,7 +556,7 @@ def run_adaptive(
     n_jobs: int | None = None,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     analytic: float = float("nan"),
-    backend: "str | Backend | None" = None,
+    backend: str | None = None,
 ) -> AdaptiveResult:
     """Simulate ``schedule`` until the mean makespan is certified.
 
@@ -574,11 +573,9 @@ def run_adaptive(
     _validate_adaptive_params(
         target_relative_ci, min_runs, max_runs, growth, confidence, chunk_size
     )
-    be = get_backend(backend)  # resolve (and fail) before any work
+    name = get_backend(backend).name  # resolve (and fail) before any work
     compiled = compile_schedule(chain, platform, schedule, costs)
     shard = n_jobs is not None and n_jobs > 1
-    if shard:
-        _require_shardable(be)
     # The worker pool is created lazily on the first multi-chunk round:
     # campaigns converging within one chunk (the common case on Table I
     # platforms) never pay the process spawns.
@@ -596,7 +593,7 @@ def run_adaptive(
             n,
             chunk_size,
             max_attempts,
-            be,
+            name,
             n_jobs,
             pool,
         )
@@ -632,7 +629,7 @@ def run_adaptive_parallel(
     n_jobs: int | None = None,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     analytic: float = float("nan"),
-    backend: "str | Backend | None" = None,
+    backend: str | None = None,
 ) -> AdaptiveResult:
     """Adaptive-precision campaign over a p-worker :class:`~repro.
     simulation.parallel.ParallelPlan`.

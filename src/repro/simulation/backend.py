@@ -1,38 +1,37 @@
-"""Array-API backend registry for the batched lockstep engine.
+"""The two array namespaces the batched lockstep engine runs on.
 
 The vectorized kernel (:func:`repro.simulation.batch.run_compiled`) is
 written against the `Python array API standard
 <https://data-apis.org/array-api/>`_ rather than against NumPy: every
 array operation it performs is namespace-resolved (``xp.take``,
-``xp.where``, boolean-mask indexing, ...), so the same code drives NumPy,
-``array-api-strict`` (the conformance namespace used in CI to prove
-backend-agnosticism) and — opportunistically, via ``array-api-compat`` —
-CuPy or PyTorch arrays on GPU devices.
+``xp.where``, boolean-mask indexing, ...).  Two namespaces drive it:
+NumPy, and ``array-api-strict``, the conformance namespace the CI
+``backend-matrix`` lane runs to prove the kernel stays on the standard.
 
-A :class:`Backend` is a small handle bundling the array namespace, an
-optional device, and the two host-boundary conversions the engine needs:
+A :class:`Backend` bundles the array namespace with the two
+host-boundary conversions the engine needs:
 
 * :meth:`Backend.asarray` / :meth:`Backend.zeros` — move host (NumPy)
-  data onto the backend with an explicit dtype and device;
+  data onto the backend with an explicit dtype;
 * :meth:`Backend.to_numpy` — bring small result blocks back to host
-  NumPy (DLPack first, buffer protocol as fallback).
+  NumPy (DLPack first, ``np.asarray`` as fallback).
 
 Random numbers are *not* part of the array API standard, and the engine
 deliberately keeps its uniform streams on the host: every backend
 consumes the **same** NumPy ``Generator`` draws, so campaigns with the
-same seed agree across backends to floating-point accumulation order
-(bitwise for NumPy-backed namespaces, ±1e-9 relative for GPU math
-libraries) and the scalar-oracle bitwise cross-validation is preserved.
+same seed agree across backends (both namespaces are NumPy-backed, so in
+practice bitwise) and the scalar-oracle bitwise cross-validation is
+preserved.
 
 Selection
 ---------
-``get_backend(None)`` resolves the default: the ``REPRO_BACKEND``
-environment variable if set, else NumPy.  Names are canonicalized
-(case-insensitive, ``_`` == ``-``), unknown names raise
-:class:`~repro.exceptions.InvalidParameterError`, and registered names
-whose namespace is not importable in this environment raise
-:class:`~repro.exceptions.BackendUnavailableError`.  Additional
-namespaces can be plugged in at runtime with :func:`register_backend`.
+Backends are selected by name only.  ``get_backend(None)`` resolves the
+default: the ``REPRO_BACKEND`` environment variable if set, else NumPy.
+Names are canonicalized (case-insensitive, ``_`` == ``-``), unknown
+names raise :class:`~repro.exceptions.InvalidParameterError`, and a
+known name whose namespace is not importable in this environment raises
+:class:`~repro.exceptions.BackendUnavailableError`.  Because a name is
+all a worker process needs, sharded campaigns re-resolve it there.
 """
 
 from __future__ import annotations
@@ -51,11 +50,9 @@ __all__ = [
     "BACKEND_ENV_VAR",
     "DEFAULT_BACKEND",
     "array_namespace",
-    "available_backends",
     "canonical_name",
     "get_backend",
     "installed_backends",
-    "register_backend",
 ]
 
 #: Environment variable consulted by ``get_backend(None)``.
@@ -66,43 +63,22 @@ DEFAULT_BACKEND = "numpy"
 
 @dataclass(frozen=True)
 class Backend:
-    """An array-API namespace plus the device/dtype threading around it."""
+    """An array-API namespace plus its host-boundary conversions."""
 
     name: str
     xp: Any
-    device: Any = None
-
-    def _creation_kwargs(self, dtype: Any) -> dict[str, Any]:
-        kwargs: dict[str, Any] = {}
-        if dtype is not None:
-            kwargs["dtype"] = dtype
-        if self.device is not None:
-            kwargs["device"] = self.device
-        return kwargs
 
     def asarray(self, values: Any, dtype: Any = None) -> Any:
         """Host data -> backend array (no copy when already there)."""
-        return self.xp.asarray(values, **self._creation_kwargs(dtype))
+        return self.xp.asarray(values, dtype=dtype)
 
     def zeros(self, n: int, dtype: Any = None) -> Any:
-        return self.xp.zeros(n, **self._creation_kwargs(dtype))
+        return self.xp.zeros(n, dtype=dtype)
 
     def to_numpy(self, x: Any) -> np.ndarray:
         """Backend array -> host NumPy array (results boundary only)."""
         if isinstance(x, np.ndarray):
             return x
-        # GPU-resident arrays refuse implicit host conversion (and DLPack
-        # rejects cross-device import): use the library's explicit
-        # device-to-host path, via the compat shim those backends require.
-        try:
-            from array_api_compat import is_cupy_array, is_torch_array
-        except ImportError:
-            pass
-        else:
-            if is_cupy_array(x):
-                return x.get()
-            if is_torch_array(x):
-                return x.detach().cpu().numpy()
         if hasattr(x, "__dlpack__"):
             try:
                 return np.from_dlpack(x)
@@ -116,110 +92,20 @@ class Backend:
             )
         return out
 
-    def describe(self) -> str:
-        device = "" if self.device is None else f" on {self.device!r}"
-        return f"backend {self.name!r}: {self.xp.__name__}{device}"
-
 
 def canonical_name(name: str) -> str:
-    """Registry key for a user-supplied backend name (case/``_`` folded)."""
+    """Loader-table key for a user-supplied backend name (case/``_`` folded)."""
     return name.strip().lower().replace("_", "-")
 
 
 def array_namespace(x: Any) -> Any:
-    """The array-API namespace an array belongs to.
-
-    Prefers :func:`array_api_compat.array_namespace` when the compat shim
-    is installed (it wraps CuPy/torch into compliant namespaces), falling
-    back to the ``__array_namespace__`` protocol, then to NumPy.
-    """
-    try:
-        from array_api_compat import array_namespace as _compat_namespace
-    except ImportError:
-        pass
-    else:
-        try:
-            return _compat_namespace(x)
-        except TypeError:
-            pass
+    """The array-API namespace an array belongs to: its
+    ``__array_namespace__`` protocol, else NumPy."""
     if hasattr(x, "__array_namespace__"):
         return x.__array_namespace__()
     return np
 
 
-# ----------------------------------------------------------------------
-# registry
-# ----------------------------------------------------------------------
-_LOADERS: dict[str, Callable[[], Backend]] = {}
-
-
-def register_backend(
-    name: str, loader: Callable[[], Backend], *, overwrite: bool = False
-) -> None:
-    """Register ``loader`` (a zero-argument :class:`Backend` factory).
-
-    The loader runs on every :func:`get_backend` call; raise
-    ``ImportError`` from it when the namespace is missing and the registry
-    converts that into :class:`BackendUnavailableError`.
-    """
-    key = canonical_name(name)
-    if key in _LOADERS and not overwrite:
-        raise InvalidParameterError(
-            f"backend {key!r} is already registered "
-            "(pass overwrite=True to replace it)"
-        )
-    _LOADERS[key] = loader
-
-
-def available_backends() -> tuple[str, ...]:
-    """All registered backend names (installed or not)."""
-    return tuple(sorted(_LOADERS))
-
-
-def installed_backends() -> tuple[str, ...]:
-    """The registered backends that actually load in this environment."""
-    names = []
-    for name in available_backends():
-        try:
-            _LOADERS[name]()
-        except ImportError:
-            continue
-        names.append(name)
-    return tuple(names)
-
-
-def get_backend(spec: "str | Backend | None" = None) -> Backend:
-    """Resolve a backend selection to a live :class:`Backend` handle.
-
-    ``None`` consults ``REPRO_BACKEND`` then falls back to NumPy; a
-    :class:`Backend` instance passes through; a string is looked up in
-    the registry under its canonical name.
-    """
-    if isinstance(spec, Backend):
-        return spec
-    if spec is None:
-        spec = os.environ.get(BACKEND_ENV_VAR) or DEFAULT_BACKEND
-    key = canonical_name(str(spec))
-    try:
-        loader = _LOADERS[key]
-    except KeyError:
-        raise InvalidParameterError(
-            f"unknown backend {spec!r}; registered backends: "
-            f"{', '.join(available_backends())}"
-        ) from None
-    try:
-        return loader()
-    except ImportError as exc:
-        raise BackendUnavailableError(
-            f"backend {key!r} is registered but not installed here "
-            f"({exc}); installed backends: "
-            f"{', '.join(installed_backends())}"
-        ) from exc
-
-
-# ----------------------------------------------------------------------
-# built-in loaders
-# ----------------------------------------------------------------------
 def _load_numpy() -> Backend:
     # NumPy >= 2.0 *is* an array-API namespace; no shim needed.
     return Backend("numpy", np)
@@ -230,31 +116,46 @@ def _load_array_api_strict() -> Backend:
     return Backend("array-api-strict", xp)
 
 
-def _compat_wrapped(module: str) -> Any:
-    """A compliant namespace for ``module`` via ``array-api-compat``.
+#: Canonical name -> zero-argument loader.  A loader raises
+#: ``ImportError`` when its namespace is not installed.
+_LOADERS: dict[str, Callable[[], Backend]] = {
+    "numpy": _load_numpy,
+    "array-api-strict": _load_array_api_strict,
+}
 
-    CuPy and torch are not themselves conformant (e.g. ``torch.take``
-    flattens), so the compat wrapper is required, not optional.
+
+def installed_backends() -> tuple[str, ...]:
+    """The known backends that actually load in this environment."""
+    names = []
+    for name in sorted(_LOADERS):
+        try:
+            _LOADERS[name]()
+        except ImportError:
+            continue
+        names.append(name)
+    return tuple(names)
+
+
+def get_backend(name: str | None = None) -> Backend:
+    """Resolve a backend name to a live :class:`Backend`.
+
+    ``None`` consults ``REPRO_BACKEND`` then falls back to NumPy.
     """
-    importlib.import_module(module)  # surface the real missing-dep error
+    if name is None:
+        name = os.environ.get(BACKEND_ENV_VAR) or DEFAULT_BACKEND
+    key = canonical_name(name)
     try:
-        return importlib.import_module(f"array_api_compat.{module}")
+        loader = _LOADERS[key]
+    except KeyError:
+        raise InvalidParameterError(
+            f"unknown backend {name!r}; known backends: "
+            f"{', '.join(sorted(_LOADERS))}"
+        ) from None
+    try:
+        return loader()
     except ImportError as exc:
-        raise ImportError(
-            f"the {module!r} backend needs the array-api-compat package "
-            "to wrap it into a compliant namespace"
+        raise BackendUnavailableError(
+            f"backend {key!r} is known but not installed here "
+            f"({exc}); installed backends: "
+            f"{', '.join(installed_backends())}"
         ) from exc
-
-
-def _load_cupy() -> Backend:
-    return Backend("cupy", _compat_wrapped("cupy"))
-
-
-def _load_torch() -> Backend:
-    return Backend("torch", _compat_wrapped("torch"))
-
-
-register_backend("numpy", _load_numpy)
-register_backend("array-api-strict", _load_array_api_strict)
-register_backend("cupy", _load_cupy)
-register_backend("torch", _load_torch)

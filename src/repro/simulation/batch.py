@@ -7,7 +7,7 @@ CompiledSchedule` arrays, and a latent-corruption bit — plus integer
 event counters.  One engine step performs one *segment attempt* for every
 still-running replication with pure array-API operations — the kernel is
 backend-agnostic (:mod:`repro.simulation.backend`): NumPy by default,
-``array-api-strict`` in CI, CuPy/torch namespaces as drop-ins:
+``array-api-strict`` in the CI conformance lane:
 
 1. draw a ``(3, N)`` block of uniforms (fail-stop, silent, detection
    slots — one row per random decision a segment attempt can need);
@@ -59,12 +59,12 @@ from time import perf_counter
 import numpy as np
 
 from ..chains import TaskChain
-from ..exceptions import InvalidParameterError, ReproError, SimulationError
+from ..exceptions import InvalidParameterError, SimulationError
 from ..obs import events as _events, fan_out, metrics as _metrics, span as _span
 from ..platforms import Platform
 from ..core.costs import CostProfile
 from ..core.schedule import Schedule
-from .backend import Backend, get_backend
+from .backend import get_backend
 from .breakdown import CATEGORY_INDEX, TIME_CATEGORIES, BatchBreakdown
 from .compile import CompiledSchedule, compile_schedule
 from .engine import DEFAULT_MAX_ATTEMPTS
@@ -151,7 +151,7 @@ def run_compiled(
     n_runs: int,
     rng: np.random.Generator,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    backend: "str | Backend | None" = None,
+    backend: str | None = None,
     *,
     commit_stops: "list[int] | tuple[int, ...] | np.ndarray | None" = None,
 ) -> BatchResult:
@@ -174,7 +174,7 @@ def run_compiled(
     the kernel validates this and raises
     :class:`~repro.exceptions.SimulationError` otherwise.
 
-    The kernel body is pure array-API (``backend`` selects the namespace,
+    The kernel body is pure array-API (``backend`` names the namespace,
     defaulting to ``REPRO_BACKEND`` / NumPy): per-segment constants are
     gathered with ``xp.take``, branch outcomes are combined with boolean
     masks and ``xp.where`` (no NumPy-only integer fancy indexing), and the
@@ -196,7 +196,7 @@ def run_compiled(
     lf = compiled.lf
     recall = compiled.recall
     # Segment constants onto the execution backend, once per kernel call
-    # (no copy when the compiled arrays already live there, e.g. NumPy).
+    # (no copy on NumPy, where the compiled arrays already live).
     work = be.asarray(compiled.work, dtype=f8)
     p_silent = be.asarray(compiled.p_silent, dtype=f8)
     has_verif = be.asarray(compiled.has_verification, dtype=b1)
@@ -433,33 +433,6 @@ def _chunk_sizes(n_runs: int, chunk_size: int) -> list[int]:
     return sizes
 
 
-def _require_shardable(be: Backend) -> None:
-    """Reject ``n_jobs`` sharding for backends workers cannot re-resolve.
-
-    Array namespaces (module objects) are not picklable, so worker
-    processes receive only the backend *name* and re-resolve it from the
-    registry.  A live :class:`Backend` handle whose name was never
-    registered — or a loader that only exists in this process under the
-    ``spawn`` start method — would surface as a confusing worker-side
-    failure; catch it up front with an actionable message.
-    """
-    try:
-        resolved = get_backend(be.name)
-    except ReproError as exc:
-        raise InvalidParameterError(
-            f"n_jobs sharding re-resolves the backend by name, but "
-            f"{be.name!r} is not resolvable from the registry ({exc}); "
-            "register it with register_backend(...) or run with n_jobs=None"
-        ) from exc
-    if resolved.xp is not be.xp or resolved.device != be.device:
-        raise InvalidParameterError(
-            f"n_jobs sharding would silently replace the customized "
-            f"backend handle {be.name!r} (device={be.device!r}) with the "
-            f"registry's default (device={resolved.device!r}); register a "
-            "loader reproducing the handle or run with n_jobs=None"
-        )
-
-
 def _run_chunks(
     fn,
     payload,
@@ -467,7 +440,7 @@ def _run_chunks(
     n_runs: int,
     chunk_size: int,
     max_attempts: int,
-    be: Backend,
+    backend: str,
     n_jobs: int | None,
     pool=None,
 ) -> list:
@@ -476,26 +449,25 @@ def _run_chunks(
 
     Chunk ``c`` draws from the ``c``-th child spawned from ``seed``'s
     sequence now, so successive calls on one ``SeedSequence`` continue
-    its stream.  With
-    ``n_jobs > 1`` and several chunks, the chunks fan out to worker
-    processes (on ``pool`` when given), which re-resolve the backend by
-    name; the results are the same whatever ``n_jobs`` is.
+    its stream.  With ``n_jobs > 1`` and several chunks, the chunks fan
+    out to worker processes (on ``pool`` when given), which re-resolve
+    the ``backend`` name; the results are the same whatever ``n_jobs`` is.
     """
     sizes = _chunk_sizes(n_runs, chunk_size)
     children = _seed_sequence(seed).spawn(len(sizes))
     if n_jobs is not None and n_jobs > 1 and len(sizes) > 1:
-        _require_shardable(be)
         return fan_out(
             fn,
             [
-                (payload, child, n, max_attempts, be.name)
+                (payload, child, n, max_attempts, backend)
                 for child, n in zip(children, sizes)
             ],
             n_jobs=n_jobs,
             pool=pool,
         )
     return [
-        fn(payload, child, n, max_attempts, be) for child, n in zip(children, sizes)
+        fn(payload, child, n, max_attempts, backend)
+        for child, n in zip(children, sizes)
     ]
 
 
@@ -504,7 +476,7 @@ def _run_chunk(
     child: np.random.SeedSequence,
     n: int,
     max_attempts: int,
-    backend: "str | Backend | None" = None,
+    backend: str,
 ) -> BatchResult:
     """Worker entry point (module-level so it pickles for ``n_jobs``)."""
     return run_compiled(
@@ -523,7 +495,7 @@ def simulate_batch(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     n_jobs: int | None = None,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    backend: "str | Backend | None" = None,
+    backend: str | None = None,
 ) -> BatchResult:
     """Simulate ``n_runs`` executions of ``schedule`` in vectorized batches.
 
@@ -543,10 +515,9 @@ def simulate_batch(
     max_attempts:
         Per-replication cap on segment attempts, as in the scalar engine.
     backend:
-        Array-API backend the lockstep kernel runs on: a registered name
-        (``"numpy"``, ``"array-api-strict"``, ``"cupy"``, ``"torch"``), a
-        :class:`~repro.simulation.backend.Backend` handle, or ``None``
-        for the ``REPRO_BACKEND`` / NumPy default.  Uniform streams stay
+        Name of the array-API backend the lockstep kernel runs on
+        (``"numpy"`` or ``"array-api-strict"``), or ``None`` for the
+        ``REPRO_BACKEND`` / NumPy default.  Uniform streams stay
         on the host, so the sampled campaign is the same one on every
         backend; results always come back as NumPy arrays.
     """
@@ -554,10 +525,10 @@ def simulate_batch(
         raise InvalidParameterError(f"n_runs must be >= 1, got {n_runs}")
     if chunk_size < 1:
         raise InvalidParameterError(f"chunk_size must be >= 1, got {chunk_size}")
-    be = get_backend(backend)  # resolve (and fail) before any work
+    name = get_backend(backend).name  # resolve (and fail) before any work
     compiled = compile_schedule(chain, platform, schedule, costs)
     with _span(
-        "sim.batch", n_runs=n_runs, n_jobs=n_jobs or 1, backend=be.name
+        "sim.batch", n_runs=n_runs, n_jobs=n_jobs or 1, backend=name
     ) as sp:
         parts = _run_chunks(
             _run_chunk,
@@ -566,7 +537,7 @@ def simulate_batch(
             n_runs,
             chunk_size,
             max_attempts,
-            be,
+            name,
             n_jobs,
         )
         sp.set(chunks=len(parts))

@@ -26,14 +26,11 @@ reaches ``n_segments``.  For each segment the compiler precomputes:
 * ``silent_target`` / ``silent_recovery_cost`` — the segment cursor and
   memory recovery cost ``R_M`` of a detected-corruption rollback.
 
-Lowering is array-API generic: the per-segment values are gathered into
-plain Python lists and materialized through an explicit
-:class:`~repro.simulation.backend.Backend` (``xp.asarray`` with explicit
-dtypes, ``xp.expm1`` for the silent-error probabilities).  By default the
-arrays are plain (picklable, read-only) NumPy buffers, so a compiled
-schedule can be shipped to worker processes when the batch engine shards
-replications across jobs; the engine moves them onto its own backend once
-per kernel call.  Compilation performs the same validation as the scalar
+The per-segment values are gathered into plain Python lists and lowered
+to plain (picklable, read-only) NumPy buffers, so a compiled schedule can
+be shipped to worker processes when the batch engine shards replications
+across jobs; the engine moves them onto its own backend once per kernel
+call.  Compilation performs the same validation as the scalar
 engine; the two therefore accept exactly the same inputs, which the test
 suite pins with golden-value and same-seed cross-validation tests.
 """
@@ -41,7 +38,6 @@ suite pins with golden-value and same-seed cross-validation tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
@@ -50,7 +46,6 @@ from ..exceptions import InvalidScheduleError
 from ..platforms import Platform
 from ..core.costs import CostProfile
 from ..core.schedule import Action, Schedule
-from .backend import Backend, array_namespace, get_backend
 
 __all__ = ["CompiledSchedule", "compile_schedule"]
 
@@ -61,23 +56,22 @@ class CompiledSchedule:
 
     All arrays have length :attr:`n_segments`; ``stops`` has one extra
     entry (the 1-based verified positions bounding the segments, starting
-    at the virtual ``T0``).  They live on whatever backend compiled them
-    (NumPy unless a backend was passed to :func:`compile_schedule`).
+    at the virtual ``T0``).  They are read-only host NumPy buffers.
     """
 
     n_tasks: int
-    stops: Any  # int64, n_segments + 1
-    work: Any  # float64
-    p_silent: Any  # float64, 1 - e^{-λ_s W}
-    is_partial: Any  # bool
-    has_verification: Any  # bool
-    verification_cost: Any  # float64
-    memory_ckpt_cost: Any  # float64
-    disk_ckpt_cost: Any  # float64
-    fail_target: Any  # int64 segment cursor after a fail-stop
-    fail_recovery_cost: Any  # float64 (R_D at the rollback target)
-    silent_target: Any  # int64 segment cursor after a detection
-    silent_recovery_cost: Any  # float64 (R_M at the rollback target)
+    stops: np.ndarray  # int64, n_segments + 1
+    work: np.ndarray  # float64
+    p_silent: np.ndarray  # float64, 1 - e^{-λ_s W}
+    is_partial: np.ndarray  # bool
+    has_verification: np.ndarray  # bool
+    verification_cost: np.ndarray  # float64
+    memory_ckpt_cost: np.ndarray  # float64
+    disk_ckpt_cost: np.ndarray  # float64
+    fail_target: np.ndarray  # int64 segment cursor after a fail-stop
+    fail_recovery_cost: np.ndarray  # float64 (R_D at the rollback target)
+    silent_target: np.ndarray  # int64 segment cursor after a detection
+    silent_recovery_cost: np.ndarray  # float64 (R_M at the rollback target)
     lf: float
     ls: float
     recall: float
@@ -91,7 +85,7 @@ class CompiledSchedule:
 
     def describe(self) -> str:
         """One-line human-readable summary."""
-        total = float(array_namespace(self.work).sum(self.work))
+        total = float(np.sum(self.work))
         return (
             f"compiled schedule: {self.n_tasks} tasks -> "
             f"{self.n_segments} segments, total work {total:g}s, "
@@ -104,15 +98,8 @@ def compile_schedule(
     platform: Platform,
     schedule: Schedule,
     costs: CostProfile | None = None,
-    *,
-    backend: "str | Backend | None" = "numpy",
 ) -> CompiledSchedule:
     """Compile ``schedule`` on ``(chain, platform)`` into flat segment arrays.
-
-    ``backend`` selects the array namespace the segment arrays are
-    materialized on — NumPy by default (and the only picklable choice for
-    ``n_jobs`` sharding); the engine itself accepts a NumPy-compiled
-    schedule for any execution backend.
 
     Raises
     ------
@@ -132,8 +119,6 @@ def compile_schedule(
         )
     if costs is None:
         costs = CostProfile.uniform(chain.n, platform)
-    be = get_backend(backend)
-    xp = be.xp
 
     stops = [0] + schedule.verified_positions
     if stops[-1] != chain.n:
@@ -180,29 +165,28 @@ def compile_schedule(
             cd_cost[k] = float(costs.CD[nxt])
 
     ls = platform.ls
-    work_arr = be.asarray(work, dtype=xp.float64)
+    work_arr = np.asarray(work, dtype=np.float64)
     if ls > 0.0:
-        p_silent = -xp.expm1((-ls) * work_arr)
+        p_silent = -np.expm1((-ls) * work_arr)
     else:
-        p_silent = be.zeros(n_segs, dtype=xp.float64)
+        p_silent = np.zeros(n_segs, dtype=np.float64)
 
     arrays = dict(
-        stops=be.asarray(stops, dtype=xp.int64),
+        stops=np.asarray(stops, dtype=np.int64),
         work=work_arr,
         p_silent=p_silent,
-        is_partial=be.asarray(is_partial, dtype=xp.bool),
-        has_verification=be.asarray(has_verif, dtype=xp.bool),
-        verification_cost=be.asarray(verif_cost, dtype=xp.float64),
-        memory_ckpt_cost=be.asarray(cm_cost, dtype=xp.float64),
-        disk_ckpt_cost=be.asarray(cd_cost, dtype=xp.float64),
-        fail_target=be.asarray(fail_target, dtype=xp.int64),
-        fail_recovery_cost=be.asarray(fail_cost, dtype=xp.float64),
-        silent_target=be.asarray(silent_target, dtype=xp.int64),
-        silent_recovery_cost=be.asarray(silent_cost, dtype=xp.float64),
+        is_partial=np.asarray(is_partial, dtype=bool),
+        has_verification=np.asarray(has_verif, dtype=bool),
+        verification_cost=np.asarray(verif_cost, dtype=np.float64),
+        memory_ckpt_cost=np.asarray(cm_cost, dtype=np.float64),
+        disk_ckpt_cost=np.asarray(cd_cost, dtype=np.float64),
+        fail_target=np.asarray(fail_target, dtype=np.int64),
+        fail_recovery_cost=np.asarray(fail_cost, dtype=np.float64),
+        silent_target=np.asarray(silent_target, dtype=np.int64),
+        silent_recovery_cost=np.asarray(silent_cost, dtype=np.float64),
     )
     for arr in arrays.values():
-        if isinstance(arr, np.ndarray):
-            arr.setflags(write=False)
+        arr.setflags(write=False)
     return CompiledSchedule(
         n_tasks=chain.n,
         lf=float(platform.lf),

@@ -38,7 +38,7 @@ from ..obs import get_logger, span as _span
 from ..platforms import Platform
 from ..core.schedule import Schedule
 from .adaptive import DEFAULT_MIN_RUNS, AdaptiveResult, run_adaptive
-from .backend import Backend, canonical_name, get_backend
+from .backend import canonical_name, get_backend
 from .batch import DEFAULT_CHUNK_SIZE, _seed_sequence, simulate_batch
 from .breakdown import aggregate_trace, render_breakdown
 from .engine import RunResult, simulate_run
@@ -154,7 +154,7 @@ def run_monte_carlo(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     n_jobs: int | None = None,
     target_ci: float | None = None,
-    backend: "str | Backend | None" = None,
+    backend: str | None = None,
 ) -> MonteCarloResult:
     """Estimate the expected makespan of ``schedule`` by simulation.
 
@@ -184,9 +184,8 @@ def run_monte_carlo(
         ``runs`` cap is hit), and the result carries the convergence
         report.  Batch engine only.
     backend:
-        Array-API backend for the batched kernel — a registered name, a
-        :class:`~repro.simulation.backend.Backend` handle, or ``None``
-        for the ``REPRO_BACKEND`` / NumPy default.  The scalar oracle is
+        Name of the array-API backend for the batched kernel, or
+        ``None`` for the ``REPRO_BACKEND`` / NumPy default.  The scalar oracle is
         a host NumPy loop: it ignores the environment default and rejects
         an explicit non-NumPy selection.
     """
@@ -197,18 +196,14 @@ def run_monte_carlo(
             f"engine must be 'batch' or 'scalar', got {engine!r}"
         )
     if engine == "scalar":
-        requested = (
-            backend.name if isinstance(backend, Backend) else backend
-        )
-        if requested is not None and canonical_name(requested) != "numpy":
+        if backend is not None and canonical_name(backend) != "numpy":
             raise InvalidParameterError(
                 "the scalar oracle engine runs on NumPy only; "
-                f"backend {requested!r} requires engine='batch'"
+                f"backend {backend!r} requires engine='batch'"
             )
         backend_name = "numpy"
     else:
-        backend = get_backend(backend)
-        backend_name = backend.name
+        backend_name = get_backend(backend).name
 
     if target_ci is not None:
         if engine != "batch":
@@ -229,7 +224,7 @@ def run_monte_carlo(
             chunk_size=chunk_size,
             n_jobs=n_jobs,
             analytic=analytic,
-            backend=backend,
+            backend=backend_name,
             **({} if max_attempts is None else {"max_attempts": max_attempts}),
         )
         n = adaptive.reps_used
@@ -256,7 +251,7 @@ def run_monte_carlo(
             costs=costs,
             chunk_size=chunk_size,
             n_jobs=n_jobs,
-            backend=backend,
+            backend=backend_name,
             **batch_kwargs,
         )
         samples = batch.makespans

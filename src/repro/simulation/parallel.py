@@ -55,7 +55,7 @@ from ..obs import metrics as _metrics, span as _span
 from ..platforms import Platform
 from ..core.costs import CostProfile
 from ..core.schedule import Action, Schedule
-from .backend import Backend, get_backend
+from .backend import get_backend
 from .batch import (
     DEFAULT_CHUNK_SIZE,
     BatchResult,
@@ -554,7 +554,7 @@ def _run_parallel_chunk(
     child: np.random.SeedSequence,
     n: int,
     max_attempts: int,
-    backend: "str | Backend | None" = None,
+    backend: str,
 ) -> ParallelBatchResult:
     """Chunk entry point (module-level so it pickles for ``n_jobs``).
 
@@ -600,7 +600,7 @@ def simulate_parallel(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     n_jobs: int | None = None,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    backend: "str | Backend | None" = None,
+    backend: str | None = None,
 ) -> ParallelBatchResult:
     """Simulate ``n_runs`` p-worker executions of ``plan`` in batches.
 
@@ -617,7 +617,7 @@ def simulate_parallel(
         raise InvalidParameterError(f"n_runs must be >= 1, got {n_runs}")
     if chunk_size < 1:
         raise InvalidParameterError(f"chunk_size must be >= 1, got {chunk_size}")
-    be = get_backend(backend)  # resolve (and fail) before any work
+    name = get_backend(backend).name  # resolve (and fail) before any work
     cplan = _compile_plan(plan, platform)
     n_busy = sum(1 for cw in cplan.workers if cw is not None)
     with _span(
@@ -630,7 +630,7 @@ def simulate_parallel(
             n_runs,
             chunk_size,
             max_attempts,
-            be,
+            name,
             n_jobs,
         )
         sp.set(chunks=len(parts))

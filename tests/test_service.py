@@ -423,6 +423,27 @@ class TestHttp:
         assert err["kind"] == "error"
         assert repr(field) in err["error"]
 
+    @pytest.mark.parametrize(
+        "endpoint, request_doc",
+        [
+            ("simulate", {"tasks": 4, "runs": 20, "backend": "cupy"}),
+            (
+                "dag/optimize",
+                {
+                    "generator": {"kind": "layered", "tasks": 6, "seed": 1},
+                    "certify": True,
+                    "backend": "cupy",
+                },
+            ),
+        ],
+    )
+    def test_removed_gpu_backend_is_400(self, server, endpoint, request_doc):
+        status, _, body = _post(server, f"/{endpoint}", request_doc)
+        assert status == 400, body
+        err = json.loads(body)
+        assert err["kind"] == "error"
+        assert "unknown backend" in err["error"]
+
     def test_overflowing_chain_is_400(self, server):
         status, _, body = _post(
             server,
