@@ -100,6 +100,7 @@ def build_profile(
         sim = {
             "replications": replications,
             "chunks": counters.get("sim.batch.chunks", 0),
+            "retired_clean": counters.get("sim.batch.retired_clean", 0),
             "steps": counters.get("sim.batch.steps", 0),
             "compactions": counters.get("sim.batch.compactions", 0),
         }
@@ -171,7 +172,8 @@ def render_profile(
     if sim:
         line = (
             f"batched kernel: {sim['replications']} replications in "
-            f"{sim['chunks']} chunks, {sim['steps']} steps, "
+            f"{sim['chunks']} chunks ({sim['retired_clean']} error-free, "
+            f"retired before the loop), {sim['steps']} steps, "
             f"{sim['compactions']} compactions"
         )
         if "runs_per_s" in sim:

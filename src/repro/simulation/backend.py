@@ -94,8 +94,16 @@ class Backend:
 
 
 def canonical_name(name: str) -> str:
-    """Loader-table key for a user-supplied backend name (case/``_`` folded)."""
-    return name.strip().lower().replace("_", "-")
+    """Loader-table key for a user-supplied backend name (case/``_``
+    folded); an unknown name raises
+    :class:`~repro.exceptions.InvalidParameterError`."""
+    key = name.strip().lower().replace("_", "-")
+    if key not in _LOADERS:
+        raise InvalidParameterError(
+            f"unknown backend {name!r}; known backends: "
+            f"{', '.join(sorted(_LOADERS))}"
+        )
+    return key
 
 
 def array_namespace(x: Any) -> Any:
@@ -145,14 +153,7 @@ def get_backend(name: str | None = None) -> Backend:
         name = os.environ.get(BACKEND_ENV_VAR) or DEFAULT_BACKEND
     key = canonical_name(name)
     try:
-        loader = _LOADERS[key]
-    except KeyError:
-        raise InvalidParameterError(
-            f"unknown backend {name!r}; known backends: "
-            f"{', '.join(sorted(_LOADERS))}"
-        ) from None
-    try:
-        return loader()
+        return _LOADERS[key]()
     except ImportError as exc:
         raise BackendUnavailableError(
             f"backend {key!r} is known but not installed here "

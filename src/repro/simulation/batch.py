@@ -25,22 +25,40 @@ backend-agnostic (:mod:`repro.simulation.backend`): NumPy by default,
 5. clean replications pay their verification/checkpoint costs and their
    cursors advance.
 
-The loop runs until every replication's cursor clears the last segment —
-the number of iterations is the *maximum* attempt count over the batch
-(close to the segment count unless error rates are extreme), so the
-Python-level overhead is O(max attempts), not O(N × attempts) as in the
-scalar engine.
+Error-free replications are retired before the loop.  A replication
+whose first ``S = n_segments`` uniform blocks fail neither the fail-stop
+test of step 2 nor the silent test of step 3 at cursor ``s`` clears
+segment ``s`` at attempt ``s``, never reads its detection slot and
+finishes after exactly ``S`` attempts with the same makespan, category
+sums and commit-stop times as every other such replication.  The kernel
+replays those ``S`` blocks through the loop's own tests, one block at a
+time, rewinds the generator, and fills each error-free replication's
+results from one precomputed error-free fold.  On the Table I platforms
+that is most of a campaign (81–94% of the certified replications of the
+``mc_certify`` benchmark).  The loop then runs the others until every
+cursor clears the last segment — the number of iterations is the
+*maximum* attempt count over the batch (at least ``S``; close to it
+unless error rates are extreme), so the Python-level overhead is
+O(max attempts), not O(N × attempts) as in the scalar engine.  Each
+step gathers its per-segment constants with three takes, one from each
+of a float, an int and a bool table stacked at kernel entry.
 
 Reproducibility
 ---------------
 The uniform block in step 1 is always drawn full-size, including slots of
-already-finished replications, so the stream consumed by replication
-``i`` depends only on the chunk seed, the chunk population and ``i`` —
-never on how fast *other* replications progress.  Replications are
-processed in chunks of ``chunk_size`` (bounding memory and providing the
-sharding grain for ``n_jobs``); chunk ``c`` draws from the ``c``-th child
-of the batch ``SeedSequence``, so results are bit-identical for a given
-``(seed, n_runs, chunk_size)`` regardless of ``n_jobs``.
+already-finished and retired replications, so the stream consumed by
+replication ``i`` depends only on the chunk seed, the chunk population
+and ``i`` — never on how fast *other* replications progress.  The
+retirement replay does not change what the loop draws: the loop draws
+the same first ``S`` blocks again from the rewound generator, so its
+blocks, the streams and the generator's final state are the ones a
+kernel without the retirement would give (when every replication is
+error-free, the loop draws nothing and the replay's ``S`` blocks stand
+for its ``S`` steps).  Replications are processed in chunks of
+``chunk_size`` (bounding memory and providing the sharding grain for
+``n_jobs``); chunk ``c`` draws from the ``c``-th child of the batch
+``SeedSequence``, so results are bit-identical for a given ``(seed,
+n_runs, chunk_size)`` regardless of ``n_jobs``.
 
 :func:`replication_uniform_rows` regenerates the exact uniform rows
 replication ``i`` consumes, and :class:`InverseTransformErrorSource`
@@ -146,6 +164,74 @@ class BatchResult:  # repro: allow[RPR005] -- array carrier folded into MC stats
         )
 
 
+def _exceeded(max_attempts: int, running: int) -> SimulationError:
+    return SimulationError(
+        f"batch exceeded {max_attempts} segment attempts with "
+        f"{running} replication(s) still running "
+        "(error rates too high for this schedule?)"
+    )
+
+
+def _error_free(
+    compiled: CompiledSchedule, n_runs: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Host mask of the replications that see no error in their first
+    ``S = n_segments`` attempts, found by replaying the first ``S``
+    uniform blocks through the loop's own tests at cursor ``s``.
+
+    Such a replication clears segment ``s`` at attempt ``s`` and never
+    reads its detection slot, so it finishes in exactly ``S`` attempts.
+    ``rng`` is left where the lockstep loop must start: rewound to its
+    entry state, unless every replication is error-free — then the loop
+    draws nothing, and the ``S`` blocks drawn here are the ones it would
+    have drawn.
+    """
+    state = rng.bit_generator.state
+    lf = compiled.lf
+    dirty = np.zeros(n_runs, dtype=bool)
+    for s in range(compiled.n_segments):
+        u = rng.random((3, n_runs))
+        if lf > 0.0:
+            dirty |= -np.log1p(-u[0]) / lf < compiled.work[s]
+        dirty |= u[1] < compiled.p_silent[s]
+        if dirty.all():
+            break
+    if dirty.any():
+        rng.bit_generator.state = state
+    return ~dirty
+
+
+def _error_free_fold(
+    compiled: CompiledSchedule, commit_list: list[int]
+) -> tuple[float, dict[str, float], list[float]]:
+    """Makespan, nonzero category totals and commit-stop times of a
+    replication that sees no error.
+
+    These are the loop's own sequential float adds; the masked-out zeros
+    it adds besides (``t + 0.0`` for ``t >= 0``) are bitwise identities
+    and are left out.
+    """
+    t = 0.0
+    totals = dict.fromkeys(
+        ("work", "verification", "memory_checkpoint", "disk_checkpoint"), 0.0
+    )
+    stamps: list[float] = []
+    for s, costs in enumerate(
+        zip(
+            compiled.work.tolist(),
+            compiled.verification_cost.tolist(),
+            compiled.memory_ckpt_cost.tolist(),
+            compiled.disk_ckpt_cost.tolist(),
+        )
+    ):
+        for category, cost in zip(totals, costs):
+            t = t + cost
+            totals[category] = totals[category] + cost
+        if s + 1 in commit_list:
+            stamps.append(t)
+    return t, totals, stamps
+
+
 def run_compiled(
     compiled: CompiledSchedule,
     n_runs: int,
@@ -174,10 +260,22 @@ def run_compiled(
     the kernel validates this and raises
     :class:`~repro.exceptions.SimulationError` otherwise.
 
+    Error-free replications are retired before the loop (see module
+    doc): a replay of the first ``S`` uniform blocks finds them, the
+    generator is rewound, and each gets the results of one precomputed
+    error-free fold — ``S`` attempts, no events, and the commit stop
+    ``thr`` stamped with the fold's time after attempt ``thr``.  The
+    loop starts with the other replications only.  The retirement is
+    counted by ``sim.batch.retired_clean`` (and the ``sim.chunk`` event's
+    ``retired_clean``), not as a compaction: ``sim.batch.compactions``
+    counts the loop steps that retire at least one replication.
+
     The kernel body is pure array-API (``backend`` names the namespace,
-    defaulting to ``REPRO_BACKEND`` / NumPy): per-segment constants are
-    gathered with ``xp.take``, branch outcomes are combined with boolean
-    masks and ``xp.where`` (no NumPy-only integer fancy indexing), and the
+    defaulting to ``REPRO_BACKEND`` / NumPy): the per-segment constants
+    are stacked into one float, one int and one bool table at entry, and
+    each step gathers them with one ``xp.take(table, cursor, axis=1)``
+    per table; branch outcomes are combined with boolean masks and
+    ``xp.where`` (no NumPy-only integer fancy indexing), and the
     still-running replications are kept *compacted* — finished ones are
     retired to host NumPy result buffers through boolean-mask selection,
     so late lockstep iterations touch only the stragglers, whatever the
@@ -195,19 +293,28 @@ def run_compiled(
     S = compiled.n_segments
     lf = compiled.lf
     recall = compiled.recall
-    # Segment constants onto the execution backend, once per kernel call
-    # (no copy on NumPy, where the compiled arrays already live).
-    work = be.asarray(compiled.work, dtype=f8)
-    p_silent = be.asarray(compiled.p_silent, dtype=f8)
-    has_verif = be.asarray(compiled.has_verification, dtype=b1)
-    is_partial = be.asarray(compiled.is_partial, dtype=b1)
-    verif_cost = be.asarray(compiled.verification_cost, dtype=f8)
-    cm_cost = be.asarray(compiled.memory_ckpt_cost, dtype=f8)
-    cd_cost = be.asarray(compiled.disk_ckpt_cost, dtype=f8)
-    fail_target = be.asarray(compiled.fail_target, dtype=i8)
-    fail_cost = be.asarray(compiled.fail_recovery_cost, dtype=f8)
-    silent_target = be.asarray(compiled.silent_target, dtype=i8)
-    silent_cost = be.asarray(compiled.silent_recovery_cost, dtype=f8)
+    # Segment constants onto the execution backend, once per kernel call,
+    # one table per dtype so that each step gathers them in three takes.
+    ftab = be.asarray(
+        np.stack(
+            [
+                compiled.work,
+                compiled.p_silent,
+                compiled.verification_cost,
+                compiled.memory_ckpt_cost,
+                compiled.disk_ckpt_cost,
+                compiled.fail_recovery_cost,
+                compiled.silent_recovery_cost,
+            ]
+        ),
+        dtype=f8,
+    )
+    itab = be.asarray(
+        np.stack([compiled.fail_target, compiled.silent_target]), dtype=i8
+    )
+    btab = be.asarray(
+        np.stack([compiled.has_verification, compiled.is_partial]), dtype=b1
+    )
 
     commit_list: list[int] = (
         [] if commit_stops is None else [int(c) for c in commit_stops]
@@ -220,15 +327,19 @@ def run_compiled(
                 "commit_stops must be strictly increasing segment indices "
                 f"in [1, {S}], got {commit_list}"
             )
-        ft_np = be.to_numpy(fail_target)
-        st_np = be.to_numpy(silent_target)
         for thr in commit_list:
-            if (ft_np[thr:] < thr).any() or (st_np[thr:] < thr).any():
+            if (compiled.fail_target[thr:] < thr).any() or (
+                compiled.silent_target[thr:] < thr
+            ).any():
                 raise SimulationError(
                     f"commit stop at segment {thr} is not rollback-safe: a "
                     "later segment can roll back across it (commit stops "
                     "must be disk-checkpointed positions)"
                 )
+    # A cursor advances at most one segment a step, so every replication
+    # is still running after ``S - 1`` steps.
+    if n_runs and max_attempts < S:
+        raise _exceeded(max_attempts, n_runs)
 
     c_work = CATEGORY_INDEX["work"]
     c_lost = CATEGORY_INDEX["fail_stop_lost"]
@@ -251,31 +362,41 @@ def run_compiled(
     out_cat = np.zeros((len(TIME_CATEGORIES), n_runs), dtype=np.float64)
     out_commit = np.zeros((len(commit_list), n_runs), dtype=np.float64)
 
+    clean = _error_free(compiled, n_runs, rng)
+    n_clean = int(clean.sum())
+    if n_clean:
+        fold_t, fold_totals, fold_stamps = _error_free_fold(
+            compiled, commit_list
+        )
+        out_t[clean] = fold_t
+        for category, total in fold_totals.items():
+            out_cat[CATEGORY_INDEX[category], clean] = total
+        for c, stamp in enumerate(fold_stamps):
+            out_commit[c, clean] = stamp
+        out_attempts[clean] = S
+
     # Live (still-running) state, compacted; ``orig`` maps live position
     # -> original replication index and drives both the host-side stream
     # gather and the result scatter.
-    orig = np.arange(n_runs, dtype=np.int64)
-    t = be.zeros(n_runs, dtype=f8)
-    cursor = be.zeros(n_runs, dtype=i8)
-    latent = be.zeros(n_runs, dtype=b1)
-    n_fail = be.zeros(n_runs, dtype=i8)
-    n_silent = be.zeros(n_runs, dtype=i8)
-    n_detected = be.zeros(n_runs, dtype=i8)
-    n_missed = be.zeros(n_runs, dtype=i8)
-    n_attempts = be.zeros(n_runs, dtype=i8)
-    cat = [be.zeros(n_runs, dtype=f8) for _ in TIME_CATEGORIES]
-    commit_t = [be.zeros(n_runs, dtype=f8) for _ in commit_list]
-    committed = [be.zeros(n_runs, dtype=b1) for _ in commit_list]
+    orig = np.flatnonzero(~clean)
+    n_live = orig.size
+    t = be.zeros(n_live, dtype=f8)
+    cursor = be.zeros(n_live, dtype=i8)
+    latent = be.zeros(n_live, dtype=b1)
+    n_fail = be.zeros(n_live, dtype=i8)
+    n_silent = be.zeros(n_live, dtype=i8)
+    n_detected = be.zeros(n_live, dtype=i8)
+    n_missed = be.zeros(n_live, dtype=i8)
+    n_attempts = be.zeros(n_live, dtype=i8)
+    cat = [be.zeros(n_live, dtype=f8) for _ in TIME_CATEGORIES]
+    commit_t = [be.zeros(n_live, dtype=f8) for _ in commit_list]
+    committed = [be.zeros(n_live, dtype=b1) for _ in commit_list]
 
     steps = 0
     while orig.size:
         steps += 1
         if steps > max_attempts:
-            raise SimulationError(
-                f"batch exceeded {max_attempts} segment attempts with "
-                f"{orig.size} replication(s) still running "
-                "(error rates too high for this schedule?)"
-            )
+            raise _exceeded(max_attempts, orig.size)
         # Full-size draw: finished replications keep consuming their slots
         # so each replication's stream is independent of the others' pace.
         u = rng.random((3, n_runs))
@@ -284,7 +405,8 @@ def run_compiled(
         u1 = be.asarray(u_live[1], dtype=f8)
         u2 = be.asarray(u_live[2], dtype=f8)
         jj = cursor  # every live replication satisfies cursor < S
-        W = xp.take(work, jj)
+        seg = xp.take(ftab, jj, axis=1)
+        W = seg[0, :]
         n_attempts = n_attempts + 1
         zero = be.zeros(orig.size, dtype=f8)
 
@@ -296,10 +418,11 @@ def run_compiled(
             fail = be.zeros(orig.size, dtype=b1)
 
         ok = ~fail
-        silent_new = ok & (u1 < xp.take(p_silent, jj))
+        silent_new = ok & (u1 < seg[1, :])
         corrupted = silent_new | (latent & ok)
-        at_verif = xp.take(has_verif, jj)
-        partial = xp.take(is_partial, jj)
+        flags = xp.take(btab, jj, axis=1)
+        at_verif = flags[0, :]
+        partial = flags[1, :]
         caught = corrupted & at_verif & (~partial | (u2 < recall))
         missed = (corrupted & at_verif) & ~caught
         proceed = ok & ~caught & ~missed
@@ -310,7 +433,7 @@ def run_compiled(
         # --- fail-stop: pay elapsed work + disk recovery, jump back ----
         if lf > 0.0:
             lost = xp.where(fail, arrival, zero)
-            rd = xp.where(fail, xp.take(fail_cost, jj), zero)
+            rd = xp.where(fail, seg[5, :], zero)
             t = t + lost
             t = t + rd
             cat[c_lost] = cat[c_lost] + lost
@@ -319,7 +442,7 @@ def run_compiled(
 
         # --- segment completed: pay the work and any verification ------
         wo = xp.where(ok, W, zero)
-        vo = xp.where(ok, xp.take(verif_cost, jj), zero)  # 0 if unverified
+        vo = xp.where(ok, seg[2, :], zero)  # 0 if unverified
         t = t + wo
         t = t + vo
         cat[c_work] = cat[c_work] + wo
@@ -327,7 +450,7 @@ def run_compiled(
         n_silent = n_silent + xp.astype(silent_new, i8)
 
         # --- corruption caught: memory recovery, jump back --------------
-        rm = xp.where(caught, xp.take(silent_cost, jj), zero)
+        rm = xp.where(caught, seg[6, :], zero)
         t = t + rm
         cat[c_rm] = cat[c_rm] + rm
         n_detected = n_detected + xp.astype(caught, i8)
@@ -336,17 +459,18 @@ def run_compiled(
         n_missed = n_missed + xp.astype(missed, i8)
 
         # --- clean: pay checkpoints, advance -----------------------------
-        cm = xp.where(proceed, xp.take(cm_cost, jj), zero)  # 0 if no ckpt
-        cd = xp.where(proceed, xp.take(cd_cost, jj), zero)
+        cm = xp.where(proceed, seg[3, :], zero)  # 0 if no ckpt
+        cd = xp.where(proceed, seg[4, :], zero)
         t = t + cm
         t = t + cd
         cat[c_cm] = cat[c_cm] + cm
         cat[c_cd] = cat[c_cd] + cd
 
+        targets = xp.take(itab, jj, axis=1)
         cursor = xp.where(
             fail,
-            xp.take(fail_target, jj),
-            xp.where(caught, xp.take(silent_target, jj), cursor + 1),
+            targets[0, :],
+            xp.where(caught, targets[1, :], cursor + 1),
         )
         latent = missed  # every other branch clears the latent bit
 
@@ -387,10 +511,14 @@ def run_compiled(
             cat = [row[keep] for row in cat]
             commit_t = [row[keep] for row in commit_t]
             committed = [row[keep] for row in committed]
+    if n_clean:
+        # the loop runs at least S steps whenever it runs at all
+        steps = max(steps, S)
 
     if reg.enabled:
         reg.counter("sim.batch.chunks").inc()
         reg.counter("sim.batch.replications").inc(n_runs)
+        reg.counter("sim.batch.retired_clean").inc(n_clean)
         reg.counter("sim.batch.steps").inc(steps)
         reg.counter("sim.batch.compactions").inc(n_compactions)
         reg.timer("sim.batch.kernel").observe(perf_counter() - t0)
@@ -398,6 +526,7 @@ def run_compiled(
         bus.emit(
             "sim.chunk",
             reps=n_runs,
+            retired_clean=n_clean,
             steps=steps,
             compactions=n_compactions,
             wall_s=perf_counter() - t0,

@@ -186,8 +186,9 @@ def run_monte_carlo(
     backend:
         Name of the array-API backend for the batched kernel, or
         ``None`` for the ``REPRO_BACKEND`` / NumPy default.  The scalar oracle is
-        a host NumPy loop: it ignores the environment default and rejects
-        an explicit non-NumPy selection.
+        a host NumPy loop: it ignores the environment default, rejects an
+        unknown name as the batched engine does, and rejects any other
+        explicit non-NumPy selection.
     """
     if runs < 1:
         raise InvalidParameterError(f"runs must be >= 1, got {runs}")

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.chains import TaskChain
+from repro.chains import TaskChain, make_chain
 from repro.core import evaluate_schedule, optimize
 from repro.core.costs import CostProfile
 from repro.core.schedule import Schedule
@@ -31,13 +31,14 @@ from repro.exceptions import (
     InvalidScheduleError,
     SimulationError,
 )
-from repro.platforms import Platform
+from repro.platforms import HERA, Platform
 from repro.simulation import (
     TIME_CATEGORIES,
     InverseTransformErrorSource,
     aggregate_trace,
     compile_schedule,
     replication_uniform_rows,
+    run_compiled,
     run_monte_carlo,
     simulate_batch,
     simulate_run,
@@ -48,7 +49,8 @@ from repro.testing import random_chain, random_platform
 def _assert_bitwise_replay(
     chain, platform, schedule, *, n_runs=150, seed=1234, costs=None
 ):
-    """Replay every batch replication through the scalar oracle, exactly."""
+    """Replay every batch replication through the scalar oracle, exactly;
+    returns the batch."""
     batch = simulate_batch(chain, platform, schedule, n_runs, seed=seed, costs=costs)
     breakdown = batch.breakdown
     kwargs = {} if costs is None else {"costs": costs}
@@ -78,6 +80,20 @@ def _assert_bitwise_replay(
     np.testing.assert_allclose(
         breakdown.sum_per_run(), batch.makespans, rtol=1e-12
     )
+    return batch
+
+
+def _error_free_share(batch) -> float:
+    """Share of replications that saw neither a fail-stop nor a silent
+    error: the ones the kernel retires before its lockstep loop."""
+    return float(np.mean(batch.fail_stop_errors + batch.silent_errors == 0))
+
+
+def _hera_chain_instance():
+    """A Table I chain on which about nine replications in ten see no
+    error."""
+    chain = make_chain("uniform", 20)
+    return chain, optimize(chain, HERA, algorithm="admv_star").schedule
 
 
 # ----------------------------------------------------------------------
@@ -134,6 +150,23 @@ class TestExactAgreementWithScalarOracle:
         )
         schedule = Schedule.from_string("p.Mp.D")
         _assert_bitwise_replay(chain, hot_platform, schedule, costs=costs)
+
+    def test_table1_chain_mostly_error_free(self):
+        # Most replications are retired before the lockstep loop; the rest
+        # run it with their own columns of the same uniform blocks.
+        chain, schedule = _hera_chain_instance()
+        batch = _assert_bitwise_replay(chain, HERA, schedule, n_runs=200)
+        assert 0.8 < _error_free_share(batch) < 1.0
+
+    def test_silent_only_platform_mostly_error_free(self):
+        # lf == 0: the retirement test reads the silent slot only.
+        platform = Platform.from_costs(
+            "mild-silent", lf=0.0, ls=2e-4, CD=30.0, CM=6.0, r=0.7
+        )
+        chain = TaskChain([50.0, 70.0, 40.0, 60.0, 30.0, 80.0])
+        schedule = optimize(chain, platform, algorithm="admv").schedule
+        batch = _assert_bitwise_replay(chain, platform, schedule, n_runs=200)
+        assert 0.8 < _error_free_share(batch) < 1.0
 
     def test_random_instances(self):
         rng = np.random.default_rng(77)
@@ -364,6 +397,49 @@ class TestBatchMechanics:
         with pytest.raises(SimulationError):
             simulate_batch(chain, platform, schedule, 50, seed=0, max_attempts=2)
 
+    def test_cap_below_segment_count_names_every_replication(self):
+        # No replication finishes in fewer attempts than there are
+        # segments, error-free ones included.
+        chain, schedule = _hera_chain_instance()
+        S = compile_schedule(chain, HERA, schedule).n_segments
+        with pytest.raises(SimulationError) as exc:
+            simulate_batch(chain, HERA, schedule, 50, seed=0, max_attempts=S - 1)
+        assert str(exc.value) == (
+            f"batch exceeded {S - 1} segment attempts with 50 "
+            "replication(s) still running "
+            "(error rates too high for this schedule?)"
+        )
+
+    @pytest.mark.parametrize(
+        "platform_name, retired",
+        [
+            ("hera", (0.8, 0.99)),  # most retired before the loop
+            ("error_free_platform", (1.0, 1.0)),  # all: the loop never runs
+            ("hot_platform", (0.0, 0.1)),  # few
+        ],
+    )
+    def test_generator_ends_after_the_loops_draws(
+        self, platform_name, retired, request
+    ):
+        # Retiring error-free replications replays the first blocks and
+        # rewinds: the generator ends where ``steps`` full (3, n_runs)
+        # draws leave it, whatever share is retired.
+        platform = request.getfixturevalue(platform_name)
+        if platform_name == "hot_platform":
+            chain = TaskChain([60.0] * 6)
+            schedule = optimize(chain, platform, algorithm="admv").schedule
+        else:
+            chain, schedule = _hera_chain_instance()
+        compiled = compile_schedule(chain, platform, schedule)
+        rng = np.random.default_rng(3)
+        batch = run_compiled(compiled, 300, rng)
+        reference = np.random.default_rng(3)
+        reference.random(batch.steps * 3 * 300)
+        assert rng.bit_generator.state == reference.bit_generator.state
+        assert batch.steps >= compiled.n_segments
+        low, high = retired
+        assert low <= _error_free_share(batch) <= high
+
     def test_rejects_bad_parameters(self, instance):
         chain, platform, schedule = instance
         with pytest.raises(InvalidParameterError):
@@ -407,6 +483,7 @@ class TestParallelOracle:
             simulate_parallel_run,
             worker_uniform_rows,
         )
+        from repro.simulation.parallel import _scalar_commit_times
 
         chunk_size = chunk_size or DEFAULT_CHUNK_SIZE
         batch = simulate_parallel(
@@ -425,7 +502,9 @@ class TestParallelOracle:
                 )
                 for w, wp in enumerate(plan.workers)
             ]
-            ref = simulate_parallel_run(plan, platform, sources)
+            ref = simulate_parallel_run(
+                plan, platform, sources, record_trace=True
+            )
             assert ref.makespan == batch.makespans[i], f"rep {i} differs"
             for w, wp in enumerate(plan.workers):
                 assert ref.worker_finish[w] == batch.worker_finish[w, i]
@@ -439,6 +518,10 @@ class TestParallelOracle:
                 assert res.silent_detected == wb.silent_detected[i]
                 assert res.silent_missed == wb.silent_missed[i]
                 assert res.attempts == wb.attempts[i]
+                commits, _ = _scalar_commit_times(wp, res)
+                if commits:
+                    assert commits == list(wb.commit_times[:, i])
+        return batch
 
     def test_searched_plans_on_small_campaign(self):
         from repro.dag import campaign, optimize_parallel
@@ -453,6 +536,18 @@ class TestParallelOracle:
             self._assert_parallel_bitwise(
                 solution.plan(), platform, n_runs=64, seed=1234
             )
+
+    def test_table1_plan_commit_stops(self):
+        # Nearly every worker replication is error-free and retired before
+        # the loop, with its commit stops stamped from the error-free fold.
+        from repro.dag import campaign, optimize_parallel
+
+        dag = next(d for d in campaign("small", seed=0) if d.name == "layered-8")
+        plan = optimize_parallel(dag, HERA, 2, algorithm="adv_star", seed=0).plan()
+        assert all(wp is not None and wp.boundaries for wp in plan.workers)
+        batch = self._assert_parallel_bitwise(plan, HERA, n_runs=200, seed=1234)
+        shares = [_error_free_share(wb) for wb in batch.worker_results]
+        assert all(0.9 < share < 1.0 for share in shares)
 
     def test_idle_workers_and_chunked_streams(self):
         # more worker slots than tasks: idle slots must keep every busy

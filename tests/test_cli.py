@@ -198,6 +198,14 @@ class TestSimulate:
         assert code == 2
         assert "scalar" in err
 
+    def test_simulate_scalar_engine_rejects_unknown_backend(self, capsys):
+        code, _, err = run_cli(
+            capsys, "simulate", "-n", "3", "--schedule", "vMD",
+            "--engine", "scalar", "--backend", "warp-drive",
+        )
+        assert code == 2
+        assert "unknown backend" in err
+
     def test_simulate_single_run_json_is_strict_rfc8259(self, capsys):
         # n=1 => unbounded CI; the JSON must use null, never Infinity.
         code, out, _ = run_cli(
@@ -846,6 +854,10 @@ class TestObservabilityFlags:
         doc = json.loads(prof.read_text())
         assert doc["command"] == "simulate"
         assert doc["simulation"]["replications"] == 200
+        # most Hera replications see no error and skip the lockstep loop
+        retired = doc["simulation"]["retired_clean"]
+        assert 100 < retired < 200
+        assert doc["metrics"]["counters"]["sim.batch.retired_clean"] == retired
         assert doc["wall_s"] > 0
         tdoc = json.loads(trace.read_text())
         names = {e["name"] for e in tdoc["traceEvents"]}

@@ -322,6 +322,8 @@ class TestEmitters:
         serial, sharded = run(None), run(2)
         kinds = [e.kind for e in serial.snapshot().events]
         assert kinds.count("sim.chunk") == 4
+        chunks = [e.data for e in serial.snapshot().events if e.kind == "sim.chunk"]
+        assert all(0 < c["retired_clean"] <= c["reps"] == 200 for c in chunks)
         assert _event_multiset(serial) == _event_multiset(sharded)
 
     def test_disabled_run_emits_nothing_and_matches_enabled_result(self):

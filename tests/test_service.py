@@ -444,6 +444,17 @@ class TestHttp:
         assert err["kind"] == "error"
         assert "unknown backend" in err["error"]
 
+    def test_scalar_engine_unknown_backend_is_400(self, server):
+        status, _, body = _post(
+            server,
+            "/simulate",
+            {"tasks": 4, "runs": 20, "engine": "scalar", "backend": "warp-drive"},
+        )
+        assert status == 400, body
+        err = json.loads(body)
+        assert err["kind"] == "error"
+        assert "unknown backend" in err["error"]
+
     def test_overflowing_chain_is_400(self, server):
         status, _, body = _post(
             server,
