@@ -30,7 +30,7 @@ from ..chains import TaskChain
 from ..exceptions import InvalidParameterError
 from ..platforms import Platform
 
-__all__ = ["CostProfile", "COST_NAMES", "cost_table", "profile_of"]
+__all__ = ["CostProfile", "COST_NAMES", "cost_table", "profile_of", "scaled_costs"]
 
 #: the per-position cost arrays of a profile, in the row order of
 #: :func:`cost_table`
@@ -96,15 +96,7 @@ class CostProfile:
     @classmethod
     def uniform(cls, n: int, platform: Platform) -> "CostProfile":
         """The paper's model: every task pays the platform scalars."""
-        return cls.from_arrays(
-            n,
-            CD=np.full(n, platform.CD),
-            CM=np.full(n, platform.CM),
-            RD=np.full(n, platform.RD),
-            RM=np.full(n, platform.RM),
-            Vg=np.full(n, platform.Vg),
-            Vp=np.full(n, platform.Vp),
-        )
+        return cls.scaled(platform, np.ones(n))
 
     @classmethod
     def from_arrays(
@@ -147,24 +139,15 @@ class CostProfile:
         keep their meaning when tasks are permuted — the profile for a
         serialisation is just the multipliers in that order.  Checkpoint,
         recovery and verification costs all scale together (output-size
-        semantics).
+        semantics).  The arrays are the one-row :func:`scaled_costs`
+        stack's, bit for bit.
         """
         mult = np.asarray(multipliers, dtype=np.float64)
         if mult.ndim != 1 or mult.size < 1:
             raise InvalidParameterError(
                 "multipliers must be a 1-D sequence with one entry per task"
             )
-        if not np.all(np.isfinite(mult)) or np.any(mult <= 0.0):
-            raise InvalidParameterError("multipliers must be > 0 and finite")
-        return cls.from_arrays(
-            mult.size,
-            CD=platform.CD * mult,
-            CM=platform.CM * mult,
-            RD=platform.RD * mult,
-            RM=platform.RM * mult,
-            Vg=platform.Vg * mult,
-            Vp=platform.Vp * mult,
-        )
+        return profile_of(scaled_costs(platform, mult[None, :])[0])
 
     @classmethod
     def proportional_to_output(
@@ -187,16 +170,7 @@ class CostProfile:
             )
         if not np.all(np.isfinite(sizes)) or np.any(sizes <= 0.0):
             raise InvalidParameterError("output sizes must be > 0 and finite")
-        rel = sizes / sizes.mean()
-        return cls.from_arrays(
-            chain.n,
-            CD=platform.CD * rel,
-            CM=platform.CM * rel,
-            RD=platform.RD * rel,
-            RM=platform.RM * rel,
-            Vg=platform.Vg * rel,
-            Vp=platform.Vp * rel,
-        )
+        return cls.scaled(platform, sizes / sizes.mean())
 
     def with_boundary_recovery(
         self, rd0: float, rm0: float = 0.0
@@ -265,6 +239,43 @@ class CostProfile:
         )
 
 
+def scaled_costs(
+    platform: Platform,
+    multipliers: Sequence[Sequence[float]] | np.ndarray,
+) -> np.ndarray:
+    """The costs of chains whose tasks scale the platform's costs.
+
+    ``multipliers`` holds one row of per-task multipliers per chain: a
+    ``(K, n)`` array, or ``K`` rows of any lengths.  Row ``k`` of the
+    ``(K, 6, n + 1)`` result (``n`` the longest row's length) holds the
+    ``CD, CM, RD, RM, Vg, Vp`` arrays of
+    ``CostProfile.scaled(platform, multipliers[k])``, zero at the
+    virtual ``T0`` and past the row's own length.  This is the one place
+    a task multiplier scales a platform cost: every row takes one
+    broadcast multiply.
+    """
+    if isinstance(multipliers, np.ndarray) and multipliers.ndim == 2:
+        mult = flat = multipliers.astype(np.float64, copy=False)
+    else:
+        rows = [np.asarray(m, dtype=np.float64).ravel() for m in multipliers]
+        flat = np.concatenate([np.zeros(0), *rows])
+        sizes = np.array([row.size for row in rows], dtype=np.intp)
+        present = np.arange(sizes.max(initial=0)) < sizes[:, None]
+        mult = np.zeros(present.shape)
+        mult[present] = flat  # row-major, as the rows are concatenated
+    if not np.isfinite(flat).all() or (flat <= 0.0).any():
+        raise InvalidParameterError("multipliers must be > 0 and finite")
+    return _scale(platform, mult)
+
+
+def _scale(platform: Platform, mult: np.ndarray) -> np.ndarray:
+    """The cost stack of a ``(K, n)`` multiplier array; 0 is no task."""
+    unit = np.array([getattr(platform, name) for name in COST_NAMES])
+    table = np.zeros((mult.shape[0], 6, mult.shape[1] + 1))
+    np.multiply(unit[:, None], mult[:, None, :], out=table[:, :, 1:])
+    return table
+
+
 def cost_table(
     costs: Sequence[CostProfile | None] | np.ndarray | None,
     k: int,
@@ -278,9 +289,11 @@ def cost_table(
     length.  Row ``i`` holds chain ``i``'s ``CD, CM, RD, RM, Vg, Vp``
     arrays, in that order.  ``costs`` is ``None`` (the platform's uniform
     costs for every chain), a sequence of ``k`` profiles (``None``
-    entries are uniform), or such an array already.  The stack is
-    validated once: it must have that shape and every cost must be
-    finite and ``>= 0``.
+    entries are uniform: the :func:`scaled_costs` rows of multiplier
+    1.0), or such an array already — :func:`scaled_costs` builds one for
+    per-task multipliers.  The stack is validated once: it must have
+    that shape and every cost must be finite and ``>= 0``; an error
+    names the first cost array that is not.
     """
     lengths = [n] * k if isinstance(n, (int, np.integer)) else list(n)
     n_max = max(lengths, default=0)
@@ -288,12 +301,17 @@ def cost_table(
         costs = [None] * k
     if isinstance(costs, np.ndarray):
         table = np.asarray(costs, dtype=np.float64)
+    elif len(costs) != k:
+        raise InvalidParameterError(
+            f"expected the costs of {k} chains, got {len(costs)}"
+        )
     else:
-        table = np.zeros((len(costs), 6, n_max + 1))
+        # a None row is the scaled_costs row of multiplier 1.0
+        uniform = [m if profile is None else 0 for profile, m in zip(costs, lengths)]
+        ones = np.arange(n_max) < np.array(uniform, dtype=np.intp)[:, None]
+        table = _scale(platform, ones.astype(np.float64))
         for row, profile, m in zip(table, costs, lengths):
             if profile is None:
-                # the arrays of CostProfile.uniform(m, platform)
-                row[:, 1 : m + 1] = [[getattr(platform, name)] for name in COST_NAMES]
                 continue
             if profile.n != m:
                 raise InvalidParameterError(
@@ -306,8 +324,12 @@ def cost_table(
             f"expected the costs of {k} chains of up to {n_max} tasks, a "
             f"{(k, 6, n_max + 1)} stack, got shape {table.shape}"
         )
-    if not np.isfinite(table).all() or (table < 0.0).any():
-        raise InvalidParameterError("costs must be >= 0 and finite")
+    # The DPs and the evaluator add terms of probability 0 too: 0 * cost
+    # adds exactly nothing only while every cost is finite and >= 0.
+    bad = ~np.isfinite(table) | (table < 0.0)
+    if bad.any():
+        name = COST_NAMES[int(np.flatnonzero(bad.any(axis=(0, 2)))[0])]
+        raise InvalidParameterError(f"{name} costs must be >= 0 and finite")
     return table
 
 

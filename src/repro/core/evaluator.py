@@ -48,7 +48,7 @@ from ..chains import TaskChain
 from ..exceptions import InvalidParameterError, InvalidScheduleError
 from ..platforms import Platform
 from .closed_form import t_lost
-from .costs import CostProfile
+from .costs import COST_NAMES, CostProfile, cost_table
 from .schedule import Action, Schedule
 
 __all__ = [
@@ -203,68 +203,28 @@ def evaluate_schedule(
     )[0]
 
 
-def _cost_rows(
-    n: int,
-    platform: Platform,
-    costs: CostProfile | None,
-    multipliers: np.ndarray | None,
-) -> dict[str, np.ndarray]:
-    """The six per-position cost arrays, ``(K or 1, n + 1)`` each."""
-    names = ("CD", "CM", "RD", "RM", "Vg", "Vp")
-    if multipliers is not None:
-        if costs is not None:
-            raise InvalidParameterError("pass costs or multipliers, not both")
-        # exactly CostProfile.scaled, row by row
-        mult = np.asarray(multipliers, dtype=np.float64)
-        if mult.ndim != 2 or mult.shape[1] != n:
-            raise InvalidParameterError(
-                f"multipliers must be (K, {n}), got shape {mult.shape}"
-            )
-        if not np.all(np.isfinite(mult)) or np.any(mult <= 0.0):
-            raise InvalidParameterError("multipliers must be > 0 and finite")
-        zero = np.zeros((mult.shape[0], 1))
-        rows = {
-            name: np.concatenate((zero, getattr(platform, name) * mult), axis=1)
-            for name in names
-        }
-    else:
-        if costs is None:
-            costs = CostProfile.uniform(n, platform)
-        elif costs.n != n:
-            raise InvalidParameterError(
-                f"cost profile covers {costs.n} tasks but the chain has {n}"
-            )
-        rows = {name: getattr(costs, name)[None, :] for name in names}
-    # Every transition below is added even when its probability is 0,
-    # where a scalar evaluator would skip it; 0 * cost adds exactly
-    # nothing only while every cost is finite and >= 0.
-    for name, arr in rows.items():
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-            raise InvalidParameterError(
-                f"{name} costs must be >= 0 and finite"
-            )
-    return rows
-
-
 def evaluate_schedules(
     weights: np.ndarray,
     platform: Platform,
     schedule: Schedule,
     *,
     strict: bool = True,
-    costs: CostProfile | None = None,
-    multipliers: np.ndarray | None = None,
+    costs: CostProfile | np.ndarray | None = None,
 ) -> list[MarkovEvaluation]:
     """Exact expected makespans of one schedule on ``K`` weight vectors.
 
     ``weights`` is a ``(K, n)`` stack of task-weight rows; every row is
-    priced under the same ``schedule``.  Costs are the platform scalars,
-    one shared ``costs`` profile, or per-row ``multipliers`` (``(K, n)``,
-    each row priced as :meth:`CostProfile.scaled` would).  Row ``k``
-    equals, bit for bit, the evaluation of chain ``weights[k]`` alone:
-    the Markov systems are assembled with array operations over all rows
-    and segments, in the same order of operations per entry, and solved
-    in one stacked :func:`numpy.linalg.solve`.
+    priced under the same ``schedule``.  ``costs`` takes the forms
+    :func:`~repro.core.solver.optimize_batch` takes: ``None`` (the
+    platform scalars), one :class:`~repro.core.costs.CostProfile`
+    shared by every row, or a ``(K, 6, n + 1)``
+    :func:`~repro.core.costs.cost_table` stack with row ``k``'s costs —
+    :func:`~repro.core.costs.scaled_costs` builds one from per-task
+    multipliers.  Row ``k`` equals, bit for bit, the evaluation of
+    chain ``weights[k]`` alone: the Markov systems are assembled with
+    array operations over all rows and segments, in the same order of
+    operations per entry, and solved in one stacked
+    :func:`numpy.linalg.solve`.
 
     Raises
     ------
@@ -290,7 +250,12 @@ def evaluate_schedules(
             "with silent errors the final task needs a guaranteed "
             "verification for the expected correct-completion time to exist"
         )
-    cost = _cost_rows(n, platform, costs, multipliers)
+    # one shared profile is a one-row stack, broadcast over the K rows
+    shared = costs is None or isinstance(costs, CostProfile)
+    table = cost_table(
+        [costs] if shared else costs, 1 if shared else len(weights), n, platform
+    )
+    cost = dict(zip(COST_NAMES, table.transpose(1, 0, 2)))
     prefix = np.zeros((weights.shape[0], n + 1))
     np.cumsum(weights, axis=1, out=prefix[:, 1:])
     if not np.all(np.isfinite(prefix[:, -1])) or np.any(weights <= 0.0):

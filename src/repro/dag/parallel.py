@@ -67,7 +67,7 @@ import numpy as np
 from ..exceptions import InvalidParameterError
 from ..chains import TaskChain
 from ..platforms import Platform
-from ..core.costs import COST_NAMES, CostProfile
+from ..core.costs import scaled_costs
 from ..core.schedule import Action, Schedule
 # optimize stays importable here: profilers wrap the chain DP by its
 # attribute on each calling module
@@ -459,14 +459,14 @@ class ParallelObjective:
         self._mult_bytes = (
             None if self._mults is None else [m.tobytes() for m in self._mults]
         )
-        # the (RD, RM) of an interval opening after each task
-        scales = [1.0] * len(nodes) if self._mults is None else self._mults.tolist()
-        self._recovery = [
-            (float(platform.RD) * scale, float(platform.RM) * scale)
-            for scale in scales
-        ]
-        self._unit_costs = np.array(
-            [getattr(platform, name) for name in COST_NAMES], dtype=np.float64
+        # every task's six cost columns, column 0 (the virtual T0) zero:
+        # an interval gathers its tasks' columns, and one opening after a
+        # task restarts at that task's (RD, RM)
+        self._task_costs = scaled_costs(
+            platform, [np.ones(len(nodes)) if self._mults is None else self._mults]
+        )[0]
+        self._recovery = list(
+            zip(self._task_costs[2, 1:].tolist(), self._task_costs[3, 1:].tolist())
         )
         self._intervals: dict[tuple, tuple[float, tuple[int, ...]]] = {}
         self._workers: dict[tuple, tuple[tuple[float, ...], tuple[int, ...]]] = {}
@@ -605,17 +605,12 @@ class ParallelObjective:
     ) -> None:
         """Solve the intervals ``ikeys`` in one batched DP call."""
         tasks = [list(intervals[ikey][0]) for ikey in ikeys]
-        n_max = max(len(row) for row in tasks)
-        # the rows of CostProfile.scaled(platform, multipliers) (or
-        # .uniform) with_boundary_recovery(rd0, rm0), stacked and zero
-        # past each interval's length
-        costs = np.zeros((len(ikeys), 6, n_max + 1))
-        for row, seq in zip(costs, tasks):
-            row[:, 1 : len(seq) + 1] = (
-                self._unit_costs[:, None]
-                if self._mults is None
-                else self._unit_costs[:, None] * self._mults[seq]
-            )
+        # each interval's tasks after a -1 for T0 and padded with -1:
+        # shifted by one, they index the task cost columns (0 is zero)
+        columns = np.full((len(ikeys), max(map(len, tasks)) + 1), -1)
+        for row, seq in zip(columns, tasks):
+            row[1 : len(seq) + 1] = seq
+        costs = self._task_costs[:, columns + 1].transpose(1, 0, 2)
         costs[:, 2:4, 0] = [intervals[ikey][1:] for ikey in ikeys]
         solutions = optimize_batch(
             [self._weights[seq] for seq in tasks],
@@ -846,18 +841,12 @@ class ParallelSolution:
                 workers.append(None)
                 continue
             weights = [float(self.dag.weight(v)) for v in nodes]
-            costs = None
-            if self.dag.has_heterogeneous_costs():
-                costs = CostProfile.scaled(
-                    self.platform,
-                    [float(self.dag.cost_multiplier(v)) for v in nodes],
-                )
             workers.append(
                 WorkerPlan(
                     chain=TaskChain(weights, name=f"{self.dag.name}-w{w}"),
                     schedule=self.worker_schedules[w],
                     boundaries=layout.boundaries[w],
-                    costs=costs,
+                    costs=self.dag.cost_profile(list(nodes), self.platform),
                 )
             )
         return ParallelPlan(workers=tuple(workers), deps=layout.deps)

@@ -52,9 +52,10 @@ Heterogeneous per-task costs
 ----------------------------
 When the DAG carries per-task cost multipliers
 (:meth:`~repro.dag.workflow.WorkflowDAG.cost_profile`), both evaluation
-paths price them through a permuted :class:`~repro.core.costs.CostProfile`
-— the multiplier travels with the *task*, so reordering changes which
-position pays which checkpoint/verification/recovery cost.  This is what
+paths price them through one :func:`~repro.core.costs.scaled_costs` stack
+of the permuted multipliers — the multiplier travels with the *task*, so
+reordering changes which position pays which
+checkpoint/verification/recovery cost.  This is what
 makes the order genuinely matter: on uniform-cost instances the optimal
 schedules are nearly order-insensitive (gains < 0.14%), with
 heterogeneous costs the search can park cheap-checkpoint tasks at the
@@ -101,6 +102,7 @@ import numpy as np
 
 # evaluate_schedule and optimize stay importable here: profilers wrap
 # them by their attribute on each calling module
+from ..core.costs import scaled_costs
 from ..core.evaluator import evaluate_schedule  # noqa: F401
 from ..core.evaluator import evaluate_schedules
 from ..core.result import Solution
@@ -364,9 +366,10 @@ class ChainObjective:
     weight vector.  Counters expose the work done so benchmarks and
     diagnostics can report evaluation rates and hit ratios.
 
-    Heterogeneous DAGs (per-task cost multipliers) are priced through a
-    :class:`~repro.core.costs.CostProfile` permuted with each order; the
-    memo keys then carry the serialised multiplier vector too, because
+    Heterogeneous DAGs (per-task cost multipliers) are priced through one
+    :func:`~repro.core.costs.scaled_costs` stack of each batch's permuted
+    multipliers, which the exact solves and the bound screens both take;
+    the memo keys then carry the serialised multiplier vector too, because
     two orders with equal weights can still pay different costs.  The
     frozen-schedule bound stays sound: the reference's action sequence is
     one feasible schedule for the neighbor *under the neighbor's permuted
@@ -436,6 +439,14 @@ class ChainObjective:
             [self._multiplier[v] for v in order], dtype=np.float64
         )
 
+    def _cost_stack(self, orders: Sequence[Sequence[Hashable]]) -> np.ndarray | None:
+        """The costs of ``orders`` (``None`` on homogeneous DAGs)."""
+        if self._multiplier is None:
+            return None
+        return scaled_costs(
+            self.platform, np.stack([self.multipliers_of(order) for order in orders])
+        )
+
     @property
     def orders_scored(self) -> int:
         """Total candidate orders this objective has priced (any path)."""
@@ -478,7 +489,7 @@ class ChainObjective:
                 [self.dag.serialise(list(o))[1] for _, o in chunk],
                 self.platform,
                 self.algorithm,
-                costs=[self.dag.cost_profile(list(o), self.platform) for _, o in chunk],
+                costs=self._cost_stack([o for _, o in chunk]),
             )
             self._exact.update(zip((key for key, _ in chunk), solutions))
         self._c_exact_evals.inc(len(misses))
@@ -559,7 +570,7 @@ class ChainObjective:
                 weights[rows],
                 self.platform,
                 reference.schedule,
-                multipliers=None if mult is None else mult[rows],
+                costs=self._cost_stack([orders[i] for i in rows]),
             )
             self._bounds.update(
                 (key, e.expected_time) for key, e in zip(fresh, priced)

@@ -160,6 +160,10 @@ class DagSearchResult:
         return "\n\n".join(parts)
 
     def as_dict(self) -> dict:
+        # imported here: the benchmark imports this module for its
+        # platform and needs none of the document layer
+        from ..api import as_document
+
         return {
             "platform": self.platform,
             "seed": self.seed,
@@ -214,6 +218,7 @@ class DagSearchResult:
             "hetero_wins_1pct": self.hetero_wins,
             "mean_hetero_gain": self.mean_hetero_gain,
             "all_small_recovered": self.all_recovered,
+            "stamps": [as_document(stamp) for stamp in self.stamps],
         }
 
 

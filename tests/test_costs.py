@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.chains import TaskChain
 from repro.core import evaluate_schedule, exhaustive_search, optimize
-from repro.core.costs import CostProfile
+from repro.core.costs import COST_NAMES, CostProfile, cost_table, scaled_costs
 from repro.core.evaluator import error_free_time
 from repro.core.schedule import Action, Schedule
 from repro.exceptions import InvalidParameterError
@@ -91,6 +93,83 @@ class TestCostProfileConstruction:
         assert "uniform" in CostProfile.uniform(4, hot_platform).describe()
         hetero = CostProfile.from_arrays(2, CD=[1.0, 2.0], CM=[1.0, 1.0])
         assert "per-task" in hetero.describe()
+
+
+_cost = st.floats(min_value=0.0, max_value=1e4, allow_nan=False)
+_multiplier = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False)
+
+
+@st.composite
+def ragged_multipliers(draw):
+    """A platform and 1-5 multiplier rows of 1-9 tasks each."""
+    platform = Platform.from_costs(
+        "drawn",
+        lf=1e-3,
+        ls=1e-3,
+        CD=draw(_cost),
+        CM=draw(_cost),
+        RD=draw(_cost),
+        RM=draw(_cost),
+        Vg=draw(_cost),
+        Vp=draw(_cost),
+    )
+    rows = draw(
+        st.lists(st.lists(_multiplier, min_size=1, max_size=9), min_size=1, max_size=5)
+    )
+    return platform, rows, draw(_cost), draw(_cost)
+
+
+class TestScaledCosts:
+    """`scaled_costs` is the one builder of multiplier-scaled cost rows."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ragged_multipliers())
+    def test_rows_are_the_scaled_profiles_bit_for_bit(self, case):
+        platform, rows, rd0, rm0 = case
+        table = scaled_costs(platform, rows)
+        n_max = max(map(len, rows))
+        assert table.shape == (len(rows), 6, n_max + 1)
+        for row, mult in zip(table, rows):
+            m = len(mult)
+            profile = CostProfile.scaled(platform, mult)
+            boundary = profile.with_boundary_recovery(rd0, rm0)
+            opened = row[:, : m + 1].copy()
+            opened[2:4, 0] = rd0, rm0  # the interval's T0 assignment
+            for j, name in enumerate(COST_NAMES):
+                assert row[j, : m + 1].tobytes() == getattr(profile, name).tobytes()
+                assert opened[j].tobytes() == getattr(boundary, name).tobytes()
+            assert not row[:, m + 1 :].any()
+        if len(set(map(len, rows))) == 1:
+            # a (K, n) array is the stack of its rows
+            stacked = scaled_costs(platform, np.array(rows))
+            assert stacked.tobytes() == table.tobytes()
+        # cost_table's uniform rows are the rows of multiplier 1.0
+        lengths = [len(mult) for mult in rows]
+        uniform = cost_table(None, len(rows), lengths, platform)
+        for row, m in zip(uniform, lengths):
+            profile = CostProfile.uniform(m, platform)
+            for j, name in enumerate(COST_NAMES):
+                assert row[j, : m + 1].tobytes() == getattr(profile, name).tobytes()
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_bad_multipliers(self, hot_platform, bad):
+        for multipliers in ([[1.0], [2.0, bad]], np.array([[1.0, bad]])):
+            with pytest.raises(InvalidParameterError, match="> 0 and finite"):
+                scaled_costs(hot_platform, multipliers)
+        with pytest.raises(InvalidParameterError, match="> 0 and finite"):
+            CostProfile.scaled(hot_platform, [1.0, bad])
+        with pytest.raises(InvalidParameterError, match="1-D"):
+            CostProfile.scaled(hot_platform, [[1.0, 2.0]])
+        with pytest.raises(InvalidParameterError, match="1-D"):
+            CostProfile.scaled(hot_platform, [])
+
+    def test_cost_table_names_the_bad_array(self, hot_platform):
+        table = scaled_costs(hot_platform, [[1.0, 2.0]])
+        for j, name in enumerate(COST_NAMES):
+            bad = table.copy()
+            bad[0, j, 1] = -1.0 if j % 2 else np.inf
+            with pytest.raises(InvalidParameterError, match=f"^{name} costs"):
+                cost_table(bad, 1, 2, hot_platform)
 
 
 class TestUniformEquivalence:

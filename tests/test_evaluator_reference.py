@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.chains import TaskChain
 from repro.core.closed_form import t_lost
-from repro.core.costs import CostProfile
+from repro.core.costs import CostProfile, scaled_costs
 from repro.core.evaluator import (
     COST_CATEGORIES,
     MarkovEvaluation,
@@ -256,14 +256,11 @@ def test_batch_rows_equal_the_scalar_evaluator(case):
         except InvalidScheduleError:  # a non-terminating row
             want.append(None)
 
+    stack = shared if multipliers is None else scaled_costs(platform, multipliers)
+
     def run():
         return evaluate_schedules(
-            weights,
-            platform,
-            schedule,
-            strict=strict,
-            costs=shared,
-            multipliers=multipliers,
+            weights, platform, schedule, strict=strict, costs=stack
         )
 
     if None in want:
@@ -340,11 +337,10 @@ def test_batch_rejects_bad_shapes():
         evaluate_schedules(np.ones((2, 4)), platform, schedule)
     with pytest.raises(InvalidParameterError, match=r"\(K, n\)"):
         evaluate_schedules(np.ones(3), platform, schedule)
-    with pytest.raises(InvalidParameterError, match="not both"):
+    with pytest.raises(InvalidParameterError, match=r"\(1, 6, 4\) stack"):
         evaluate_schedules(
             np.ones((1, 3)),
             platform,
             schedule,
-            costs=CostProfile.uniform(3, platform),
-            multipliers=np.ones((1, 3)),
+            costs=scaled_costs(platform, np.ones((2, 3))),
         )

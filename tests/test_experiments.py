@@ -158,6 +158,32 @@ class TestFig78:
             assert "Monte-Carlo agreement stamp" in result.render()
 
 
+def test_dag_sweep_dict_carries_its_stamps():
+    """`repro dag sweep --json` echoes every stamp `render()` prints."""
+    from repro.api import as_document
+    from repro.experiments.dag_search import DagSearchResult
+    from repro.simulation.certify import AgreementStamp
+
+    stamp = AgreementStamp(
+        platform="Hera",
+        label="layered n=12 search",
+        analytic=100.0,
+        simulated=100.4,
+        relative_gap=0.004,
+        reps=4096,
+        relative_half_width=0.009,
+        target_ci=0.01,
+        agrees=True,
+        converged=True,
+    )
+    result = DagSearchResult("Hera", 0, "admv", [], [], stamps=[stamp])
+    assert "Monte-Carlo" in result.render()
+    stamps = result.as_dict()["stamps"]
+    assert stamps == [as_document(stamp)]
+    assert stamps[0]["kind"] == "agreement_stamp"
+    assert DagSearchResult("Hera", 0, "admv", [], []).as_dict()["stamps"] == []
+
+
 @pytest.mark.slow
 class TestDagSearchDriver:
     @pytest.fixture(scope="class")
